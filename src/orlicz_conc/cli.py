@@ -24,7 +24,7 @@ from . import measures as ms
 from . import tensors as tn
 from .errors import InputError, NumericalError
 from .psi import (GrowthEnvelope, PhiSpec, env_from_dict, env_to_dict,
-                  psi_from_json, psi_p_norm, psi_to_dict)
+                  psi_from_json, psi_p_norm_rows, psi_to_dict)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -305,10 +305,8 @@ def _cmd_norm(ns) -> int:
         X = _parse_vector(ns.x)[None, :]
     else:
         X = np.atleast_2d(np.loadtxt(ns.x_file, delimiter=",", ndmin=2))
-    if X.shape[1] != spec.dim:
-        raise InputError(f"vectors have {X.shape[1]} coordinates, spec dim is {spec.dim}")
     config = {"command": "norm", "psi": psi_to_dict(spec), "p": ns.p}
-    vals = np.array([psi_p_norm(spec, ns.p, row) for row in X])
+    vals = psi_p_norm_rows(spec, ns.p, X)
     payload = float(vals[0]) if vals.size == 1 and ns.x is not None else {"norm": vals}
     _emit_result(config, payload, ns.out, ns.format)
     return 0
@@ -421,18 +419,19 @@ def _cmd_sample(ns) -> int:
 
 def _build_function(ns, dim: int) -> em.TestFunction:
     kind = ns.function
-    if kind == "linear":
+    if kind in ("linear", "tilt"):
         if ns.theta is None:
-            raise InputError("linear requires --theta")
-        return em.linear(_parse_vector(ns.theta))
-    if kind == "tilt":
-        if ns.theta is None:
-            raise InputError("tilt requires --theta")
-        return em.exp_tilt(_parse_vector(ns.theta))
+            raise InputError(f"{kind} requires --theta")
+        theta = _parse_vector(ns.theta)
+        if theta.size != dim:
+            raise InputError(f"--theta has {theta.size} coordinates, expected {dim}")
+        return em.linear(theta) if kind == "linear" else em.exp_tilt(theta)
     if kind == "quadratic":
         if ns.matrix is None:
             raise InputError("quadratic requires --matrix")
         A = tn.load_matrix(ns.matrix)
+        if A.n != dim:
+            raise InputError(f"--matrix has side {A.n}, expected {dim}")
         if not A.symmetric:
             A = tn.symmetrize(A)
         return em.quadratic_form(A)

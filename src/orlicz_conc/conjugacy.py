@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .psi import (BobkovLedouxCap, PhiSpec, PowerNorm, PsiSpec,
+from .psi import (BobkovLedouxCap, PowerNorm, PsiSpec,
                   SeparableFromPhi, SeparableTwoLevel, UserSeparable,
                   _as_vector, eval_psi, two_level_component_conjugate)
 

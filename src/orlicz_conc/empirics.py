@@ -72,12 +72,10 @@ def _map_chunks(count: int, job: Callable) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def _family_of(sampler) -> Family:
-    if isinstance(sampler, SamplerSpec):
-        return sampler.family
-    if isinstance(sampler, (StandardGaussian, ProductPhiTail, NuMeasure)):
-        return sampler
-    raise InputError(f"expected a sampler family or SamplerSpec, got {type(sampler).__name__}")
+def _family_of(sampler, seed: int, N: int) -> Family:
+    """The sampler's family, once (family, seed, N) pass the SamplerSpec checks."""
+    family = sampler.family if isinstance(sampler, SamplerSpec) else sampler
+    return SamplerSpec(family, seed, N).family
 
 
 def _family_meta(family: Family) -> dict:
@@ -427,7 +425,7 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
     """Estimate ||f - mean f||_p against G(p) = || |grad f|_{Psi_p} ||_p and
     the closed-form bound C L G(p); the fitted constant is the largest ratio
     lhs / G over the grid."""
-    family = _family_of(sampler)
+    family = _family_of(sampler, seed, N)
     p_grid = _validate_p_grid(p_grid, env.beta)
     if family.n != spec.dim:
         raise InputError(f"sampler dim {family.n} != spec dim {spec.dim}")
@@ -468,7 +466,7 @@ def verify_nu_logp(p_grid, N: int, seed: int) -> NuLogPReport:
     """For f(x) = x under nu: log(p)/(2e) <= ||x||_p <= ||x||_1 + log p,
     checked inside 3 SE bands."""
     p_grid = _validate_p_grid(p_grid, 2.0)
-    family = NuMeasure()
+    family = _family_of(NuMeasure(), seed, N)
     x = _map_chunks(N, lambda j, rows: sample_chunk(family, seed, j, rows)[:, 0])
     l1 = empirical_moment(x, 1.0)
     l1_se = batch_se(x, lambda b: empirical_moment(b, 1.0))
@@ -491,7 +489,7 @@ def comparison_check(samplerX, phi: PhiSpec, f: TestFunction, p_grid,
                      N: int, seed: int) -> MomentReport:
     """||f(X) - mean||_p against ||<grad f(X), Z>||_p for an independent
     product stream Z with tails exp(-phi)."""
-    famX = _family_of(samplerX)
+    famX = _family_of(samplerX, seed, N)
     p_grid = _validate_p_grid(p_grid, 1.0)
     famZ = ProductPhiTail(phi, famX.n)
     seed_z = (seed + _SEED_OFFSET) % 2 ** 64
@@ -530,7 +528,7 @@ def enlargement_mc(sampler, m: float, spec: PsiSpec, u_grid, N: int,
                    C_impl: float = 1.0) -> EnlargementCurve:
     """Empirical mass of {x_1 < m + s(u)} with s(u) the coordinate reach of
     {Psi* < u}, against the closed-form enlargement lower bound."""
-    family = _family_of(sampler)
+    family = _family_of(sampler, seed, N)
     u_grid = np.asarray(sorted(float(u) for u in u_grid))
     if u_grid.size == 0 or u_grid[0] <= 0.0:
         raise InputError("u grid must be non-empty with positive entries")
@@ -563,7 +561,7 @@ def mlsi_report(sampler, g: TestFunction, spec: PsiSpec, D: float, N: int,
     """Residual D E[Psi(grad g / (2g)) g] - Ent(g) for a nonnegative g
     (shifted by 1e-6 to stay positive); nonnegative within MC error when the
     sampled measure satisfies the corresponding inequality with constant D."""
-    family = _family_of(sampler)
+    family = _family_of(sampler, seed, N)
     if not D > 0:
         raise InputError(f"D must be > 0, got {D}")
     if family.n != spec.dim:

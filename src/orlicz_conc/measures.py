@@ -8,7 +8,6 @@ bit-identical however generation is scheduled across workers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 

@@ -12,16 +12,16 @@ gauge
     |x|_{Psi_p} = inf{a > 0 : Psi(p x / a) <= p},
 
 which is non-decreasing in p and is the gradient norm appearing in the
-moment bounds of `bounds`.  The gauge is computed by geometric bracketing
-plus bisection; the predicate Psi(px/a) <= p is monotone in a, so bisection
-is exact up to the requested relative width.
+moment bounds of `bounds`.  PowerNorm and BobkovLedouxCap gauges are closed
+forms; for the other families the predicate Psi(px/a) <= p, monotone in a, is
+bracketed geometrically and the bracket narrowed by Chandrupatla's method.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +31,9 @@ from .errors import InputError, NumericalError
 DEFAULT_TOL = 1e-10
 
 _BRACKET_MAX = 200  # doublings/halvings before giving up (condition C3 failure)
-_BISECT_MAX = 80
+_SOLVE_MAX = 100    # Chandrupatla steps; pure bisection would need about 35
+_NUDGE_MAX = 16     # doubling steps, at most 2^16 ulps, that repair a rounded closed form
+_BLOCK = 8192       # rows per iterative solve, bounding its per-row temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +110,6 @@ class PhiSpec:
         with np.errstate(over="ignore"):
             return np.power(t, self.s)
 
-    def phi_inv(self, y):
-        """Inverse of Phi on [0, inf); closed form for the power family,
-        bisection otherwise."""
-        y = np.asarray(y, dtype=float)
-        if self.fn is None:
-            return np.power(y, 1.0 / self.s)
-        return _phi_inv_bisect(self, y)
-
     def tilde(self, u):
         u = np.abs(np.asarray(u, dtype=float))
         return np.where(u <= 1.0, u * u, self.phi(u))
@@ -127,31 +121,6 @@ class PhiSpec:
         quad = _sup_linear_minus_quad(v)
         tail = _sup_linear_minus_custom(self, v.ravel()).reshape(v.shape)
         return np.maximum(np.maximum(quad, tail), 0.0)
-
-
-def _phi_inv_bisect(phi: PhiSpec, y):
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    hi_cap = min(phi.domain_bound, 1e9)
-    out = np.empty_like(y)
-    for idx, val in np.ndenumerate(y):
-        if val <= 0.0:
-            out[idx] = 0.0
-            continue
-        lo, hi = 0.0, 1.0
-        k = 0
-        while float(phi.phi(hi)) < val:
-            hi *= 2.0
-            k += 1
-            if hi > hi_cap or k > _BRACKET_MAX:
-                raise NumericalError(f"Phi^-1 bracket failed at y={val}")
-        for _ in range(_BISECT_MAX):
-            mid = 0.5 * (lo + hi)
-            if float(phi.phi(mid)) < val:
-                lo = mid
-            else:
-                hi = mid
-        out[idx] = 0.5 * (lo + hi)
-    return out if out.size > 1 else float(out.ravel()[0])
 
 
 def _sup_linear_minus_custom(phi: PhiSpec, v):
@@ -193,6 +162,10 @@ class PsiSpec:
         vals = self._component(np.abs(X))
         return np.sum(vals, axis=-1)
 
+    def _closed_gauge(self, p: float, X: np.ndarray) -> Optional[np.ndarray]:
+        """Closed-form |row|_{Psi_p} for the non-zero rows of X, or None."""
+        return None
+
 
 @dataclass(frozen=True)
 class PowerNorm(PsiSpec):
@@ -213,10 +186,15 @@ class PowerNorm(PsiSpec):
         if not (self.a >= 1.0 and math.isfinite(self.a)):
             raise InputError(f"outer exponent must satisfy a >= 1, got {self.a}")
 
-    def _eval_rows(self, X):
+    def _inner_norm(self, X):
         ord_ = np.inf if math.isinf(self.norm) else self.norm
-        nrm = np.linalg.norm(np.atleast_2d(X), ord=ord_, axis=-1)
-        return np.power(nrm, self.a)
+        return np.linalg.norm(np.atleast_2d(X), ord=ord_, axis=-1)
+
+    def _eval_rows(self, X):
+        return np.power(self._inner_norm(X), self.a)
+
+    def _closed_gauge(self, p, X):
+        return p ** (1.0 - 1.0 / self.a) * self._inner_norm(X)
 
     def dual_exponent(self) -> float:
         q = self.norm
@@ -266,6 +244,11 @@ class BobkovLedouxCap(PsiSpec):
 
     def _component(self, u):
         return np.where(u <= self.threshold, u * u, np.inf)
+
+    def _closed_gauge(self, p, X):
+        # Psi(px/a) <= p iff p|x|_inf/a <= threshold and p^2|x|_2^2/a^2 <= p
+        return np.maximum(p * np.max(np.abs(X), axis=-1) / self.threshold,
+                          math.sqrt(p) * np.linalg.norm(X, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -482,8 +465,8 @@ def psi_p_norm(spec: PsiSpec, p: float, x, tol: float = DEFAULT_TOL) -> float:
 
 
 def psi_p_norm_rows(spec: PsiSpec, p: float, X, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vector of |row|_{Psi_p} over the rows of X; one bracketed bisection
-    run shared across rows."""
+    """Vector of |row|_{Psi_p} over the rows of X.  Each value depends on its
+    row alone, so it is bit-identical to psi_p_norm on that row."""
     if not p > 0:
         raise InputError(f"p must be positive, got {p}")
     if not (0 < tol <= 1e-3):
@@ -496,43 +479,71 @@ def psi_p_norm_rows(spec: PsiSpec, p: float, X, tol: float = DEFAULT_TOL) -> np.
 
     out = np.zeros(X.shape[0])
     l2 = np.linalg.norm(X, axis=1)
-    act = l2 > 0.0
-    if not np.any(act):
-        return out
-    PX = p * X[act]
+    act = np.flatnonzero(l2 > 0.0)
+    a = spec._closed_gauge(p, X[act])
+    if a is None:
+        def resid(PX, b):
+            return spec._eval_rows(PX / b[:, None]) - p
 
-    # expand upward until feasible (Psi(px/a) <= p)
-    hi = l2[act].copy()
-    need = ~(spec._eval_rows(PX / hi[:, None]) <= p)
+        for start in range(0, act.size, _BLOCK):
+            rows = act[start:start + _BLOCK]
+            out[rows] = _bracket_solve(resid, p * X[rows], l2[rows], tol)
+        return out
+    # rounding leaves some closed forms up to 13 ulps infeasible: raise those
+    # rows by a relative step that doubles from one ulp
+    PX, step = p * X[act], np.finfo(float).eps
+    bad = np.flatnonzero(~(spec._eval_rows(PX / a[:, None]) <= p))
+    for _ in range(_NUDGE_MAX):
+        if bad.size == 0:
+            out[act] = a
+            return out
+        a[bad] *= 1.0 + step
+        step *= 2.0
+        bad = bad[~(spec._eval_rows(PX[bad] / a[bad, None]) <= p)]
+    raise NumericalError(f"closed-form gauge still infeasible after {_NUDGE_MAX} steps")
+
+
+def _bracket_solve(resid, PX, start, tol: float):
+    """Per row, the feasible (resid <= 0) end of a bracket at most tol wide
+    around the root of the decreasing a -> resid(PX, a): [a/2, a] moves by
+    factors of 2 from a = start, then Chandrupatla's method (1997, Adv. Eng.
+    Software 28:145) narrows it, bisecting where interpolation is unsafe."""
+    x1, x2 = 0.5 * start, start.copy()  # x1 infeasible, x2 feasible once bracketed
+    f1, f2 = resid(PX, x1), resid(PX, x2)
     for _ in range(_BRACKET_MAX):
-        if not np.any(need):
+        up = np.flatnonzero(~(f2 <= 0))
+        down = np.flatnonzero((f1 <= 0) & (f2 <= 0))
+        if up.size == 0 and down.size == 0:
             break
-        hi[need] *= 2.0
-        need[need] = ~(spec._eval_rows(PX[need] / hi[need, None]) <= p)
+        x1[up], f1[up], x2[up] = x2[up], f2[up], 2.0 * x2[up]
+        f2[up] = resid(PX[up], x2[up])
+        x2[down], f2[down], x1[down] = x1[down], f1[down], 0.5 * x1[down]
+        f1[down] = resid(PX[down], x1[down])
     else:
-        raise NumericalError("psi_p_norm failed to bracket from above after "
-                             f"{_BRACKET_MAX} doublings")
-    # walk downward until infeasible
-    lo = 0.5 * hi
-    still = spec._eval_rows(PX / lo[:, None]) <= p
-    for _ in range(_BRACKET_MAX):
-        if not np.any(still):
-            break
-        hi[still] = lo[still]
-        lo[still] *= 0.5
-        still[still] = spec._eval_rows(PX[still] / lo[still, None]) <= p
-    else:
-        raise NumericalError("psi_p_norm failed to bracket from below after "
-                             f"{_BRACKET_MAX} halvings; Psi may violate (C3)")
-    for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        feas = spec._eval_rows(PX / mid[:, None]) <= p
-        hi[feas] = mid[feas]
-        lo[~feas] = mid[~feas]
-        if np.max((hi - lo) / hi) <= tol:
-            break
-    out[act] = hi
-    return out
+        raise NumericalError(f"gauge bracket failed after {_BRACKET_MAX} steps; Psi may violate (C3)")
+    tol = max(tol, 2.0 * np.finfo(float).eps)  # adjacent floats end a solve
+    out, idx, t = np.empty_like(x1), np.arange(x1.size), np.full(x1.size, 0.5)
+    for _ in range(_SOLVE_MAX):
+        x = x1 + t * (x2 - x1)
+        f = resid(PX, x)
+        same = (f <= 0) == (f1 <= 0)
+        x1, x2, x3 = x, np.where(same, x2, x1), np.where(same, x1, x2)
+        f1, f2, f3 = f, np.where(same, f2, f1), np.where(same, f1, f2)
+        feas, dx = np.where(f1 <= 0, x1, x2), np.abs(x2 - x1)
+        done = dx <= tol * feas
+        if np.any(done):
+            out[idx[done]] = feas[done]
+            if np.all(done):
+                return out
+            idx, PX, x1, f1, x2, f2, x3, f3, feas, dx = (
+                v[~done] for v in (idx, PX, x1, f1, x2, f2, x3, f3, feas, dx))
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite f bisects
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+        t = np.clip(t, 0.5 * tol * feas / dx, 1.0 - 0.5 * tol * feas / dx)
+    raise NumericalError(f"gauge solve did not converge in {_SOLVE_MAX} steps for {idx.size} rows")
 
 
 def two_level_equiv_norm(x, p: float, r: float) -> float:
@@ -572,14 +583,7 @@ class CheckReport:
     worst: dict
 
 
-_T_GRID = None
-
-
-def _t_grid():
-    global _T_GRID
-    if _T_GRID is None:
-        _T_GRID = np.geomspace(1e-3, 1e3, 61)
-    return _T_GRID
+_T_GRID = np.geomspace(1e-3, 1e3, 61)
 
 
 def _sample_rays(spec: PsiSpec, ray_samples: int, seed) -> np.ndarray:
@@ -602,7 +606,7 @@ def check_condition_C(spec: PsiSpec, ray_samples: int = 16, seed=0) -> CheckRepo
     at_zero = eval_psi(spec, np.zeros(spec.dim))
     if at_zero != 0.0:
         violations.append(f"C1: Psi(0) = {at_zero}, expected 0")
-    ts = _t_grid()
+    ts = _T_GRID
     for i, u in enumerate(_sample_rays(spec, ray_samples, seed)):
         vals = eval_psi_rows(spec, ts[:, None] * u[None, :])
         neg = eval_psi_rows(spec, -ts[:, None] * u[None, :])

@@ -89,6 +89,39 @@ def test_numerical_failures_exit_three(capsys, monkeypatch):
     assert json.loads(err)["error"] == "numerical"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "nu-logp", "--seed", "-1"),
+    ("verify", "nu-logp", "--seed", "18446744073709551616"),
+    ("verify", "nu-logp", "--N", "0"),
+    ("verify", "centered", "--n", "2", "--function", "linear", "--theta", "1",
+     "--psi", PSI2),
+    ("verify", "centered", "--n", "3", "--function", "quadratic", "--matrix", "MATRIX",
+     "--psi", '{"family":"PowerNorm","params":{"norm":"l2","a":2},"dim":3}'),
+], ids=["negative_seed", "seed_2_64", "zero_N", "theta_dim", "matrix_dim"])
+def test_bad_stream_and_function_inputs_exit_two(capsys, matrix_file, argv):
+    rc, out, err = run(capsys, *(matrix_file if a == "MATRIX" else a for a in argv))
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+def test_norm_x_file_equals_per_row_x(capsys, tmp_path):
+    spec = '{"family":"SeparableTwoLevel","params":{"r":3},"dim":3}'
+    X = np.random.default_rng(3).standard_normal((12, 3)) * 4.0
+    X[5] = 0.0
+    path = tmp_path / "rows.csv"
+    path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in X))
+    rc, out, _ = run(capsys, "norm", "--psi", spec, "--p", "4", "--x-file", str(path))
+    assert rc == 0
+    batched = value_lines(out)[1:]
+    single = []
+    for row in X:
+        rc, out, _ = run(capsys, "norm", "--psi", spec, "--p", "4",
+                         "--x=" + ",".join(f"{v:.17g}" for v in row))
+        assert rc == 0
+        single.append(value_lines(out)[0])
+    assert batched == single
+
+
 def test_verify_band_failure_exits_one(capsys):
     # a tiny constant makes the residual strongly negative
     rc, out, _ = run(capsys, "verify", "mlsi", "--family", "gaussian", "--n", "2",

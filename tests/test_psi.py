@@ -15,6 +15,7 @@ from orlicz_conc import (BobkovLedouxCap, GrowthEnvelope, InputError, PhiSpec,
                          psi_from_dict, psi_from_json, psi_p_norm,
                          psi_p_norm_rows, psi_to_dict, psi_to_json,
                          rearranged_two_level_norm, two_level_equiv_norm)
+from orlicz_conc import psi as psi_mod
 
 
 def _power(a, q=2.0, dim=20):
@@ -156,12 +157,22 @@ def test_eval_psi_rows_matches_scalar_loop():
 
 
 def test_psi_p_norm_rows_matches_scalar_loop():
+    # bit for bit, for closed forms and the iterative solve alike, with zero
+    # rows and more rows than one internal block
     rng = np.random.default_rng(12)
-    X = rng.standard_normal((40, 5))
-    spec = SeparableTwoLevel(dim=5, r=3.0)
-    rows = psi_p_norm_rows(spec, 9.0, X)
-    for i in range(len(X)):
-        assert rows[i] == pytest.approx(psi_p_norm(spec, 9.0, X[i]), rel=1e-9)
+    m = psi_mod._BLOCK + 300
+    X = rng.standard_normal((m, 5)) * np.exp(rng.uniform(-3.0, 3.0, (m, 1)))
+    X[::97] = 0.0
+    picks = np.r_[0:8, psi_mod._BLOCK - 4:psi_mod._BLOCK + 4, m - 8:m,
+                  rng.integers(0, m, 24)]
+    for spec in (_power(1.5, q=3.0, dim=5), BobkovLedouxCap(dim=5, threshold=0.5),
+                 SeparableTwoLevel(dim=5, r=3.0),
+                 SeparableFromPhi(dim=5, phi=PhiSpec(s=1.5)),
+                 UserSeparable(dim=5, fn=lambda u: np.abs(u) ** 3)):
+        rows = psi_p_norm_rows(spec, 9.0, X)
+        assert np.all(rows[::97] == 0.0)
+        for i in picks:
+            assert rows[i] == psi_p_norm(spec, 9.0, X[i])
 
 
 def test_eval_psi_p_is_the_normalized_dilation():
