@@ -14,12 +14,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import centered_moment_bound, enlargement_bound, l_constant
 from .conjugacy import _component_conjugate, conjugate_ray_radius
@@ -67,6 +65,7 @@ def _map_chunks(count: int, job: Callable) -> np.ndarray:
     if workers == 1 or len(plan) == 1:
         parts = [job(j, rows) for j, rows in plan]
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda jr: job(*jr), plan))
     return np.concatenate(parts, axis=0)
@@ -212,6 +211,19 @@ def halfspace_distance(m: float, spec: PsiSpec) -> TestFunction:
 # ---------------------------------------------------------------------------
 # estimators
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) for a non-empty real 1-D array, in the order of
+    operations of scipy.special.logsumexp, so results are bit-identical.
+    The maximal entries are masked out of the sum rather than shifted to
+    -inf, so all -inf input gives -inf (not -inf - -inf = nan)."""
+    a_max = np.max(a)
+    at_max = a == a_max
+    m = np.sum(at_max, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sum(np.where(at_max, 0.0, np.exp(a - a_max))) / m
+        return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def empirical_moment(values, p: float) -> float:
     """(mean |v|^p)^{1/p}, max-shifted in the log domain so large p (up to
     the 256 design range) cannot overflow."""
@@ -228,7 +240,7 @@ def empirical_moment(values, p: float) -> float:
         return math.inf
     with np.errstate(divide="ignore"):
         logs = np.log(mags)
-    lse = logsumexp(p * logs) - math.log(values.size)
+    lse = _logsumexp(p * logs) - math.log(values.size)
     return math.exp(lse / p)
 
 
@@ -266,8 +278,8 @@ def top_mass_fraction(values, p: float, k: int = 10) -> float:
         return 0.0
     with np.errstate(divide="ignore"):
         logs = p * np.log(mags)
-    total = logsumexp(logs)
-    top = logsumexp(np.sort(logs)[-k:])
+    total = _logsumexp(logs)
+    top = _logsumexp(np.sort(logs)[-k:])
     return float(math.exp(top - total))
 
 
@@ -464,9 +476,12 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
 
 def verify_nu_logp(p_grid, N: int, seed: int) -> NuLogPReport:
     """For f(x) = x under nu: log(p)/(2e) <= ||x||_p <= ||x||_1 + log p,
-    checked inside 3 SE bands."""
+    checked inside 3 SE bands; N < BATCHES would leave the SE infinite and
+    the verdict vacuous, so it is an InputError."""
     p_grid = _validate_p_grid(p_grid, 2.0)
     family = _family_of(NuMeasure(), seed, N)
+    if N < BATCHES:
+        raise InputError(f"nu-logp bands need N >= {BATCHES} rows for a batch SE, got {N}")
     x = _map_chunks(N, lambda j, rows: sample_chunk(family, seed, j, rows)[:, 0])
     l1 = empirical_moment(x, 1.0)
     l1_se = batch_se(x, lambda b: empirical_moment(b, 1.0))

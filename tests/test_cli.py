@@ -50,6 +50,21 @@ def test_console_script_entry_point():
     assert float(value_lines(proc.stdout)[0]) == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("code", [
+    "import orlicz_conc",
+    "import runpy; runpy.run_module('orlicz_conc.cli', run_name='__main__')",
+], ids=["import", "cli_help"])
+def test_startup_imports_neither_scipy_nor_thread_pool(code):
+    probe = (f"import sys; sys.argv[1:] = ['--help']\ntry:\n    {code}\n"
+             "except SystemExit:\n    pass\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('scipy', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error objects
 
@@ -93,11 +108,13 @@ def test_numerical_failures_exit_three(capsys, monkeypatch):
     ("verify", "nu-logp", "--seed", "-1"),
     ("verify", "nu-logp", "--seed", "18446744073709551616"),
     ("verify", "nu-logp", "--N", "0"),
+    ("verify", "nu-logp", "--N", "1", "--p-grid", "2"),
     ("verify", "centered", "--n", "2", "--function", "linear", "--theta", "1",
      "--psi", PSI2),
     ("verify", "centered", "--n", "3", "--function", "quadratic", "--matrix", "MATRIX",
      "--psi", '{"family":"PowerNorm","params":{"norm":"l2","a":2},"dim":3}'),
-], ids=["negative_seed", "seed_2_64", "zero_N", "theta_dim", "matrix_dim"])
+], ids=["negative_seed", "seed_2_64", "zero_N", "N_below_batches", "theta_dim",
+        "matrix_dim"])
 def test_bad_stream_and_function_inputs_exit_two(capsys, matrix_file, argv):
     rc, out, err = run(capsys, *(matrix_file if a == "MATRIX" else a for a in argv))
     assert rc == 2 and out == ""

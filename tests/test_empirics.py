@@ -68,6 +68,35 @@ def test_top_mass_fraction_range():
     assert top_mass_fraction(v[:5], 8.0, k=10) == pytest.approx(1.0, rel=1e-12)
 
 
+def _logsumexp_cases():
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 10, 1000, 65536, 100_000):
+        for scale in (1e-3, 1.0, 30.0, 700.0):
+            yield rng.standard_normal(size) * scale
+            yield -np.abs(rng.standard_normal(size)) * scale
+    tied = rng.standard_normal(500)
+    tied[[3, 40, 41, 499]] = 2.5  # ties at the maximum
+    yield tied
+    yield np.full(17, 3.0)
+    with_neg_inf = rng.standard_normal(300)
+    with_neg_inf[::7] = -np.inf
+    yield with_neg_inf
+    yield np.array([-np.inf, 0.0, -np.inf])
+    yield np.full(5, -np.inf)
+    yield np.array([-np.inf])
+    yield np.array([1.0, np.inf, -2.0])
+    yield np.array([np.inf])
+    yield np.array([-4.25])
+    yield 128.0 * np.log(np.abs(rng.standard_normal(20000)))  # high-p moments
+
+
+def test_logsumexp_is_bit_identical_to_scipy():
+    from scipy.special import logsumexp
+    for a in _logsumexp_cases():
+        assert em._logsumexp(a) == float(logsumexp(a)), a[:5]
+    assert em._logsumexp(np.full(5, -np.inf)) == -math.inf
+
+
 # ---------------------------------------------------------------------------
 # test functions
 
@@ -151,6 +180,16 @@ def test_verify_centered_deterministic_and_thread_invariant(monkeypatch):
     np.testing.assert_array_equal(one.lhs, four.lhs)
     np.testing.assert_array_equal(one.lhs_se, four.lhs_se)
     assert one.fitted == four.fitted
+
+
+def test_threaded_chunk_map_matches_one_worker(monkeypatch):
+    # more rows than one chunk, so four workers really run the thread pool
+    N = 2 * em.CHUNK + 17
+    monkeypatch.setenv(em.THREADS_ENV, "1")
+    one = verify_nu_logp(np.array([2.0, 8.0]), N, 6)
+    monkeypatch.setenv(em.THREADS_ENV, "4")
+    four = verify_nu_logp(np.array([2.0, 8.0]), N, 6)
+    assert one.to_json_dict() == four.to_json_dict()
 
 
 def test_verify_nu_logp_small_run_passes():
