@@ -443,17 +443,16 @@ def _build_function(ns, dim: int) -> em.TestFunction:
 
 
 def _cmd_verify(ns) -> int:
-    fmt = ns.format
     if ns.scenario == "nu-logp":
         rep = em.verify_nu_logp(_parse_vector(ns.p_grid), ns.N, ns.seed)
-        _emit_verify_report(rep.to_json_dict(), rep, ns.out, fmt)
+        _emit_verify_report(rep, ns)
         return 0 if rep.all_passed else 1
     if ns.scenario == "mlsi":
         family = _family_from_flags(ns.family, ns.n, ns.phi_s)
         spec = psi_from_json(_read_arg_text(ns.psi))
         g = _build_function(ns, spec.dim)
         rep = em.mlsi_report(family, g, spec, ns.D, ns.N, ns.seed)
-        _emit_verify_report(rep.to_json_dict(), rep, ns.out, fmt)
+        _emit_verify_report(rep, ns)
         ok = rep.infinite or rep.residual >= -3.0 * rep.se
         return 0 if ok else 1
     if ns.scenario == "centered":
@@ -464,7 +463,7 @@ def _cmd_verify(ns) -> int:
         f = _build_function(ns, spec.dim)
         rep = em.verify_centered(family, f, spec, env, _parse_vector(ns.p_grid),
                                  ns.N, ns.seed, C=ns.C)
-        _emit_verify_report(rep.to_json_dict(), rep, ns.out, fmt)
+        _emit_verify_report(rep, ns)
         ok = math.isfinite(rep.fitted) and bool(np.all(np.isfinite(rep.lhs)))
         return 0 if ok else 1
     if ns.scenario == "comparison":
@@ -472,7 +471,7 @@ def _cmd_verify(ns) -> int:
         f = _build_function(ns, family.n)
         rep = em.comparison_check(family, PhiSpec(s=ns.phi_s), f,
                                   _parse_vector(ns.p_grid), ns.N, ns.seed)
-        _emit_verify_report(rep.to_json_dict(), rep, ns.out, fmt)
+        _emit_verify_report(rep, ns)
         return 0 if bool(np.all(np.isfinite(rep.ratio))) else 1
     if ns.scenario == "enlargement":
         family = _family_from_flags(ns.family, ns.n, ns.phi_s)
@@ -483,7 +482,7 @@ def _cmd_verify(ns) -> int:
                              "D": ns.D, "d": ns.d})
         rep = em.enlargement_mc(family, ns.m, spec, _parse_vector(ns.u_grid),
                                 ns.N, ns.seed, env=env, C_impl=ns.C)
-        _emit_verify_report(rep.to_json_dict(), rep, ns.out, fmt)
+        _emit_verify_report(rep, ns)
         if env is None:
             return 0
         ok = bool(np.all(rep.emp >= rep.bound - 3.0 * rep.se))
@@ -491,12 +490,11 @@ def _cmd_verify(ns) -> int:
     raise InputError(f"unknown scenario {ns.scenario!r}")
 
 
-def _emit_verify_report(json_dict: dict, rep, out_path, fmt: str):
-    if fmt == "csv" and out_path:
-        rep.to_csv(out_path)
+def _emit_verify_report(rep, ns):
+    if ns.format == "csv" and ns.out:
+        rep.to_csv(ns.out)
         return
-    line = json.dumps(json_dict, sort_keys=True)
-    _emit([line], out_path)
+    _emit([json.dumps(rep.to_json_dict(), sort_keys=True)], ns.out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 function omega and its inverse/conjugate profiles, and Psi* with the level
 sets {Psi* <= p} used by the chaos and enlargement bounds.
 
-omega(t) = sup{Psi(tx)/Psi(x) : Psi(x) finite, x != 0} has closed forms for
-every built-in family; user-supplied components fall back to a grid
-supremum, which is a lower bound of the true omega and is reported as such.
-The conjugate-type profile
+Each PsiSpec family supplies its closed forms (`_closed_omega`,
+`_closed_conjugate`, `_closed_support`, ...); this module holds only the
+family-independent numeric fallbacks.  omega(t) = sup{Psi(tx)/Psi(x) :
+Psi(x) finite, x != 0} has closed forms for every built-in family;
+user-supplied components fall back to a grid supremum, which is a lower
+bound of the true omega and is reported as such.  The conjugate-type profile
 
     omega*(t) = t * sup{u > 0 : omega(u)/u <= t}
 
@@ -23,9 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .psi import (BobkovLedouxCap, PowerNorm, PsiSpec,
-                  SeparableFromPhi, SeparableTwoLevel, UserSeparable,
-                  _as_vector, eval_psi, two_level_component_conjugate)
+from .psi import PsiSpec, _as_vector, eval_psi
 
 GRID_LO = 1e-6
 GRID_HI = 1e6
@@ -110,25 +110,6 @@ def legendre_1d(phi, t: float, lo: float = GRID_LO, hi: float = GRID_HI,
 # ---------------------------------------------------------------------------
 # omega and friends
 
-def _omega_closed(spec: PsiSpec, t: np.ndarray):
-    """Vectorized closed-form omega, or None when only the numeric ray
-    supremum is available."""
-    with np.errstate(over="ignore"):
-        if isinstance(spec, PowerNorm):
-            return np.power(t, spec.a)
-        if isinstance(spec, SeparableTwoLevel):
-            return np.maximum(t * t, np.power(t, spec.r))
-        if isinstance(spec, BobkovLedouxCap):
-            return np.where(t <= 1.0, t * t, np.inf)
-        if isinstance(spec, SeparableFromPhi) and spec.phi.fn is None:
-            s = spec.phi.s
-            if s == 1.0:
-                return np.where(t <= 1.0, t * t, np.inf)
-            s_conj = s / (s - 1.0)
-            return np.maximum(t * t, np.power(t, s_conj))
-    return None
-
-
 def omega_ray_sup(spec: PsiSpec, t: float, points: int = GRID_POINTS) -> float:
     """Numeric sup_u h(tu)/h(u) for a separable spec; a lower bound of the
     true omega in general, exact up to grid resolution for the built-ins."""
@@ -164,18 +145,17 @@ def omega(spec: PsiSpec, t: float) -> float:
     """Maximal growth ratio of Psi along rays at dilation t > 0."""
     if not t > 0:
         raise InputError(f"omega requires t > 0, got {t}")
-    closed = _omega_closed(spec, np.asarray(float(t)))
-    if closed is not None:
-        return float(closed)
-    return omega_ray_sup(spec, float(t))
+    return float(omega_values(spec, np.asarray(float(t))))
 
 
 def omega_values(spec: PsiSpec, ts: np.ndarray) -> np.ndarray:
+    """omega elementwise: the family's closed form, else omega_ray_sup."""
     ts = np.asarray(ts, dtype=float)
-    closed = _omega_closed(spec, ts)
+    with np.errstate(over="ignore"):
+        closed = spec._closed_omega(ts)
     if closed is not None:
         return closed
-    return np.array([omega_ray_sup(spec, float(t)) for t in ts])
+    return np.array([omega_ray_sup(spec, float(t)) for t in ts.ravel()]).reshape(ts.shape)
 
 
 def _monotone_sup(pred: Callable, what: str) -> float:
@@ -263,46 +243,30 @@ def profile_table(spec: PsiSpec, ts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Psi* and its level sets
 
-def _component_conjugate(spec: PsiSpec, v: np.ndarray) -> np.ndarray:
-    """Conjugate of the 1-D component of a separable spec, evaluated at |v|.
+def _conjugate_1d(spec: PsiSpec, v: np.ndarray) -> np.ndarray:
+    """The spec's 1-D conjugate at |v|, elementwise: its closed form, else the
+    numeric Legendre transform of a separable spec's component.
 
     For the two-level family with r < 2 this is the conjugate of the convex
     envelope of the component, which is the object the enlargement and chaos
     corollaries use for such specs.
     """
     v = np.abs(v)
-    if isinstance(spec, SeparableTwoLevel):
-        return two_level_component_conjugate(v, spec.r)
-    if isinstance(spec, BobkovLedouxCap):
-        thr = spec.threshold
-        return np.where(v <= 2.0 * thr, 0.25 * v * v, thr * v - thr * thr)
-    if isinstance(spec, SeparableFromPhi):
-        phi = spec.phi
-        if phi.fn is None and phi.s >= 2.0:
-            # tilde-Phi is convex there, so the biconjugate is tilde-Phi itself
-            with np.errstate(over="ignore"):
-                return np.where(v <= 1.0, v * v, np.power(v, phi.s))
-        return np.array([legendre_1d(phi.tilde_star, float(x)) for x in v])
-    if isinstance(spec, UserSeparable):
-        return np.array([legendre_1d(spec.fn, float(x)) for x in v])
-    raise InputError(f"{type(spec).__name__} has no separable component conjugate")
+    with np.errstate(over="ignore"):
+        closed = spec._closed_conjugate(v)
+    if closed is not None:
+        return closed
+    return np.array([legendre_1d(spec._component, float(x)) for x in v])
 
 
 def psi_star(spec: PsiSpec, y) -> float:
-    """Legendre transform Psi*(y) = sup_x(<x,y> - Psi(x)).
-
-    PowerNorm uses the closed form c_a ||y||_*^{a*} with c_a = (a-1) a^{-a*};
-    separable families conjugate per coordinate.
-    """
+    """Legendre transform Psi*(y) = sup_x(<x,y> - Psi(x)): the 1-D conjugate
+    summed over coordinates for separable families, taken at the dual norm
+    of y for PowerNorm."""
     y = _as_vector(spec, y)
-    if isinstance(spec, PowerNorm):
-        dual = float(np.linalg.norm(y, ord=spec.dual_exponent()))
-        if spec.a == 1.0:
-            return 0.0 if dual <= 1.0 + 1e-12 else math.inf
-        a_conj = spec.a / (spec.a - 1.0)
-        c = (spec.a - 1.0) * spec.a ** (-a_conj)
-        return c * dual ** a_conj
-    return float(np.sum(_component_conjugate(spec, y)))
+    if spec.separable:
+        return float(np.sum(_conjugate_1d(spec, y)))
+    return float(spec._closed_conjugate(spec._dual_norm(y)))
 
 
 def conjugate_ray_radius(spec: PsiSpec, u: float, axis: int = 0) -> float:
@@ -317,43 +281,23 @@ def conjugate_ray_radius(spec: PsiSpec, u: float, axis: int = 0) -> float:
     return _monotone_sup(lambda c: psi_star(spec, c * e) < u, "conjugate_ray_radius")
 
 
-def _require_convex(spec: PsiSpec):
-    if isinstance(spec, PowerNorm):
-        return
-    if isinstance(spec, SeparableTwoLevel):
-        if spec.r < 2.0:
-            raise InputError("two-level spec with r < 2 is non-convex; "
-                             "support evaluation requires r >= 2")
-        return
-    if isinstance(spec, (SeparableFromPhi, BobkovLedouxCap)):
-        return
-    raise InputError(f"{type(spec).__name__} is not a supported convex family")
-
-
-def _power_norm_radius(spec: PowerNorm, p: float) -> float:
-    if spec.a == 1.0:
-        return 1.0
-    a_conj = spec.a / (spec.a - 1.0)
-    c = (spec.a - 1.0) * spec.a ** (-a_conj)
-    return (p / c) ** (1.0 / a_conj)
-
-
 def support_function(spec: PsiSpec, p: float, theta) -> float:
     """sup{<theta, y> : Psi*(y) <= p} for a convex spec.
 
-    PowerNorm reduces to radius(p) * ||theta||_q; separable convex families
-    use Lagrange duality, sup = min_{lam>0} lam (p + Psi(theta/lam)), a 1-D
-    convex minimization solved on a log grid with golden refinement.
+    A family's closed form is used where it has one (PowerNorm: radius(p) *
+    ||theta||_q); separable convex families use Lagrange duality, sup =
+    min_{lam>0} lam (p + Psi(theta/lam)), a 1-D convex minimization solved on
+    a log grid with golden refinement.
     """
     if not p > 0:
         raise InputError(f"requires p > 0, got {p}")
-    _require_convex(spec)
+    spec._require_convex()
     theta = _as_vector(spec, theta)
     if not np.any(theta):
         return 0.0
-    if isinstance(spec, PowerNorm):
-        ord_ = np.inf if math.isinf(spec.norm) else spec.norm
-        return _power_norm_radius(spec, p) * float(np.linalg.norm(theta, ord=ord_))
+    closed = spec._closed_support(p, theta)
+    if closed is not None:
+        return closed
 
     def negobj(lam_):
         with np.errstate(over="ignore"):
@@ -379,24 +323,13 @@ def support_argmax(spec: PsiSpec, p: float, theta) -> tuple:
     step of alternating chaos maximization."""
     if not p > 0:
         raise InputError(f"requires p > 0, got {p}")
-    _require_convex(spec)
+    spec._require_convex()
     theta = _as_vector(spec, theta)
     if not np.any(theta):
         return 0.0, np.zeros(spec.dim)
-    if isinstance(spec, PowerNorm):
-        R = _power_norm_radius(spec, p)
-        q = spec.norm
-        mags = np.abs(theta)
-        if math.isinf(q):
-            y = np.zeros(spec.dim)
-            j = int(np.argmax(mags))
-            y[j] = math.copysign(R, theta[j])
-        elif q == 1.0:
-            y = R * np.sign(theta)
-        else:
-            w = np.sign(theta) * mags ** (q - 1.0)
-            y = R * w / float(np.linalg.norm(mags ** (q - 1.0), ord=q / (q - 1.0)))
-        return float(np.dot(theta, y)), y
+    closed = spec._closed_support_argmax(p, theta)
+    if closed is not None:
+        return closed
 
     # separable: multiplier from the dual, then exact per-coordinate argmax
     lam_star = _support_multiplier(spec, p, theta)
@@ -440,7 +373,7 @@ def _coordinate_argmax(spec: PsiSpec, tj: float, lam_star: float, p: float) -> f
     mag = abs(tj)
 
     def val(y):
-        hstar = float(_component_conjugate(spec, np.asarray([y]))[0])
+        hstar = float(_conjugate_1d(spec, np.asarray([y]))[0])
         return mag * y - lam_star * hstar
 
     # bracket: walk out until the objective is decreasing

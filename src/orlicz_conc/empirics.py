@@ -14,18 +14,18 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from .bounds import centered_moment_bound, enlargement_bound, l_constant
-from .conjugacy import _component_conjugate, conjugate_ray_radius
+from .conjugacy import _conjugate_1d, conjugate_ray_radius
 from .errors import InputError
 from .measures import (CHUNK, Family, NuMeasure, ProductPhiTail, SamplerSpec,
-                       StandardGaussian, sample_chunk)
-from .psi import (GrowthEnvelope, PhiSpec, PowerNorm, PsiSpec, env_to_dict,
-                  eval_psi_rows, psi_p_norm_rows, psi_to_dict)
+                       StandardGaussian, _chunk_plan, sample_chunk)
+from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, env_to_dict, eval_psi_rows,
+                  psi_p_norm_rows, psi_to_dict)
 from .tensors import MultiIndexMatrix
 
 THREADS_ENV = "ORLICZ_CONC_THREADS"
@@ -46,17 +46,6 @@ def _worker_count() -> int:
         raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
 
 
-def _chunk_plan(count: int):
-    plan = []
-    done, j = 0, 0
-    while done < count:
-        rows = min(CHUNK, count - done)
-        plan.append((j, rows))
-        done += rows
-        j += 1
-    return plan
-
-
 def _map_chunks(count: int, job: Callable) -> np.ndarray:
     """Evaluate job(j, rows) over the fixed chunk plan and concatenate in
     chunk order; parallelism changes scheduling only, never the result."""
@@ -72,9 +61,14 @@ def _map_chunks(count: int, job: Callable) -> np.ndarray:
 
 
 def _family_of(sampler, seed: int, N: int) -> Family:
-    """The sampler's family, once (family, seed, N) pass the SamplerSpec checks."""
+    """The sampler's family, once (family, seed, N) pass the SamplerSpec checks
+    and N >= BATCHES: with fewer rows the batch SE is infinite and every
+    3-SE verdict would pass vacuously."""
     family = sampler.family if isinstance(sampler, SamplerSpec) else sampler
-    return SamplerSpec(family, seed, N).family
+    family = SamplerSpec(family, seed, N).family
+    if N < BATCHES:
+        raise InputError(f"verification needs N >= {BATCHES} rows for a batch SE, got {N}")
+    return family
 
 
 def _family_meta(family: Family) -> dict:
@@ -85,6 +79,14 @@ def _family_meta(family: Family) -> dict:
         return {"family": "ProductPhiTail", "n": family.n,
                 "phi": {"s": phi.s, "custom": phi.fn is not None}}
     return {"family": "NuMeasure", "n": 1}
+
+
+def _psi_meta(spec: PsiSpec) -> dict:
+    """psi_to_dict, or family and dim for a spec with no JSON form."""
+    try:
+        return psi_to_dict(spec)
+    except InputError:
+        return {"family": type(spec).__name__, "dim": spec.dim}
 
 
 # ---------------------------------------------------------------------------
@@ -171,41 +173,28 @@ def exp_tilt(theta) -> TestFunction:
     )
 
 
-def _ray_conjugate_values(spec: PsiSpec, c: np.ndarray) -> np.ndarray:
-    """Psi*(c e_1) for c >= 0, vectorized."""
-    c = np.asarray(c, dtype=float)
-    if isinstance(spec, PowerNorm):
-        if spec.a == 1.0:
-            return np.where(c <= 1.0, 0.0, np.inf)
-        a_conj = spec.a / (spec.a - 1.0)
-        coef = (spec.a - 1.0) * spec.a ** (-a_conj)
-        return coef * c ** a_conj
-    if spec.separable:
-        return _component_conjugate(spec, c)
-    raise InputError(f"{type(spec).__name__} has no coordinate-ray conjugate")
-
-
 def halfspace_distance(m: float, spec: PsiSpec) -> TestFunction:
     """Gauge distance to the halfspace {x_1 <= m} measured by the conjugate
     ball: f(x) = Psi*((x_1 - m)_+ e_1), so {f < u} is exactly the
-    u-enlargement of the halfspace."""
+    u-enlargement of the halfspace; Psi*(c e_1) is the spec's 1-D conjugate
+    at c."""
     m = float(m)
 
     def f(X):
         c = np.maximum(X[:, 0] - m, 0.0)
-        return _ray_conjugate_values(spec, c)
+        return _conjugate_1d(spec, c)
 
     def grad(X):
         c = np.maximum(X[:, 0] - m, 0.0)
         h = 1e-6 * np.maximum(1.0, c)
         lo = np.maximum(c - h, 0.0)
-        d = (_ray_conjugate_values(spec, c + h) - _ray_conjugate_values(spec, lo)) / (c + h - lo)
+        d = (_conjugate_1d(spec, c + h) - _conjugate_1d(spec, lo)) / (c + h - lo)
         out = np.zeros_like(X)
         out[:, 0] = np.where(X[:, 0] > m, d, 0.0)
         return out
 
     return TestFunction(name="halfspace_distance", f=f, grad=grad,
-                        meta={"m": m, "psi": psi_to_dict(spec)})
+                        meta={"m": m, "psi": _psi_meta(spec)})
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +289,22 @@ def _write_csv(path: str, meta: dict, columns: Dict[str, np.ndarray]):
             fh.write(",".join(_fmt_cell(columns[c][i]) for c in names) + "\n")
 
 
+def _jsonable(v):
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, dict):  # p-keyed flags need string keys
+        return {str(k): x for k, x in v.items()}
+    return v
+
+
+class _Report:
+    def to_json_dict(self) -> dict:
+        """Every field, with arrays as lists and dict keys as strings."""
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass
-class MomentReport:
+class MomentReport(_Report):
     """Empirical centered moments against a comparison curve, per p."""
 
     p_grid: np.ndarray
@@ -314,19 +317,6 @@ class MomentReport:
     flags: Dict[float, float]
     meta: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "meta": self.meta,
-            "p_grid": self.p_grid.tolist(),
-            "lhs": self.lhs.tolist(),
-            "lhs_se": self.lhs_se.tolist(),
-            "rhs": self.rhs.tolist(),
-            "bound": self.bound.tolist(),
-            "ratio": self.ratio.tolist(),
-            "fitted": self.fitted,
-            "flags": {str(k): v for k, v in self.flags.items()},
-        }
-
     def to_csv(self, path: str):
         _write_csv(path, self.meta, {
             "p": self.p_grid, "lhs": self.lhs, "lhs_se": self.lhs_se,
@@ -335,7 +325,7 @@ class MomentReport:
 
 
 @dataclass
-class NuLogPReport:
+class NuLogPReport(_Report):
     p_grid: np.ndarray
     emp: np.ndarray
     emp_se: np.ndarray
@@ -352,18 +342,7 @@ class NuLogPReport:
         return bool(np.all(self.passed_lower) and np.all(self.passed_upper))
 
     def to_json_dict(self) -> dict:
-        return {
-            "meta": self.meta,
-            "p_grid": self.p_grid.tolist(),
-            "emp": self.emp.tolist(),
-            "emp_se": self.emp_se.tolist(),
-            "l1": self.l1, "l1_se": self.l1_se,
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-            "passed_lower": self.passed_lower.tolist(),
-            "passed_upper": self.passed_upper.tolist(),
-            "all_passed": self.all_passed,
-        }
+        return {**super().to_json_dict(), "all_passed": self.all_passed}
 
     def to_csv(self, path: str):
         _write_csv(path, self.meta, {
@@ -375,7 +354,7 @@ class NuLogPReport:
 
 
 @dataclass
-class EnlargementCurve:
+class EnlargementCurve(_Report):
     u_grid: np.ndarray
     radius: np.ndarray
     emp: np.ndarray
@@ -385,18 +364,6 @@ class EnlargementCurve:
     base_se: float
     meta: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "meta": self.meta,
-            "u_grid": self.u_grid.tolist(),
-            "radius": self.radius.tolist(),
-            "emp": self.emp.tolist(),
-            "se": self.se.tolist(),
-            "bound": self.bound.tolist(),
-            "base_mass": self.base_mass,
-            "base_se": self.base_se,
-        }
-
     def to_csv(self, path: str):
         _write_csv(path, self.meta, {
             "u": self.u_grid, "radius": self.radius, "emp": self.emp,
@@ -405,18 +372,13 @@ class EnlargementCurve:
 
 
 @dataclass
-class MlsiReport:
+class MlsiReport(_Report):
     residual: float
     se: float
     rhs_mean: float
     entropy: float
     infinite: bool
     meta: dict
-
-    def to_json_dict(self) -> dict:
-        return {"meta": self.meta, "residual": self.residual, "se": self.se,
-                "rhs_mean": self.rhs_mean, "entropy": self.entropy,
-                "infinite": self.infinite}
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +391,23 @@ def _validate_p_grid(p_grid, lo: float) -> np.ndarray:
     if p_grid[0] < lo or p_grid[-1] > P_CAP:
         raise InputError(f"p grid must lie in [{lo}, {P_CAP}], got [{p_grid[0]}, {p_grid[-1]}]")
     return p_grid
+
+
+def _moment_report(p_grid, f_values, rhs_columns, bound_of, meta) -> MomentReport:
+    """Per p: ||f - mean f||_p and its batch SE against the p-th moment of the
+    p's rhs column, the bound bound_of(rhs, p) and, above HIGH_P_FLAG, a flag."""
+    centered = f_values - float(np.mean(f_values))
+    lhs = np.array([empirical_moment(centered, p) for p in p_grid])
+    lhs_se = np.array([batch_se(centered, lambda b, p=p: empirical_moment(b, p))
+                       for p in p_grid])
+    rhs = np.array([empirical_moment(col, p) for col, p in zip(rhs_columns, p_grid)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(rhs > 0.0, lhs / rhs, 0.0)
+    return MomentReport(p_grid=p_grid, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
+                        bound=np.array([bound_of(g, p) for g, p in zip(rhs, p_grid)]),
+                        ratio=ratio, fitted=float(np.max(ratio)) if ratio.size else 0.0,
+                        flags={float(p): top_mass_fraction(centered, p)
+                               for p in p_grid if p > HIGH_P_FLAG}, meta=meta)
 
 
 def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
@@ -450,38 +429,18 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
         return np.column_stack(cols)
 
     data = _map_chunks(N, job)
-    centered = data[:, 0] - float(np.mean(data[:, 0]))
-    lhs = np.empty(p_grid.size)
-    lhs_se = np.empty(p_grid.size)
-    rhs = np.empty(p_grid.size)
-    bound = np.empty(p_grid.size)
-    flags = {}
-    for i, p in enumerate(p_grid):
-        lhs[i] = empirical_moment(centered, p)
-        lhs_se[i] = batch_se(centered, lambda b: empirical_moment(b, p))
-        rhs[i] = empirical_moment(data[:, 1 + i], p)
-        bound[i] = centered_moment_bound(rhs[i], env, p, C)
-        if p > HIGH_P_FLAG:
-            flags[float(p)] = top_mass_fraction(centered, p)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(rhs > 0.0, lhs / rhs, 0.0)
-    meta = {"scenario": "centered", "function": f.name, "psi": psi_to_dict(spec),
+    meta = {"scenario": "centered", "function": f.name, "psi": _psi_meta(spec),
             "env": env_to_dict(env), "sampler": _family_meta(family),
             "seed": seed, "N": N, "C": C, "l_constant": l_constant(env)}
-    return MomentReport(p_grid=p_grid, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
-                        bound=bound, ratio=ratio,
-                        fitted=float(np.max(ratio)) if ratio.size else 0.0,
-                        flags=flags, meta=meta)
+    return _moment_report(p_grid, data[:, 0], data[:, 1:].T,
+                          lambda g, p: centered_moment_bound(g, env, p, C), meta)
 
 
 def verify_nu_logp(p_grid, N: int, seed: int) -> NuLogPReport:
     """For f(x) = x under nu: log(p)/(2e) <= ||x||_p <= ||x||_1 + log p,
-    checked inside 3 SE bands; N < BATCHES would leave the SE infinite and
-    the verdict vacuous, so it is an InputError."""
+    checked inside 3 SE bands."""
     p_grid = _validate_p_grid(p_grid, 2.0)
     family = _family_of(NuMeasure(), seed, N)
-    if N < BATCHES:
-        raise InputError(f"nu-logp bands need N >= {BATCHES} rows for a batch SE, got {N}")
     x = _map_chunks(N, lambda j, rows: sample_chunk(family, seed, j, rows)[:, 0])
     l1 = empirical_moment(x, 1.0)
     l1_se = batch_se(x, lambda b: empirical_moment(b, 1.0))
@@ -515,27 +474,11 @@ def comparison_check(samplerX, phi: PhiSpec, f: TestFunction, p_grid,
         return np.column_stack([f.f(X), np.sum(f.grad(X) * Z, axis=1)])
 
     data = _map_chunks(N, job)
-    centered = data[:, 0] - float(np.mean(data[:, 0]))
-    coupled = data[:, 1]
-    lhs = np.empty(p_grid.size)
-    lhs_se = np.empty(p_grid.size)
-    rhs = np.empty(p_grid.size)
-    flags = {}
-    for i, p in enumerate(p_grid):
-        lhs[i] = empirical_moment(centered, p)
-        lhs_se[i] = batch_se(centered, lambda b: empirical_moment(b, p))
-        rhs[i] = empirical_moment(coupled, p)
-        if p > HIGH_P_FLAG:
-            flags[float(p)] = top_mass_fraction(centered, p)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(rhs > 0.0, lhs / rhs, 0.0)
     meta = {"scenario": "comparison", "function": f.name,
             "phi": {"s": phi.s, "custom": phi.fn is not None},
             "sampler": _family_meta(famX), "seed": seed, "N": N}
-    return MomentReport(p_grid=p_grid, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
-                        bound=rhs.copy(), ratio=ratio,
-                        fitted=float(np.max(ratio)) if ratio.size else 0.0,
-                        flags=flags, meta=meta)
+    return _moment_report(p_grid, data[:, 0], [data[:, 1]] * p_grid.size,
+                          lambda g, p: g, meta)
 
 
 def enlargement_mc(sampler, m: float, spec: PsiSpec, u_grid, N: int,
@@ -562,7 +505,7 @@ def enlargement_mc(sampler, m: float, spec: PsiSpec, u_grid, N: int,
         emp[i] = float(np.mean(x1 < thresh))
         se[i] = batch_se(x1, lambda b, th=thresh: float(np.mean(b < th)))
         bound[i] = enlargement_bound(u, env, C_impl) if env is not None else math.nan
-    meta = {"scenario": "enlargement", "m": m, "psi": psi_to_dict(spec),
+    meta = {"scenario": "enlargement", "m": m, "psi": _psi_meta(spec),
             "env": env_to_dict(env) if env is not None else None,
             "C_impl": C_impl, "sampler": _family_meta(family),
             "seed": seed, "N": N}
@@ -595,7 +538,7 @@ def mlsi_report(sampler, g: TestFunction, spec: PsiSpec, D: float, N: int,
     gv, terms = data[:, 0], data[:, 1]
     infinite = bool(np.any(np.isinf(terms)))
     ent = empirical_entropy(gv)
-    meta = {"scenario": "mlsi", "function": g.name, "psi": psi_to_dict(spec),
+    meta = {"scenario": "mlsi", "function": g.name, "psi": _psi_meta(spec),
             "D": D, "sampler": _family_meta(family), "seed": seed, "N": N}
     if infinite:
         return MlsiReport(residual=math.inf, se=math.nan,

@@ -123,17 +123,15 @@ def sample_chunk(family: Family, seed: int, j: int, rows: int) -> np.ndarray:
     raise InputError(f"unknown sampler family {type(family).__name__}")
 
 
+def _chunk_plan(count: int) -> list:
+    """(chunk index, rows) pairs covering the first `count` rows of a stream."""
+    return [(j, min(CHUNK, count - j * CHUNK)) for j in range(-(-count // CHUNK))]
+
+
 def sample(spec: SamplerSpec) -> np.ndarray:
     """Full (count x n) sample matrix, assembled chunk by chunk."""
-    out = []
-    done = 0
-    j = 0
-    while done < spec.count:
-        rows = min(CHUNK, spec.count - done)
-        out.append(sample_chunk(spec.family, spec.seed, j, rows))
-        done += rows
-        j += 1
-    return np.vstack(out)
+    return np.vstack([sample_chunk(spec.family, spec.seed, j, rows)
+                      for j, rows in _chunk_plan(spec.count)])
 
 
 # ---------------------------------------------------------------------------

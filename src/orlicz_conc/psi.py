@@ -144,7 +144,14 @@ def _sup_linear_minus_custom(phi: PhiSpec, v):
 
 @dataclass(frozen=True)
 class PsiSpec:
-    """Base descriptor of a generalized Orlicz function on R^dim."""
+    """Base descriptor of a generalized Orlicz function on R^dim.
+
+    Each family is the one place that knows its closed forms.  A `_closed_*`
+    method returns None where the family has none, and the caller then runs
+    a family-independent numeric fallback.  The 1-D conjugate at c >= 0 is
+    the component conjugate h*(c) for a separable family, and Psi*(c e) for
+    e a unit vector of the dual norm otherwise.
+    """
 
     dim: int
 
@@ -152,8 +159,11 @@ class PsiSpec:
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise InputError(f"dim must be a positive integer, got {self.dim!r}")
 
-    # separable families override _component; PowerNorm overrides _eval_rows
+    # separable families override _component; PowerNorm, a function of a
+    # norm, overrides _eval_rows and _dual_norm.  Support evaluation over
+    # {Psi* <= p} needs a convex Psi: `convex` marks families convex throughout.
     separable = True
+    convex = False
 
     def _component(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -163,8 +173,32 @@ class PsiSpec:
         return np.sum(vals, axis=-1)
 
     def _closed_gauge(self, p: float, X: np.ndarray) -> Optional[np.ndarray]:
-        """Closed-form |row|_{Psi_p} for the non-zero rows of X, or None."""
+        """|row|_{Psi_p} for the non-zero rows of X."""
         return None
+
+    def _closed_omega(self, t: np.ndarray) -> Optional[np.ndarray]:
+        """omega(t) = sup Psi(tx)/Psi(x), elementwise."""
+        return None
+
+    def _closed_conjugate(self, c) -> Optional[np.ndarray]:
+        """The 1-D conjugate, elementwise."""
+        return None
+
+    def _closed_support(self, p: float, theta: np.ndarray) -> Optional[float]:
+        """sup{<theta, y> : Psi*(y) <= p}."""
+        return None
+
+    def _closed_support_argmax(self, p: float, theta: np.ndarray) -> Optional[tuple]:
+        """(value, maximizer y) of that supremum."""
+        return None
+
+    def _require_convex(self):
+        if not self.convex:
+            raise InputError(f"{type(self).__name__} is not a supported convex family")
+
+    def _params(self) -> dict:
+        """The `params` object of the JSON form, read back by `_from_params`."""
+        raise InputError(f"{type(self).__name__} is not JSON-serializable")
 
 
 @dataclass(frozen=True)
@@ -172,12 +206,15 @@ class PowerNorm(PsiSpec):
     """Psi(x) = ||x||_q^a for the inner l_q norm (q in [1, inf]) and a >= 1.
 
     a = 1 makes Psi itself a norm, in which case |.|_{Psi_p} = Psi for every
-    p; a > 1 gives |x|_{Psi_p} = p^{1/a*} ||x||_q with a* = a/(a-1).
+    p; a > 1 gives |x|_{Psi_p} = p^{1/a*} ||x||_q with a* = a/(a-1).  The
+    conjugate is Psi*(y) = c_a ||y||_*^{a*} with c_a = (a-1) a^{-a*}, and the
+    indicator of the dual unit ball for a = 1.
     """
 
     norm: float = 2.0
     a: float = 2.0
     separable = False
+    convex = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -187,8 +224,7 @@ class PowerNorm(PsiSpec):
             raise InputError(f"outer exponent must satisfy a >= 1, got {self.a}")
 
     def _inner_norm(self, X):
-        ord_ = np.inf if math.isinf(self.norm) else self.norm
-        return np.linalg.norm(np.atleast_2d(X), ord=ord_, axis=-1)
+        return np.linalg.norm(np.atleast_2d(X), ord=self.norm, axis=-1)
 
     def _eval_rows(self, X):
         return np.power(self._inner_norm(X), self.a)
@@ -203,6 +239,57 @@ class PowerNorm(PsiSpec):
         if math.isinf(q):
             return 1.0
         return q / (q - 1.0)
+
+    def _dual_norm(self, y) -> float:
+        return float(np.linalg.norm(y, ord=self.dual_exponent()))
+
+    def _closed_omega(self, t):
+        return np.power(t, self.a)
+
+    def _conjugate_power(self):
+        # (a*, c_a) for a > 1
+        a_conj = self.a / (self.a - 1.0)
+        return a_conj, (self.a - 1.0) * self.a ** (-a_conj)
+
+    def _closed_conjugate(self, c):
+        if self.a == 1.0:
+            return np.where(c <= 1.0 + 1e-12, 0.0, np.inf)
+        a_conj, coef = self._conjugate_power()
+        return coef * c ** a_conj
+
+    def _conjugate_radius(self, p: float) -> float:
+        # {Psi* <= p} is the dual-norm ball of this radius
+        if self.a == 1.0:
+            return 1.0
+        a_conj, coef = self._conjugate_power()
+        return (p / coef) ** (1.0 / a_conj)
+
+    def _closed_support(self, p, theta):
+        return self._conjugate_radius(p) * float(np.linalg.norm(theta, ord=self.norm))
+
+    def _closed_support_argmax(self, p, theta):
+        R = self._conjugate_radius(p)
+        q = self.norm
+        mags = np.abs(theta)
+        if math.isinf(q):
+            y = np.zeros(self.dim)
+            j = int(np.argmax(mags))
+            y[j] = math.copysign(R, theta[j])
+        elif q == 1.0:
+            y = R * np.sign(theta)
+        else:
+            w = np.sign(theta) * mags ** (q - 1.0)
+            y = R * w / float(np.linalg.norm(mags ** (q - 1.0), ord=q / (q - 1.0)))
+        return float(np.dot(theta, y)), y
+
+    def _params(self):
+        return {"norm": _norm_descriptor(self.norm), "a": self.a}
+
+    @classmethod
+    def _from_params(cls, dim, params):
+        _expect_keys(params, ("norm", "a"), "PowerNorm params")
+        return cls(dim=dim, norm=_parse_norm_descriptor(params.get("norm", "l2")),
+                   a=float(params.get("a", 2.0)))
 
 
 @dataclass(frozen=True)
@@ -220,15 +307,62 @@ class SeparableTwoLevel(PsiSpec):
         with np.errstate(over="ignore"):
             return np.where(u <= 1.0, u * u, np.power(u, self.r))
 
+    def _closed_omega(self, t):
+        return np.maximum(t * t, np.power(t, self.r))
+
+    def _closed_conjugate(self, c):
+        return two_level_component_conjugate(c, self.r)
+
+    def _require_convex(self):
+        if self.r < 2.0:
+            raise InputError("two-level spec with r < 2 is non-convex; "
+                             "support evaluation requires r >= 2")
+
+    def _params(self):
+        return {"r": self.r}
+
+    @classmethod
+    def _from_params(cls, dim, params):
+        _expect_keys(params, ("r",), "SeparableTwoLevel params")
+        if "r" not in params:
+            raise InputError("SeparableTwoLevel requires params.r")
+        return cls(dim=dim, r=float(params["r"]))
+
 
 @dataclass(frozen=True)
 class SeparableFromPhi(PsiSpec):
     """Psi(x) = sum_i tilde-Phi*(x_i), the Gluskin-Kwapien energy function."""
 
     phi: PhiSpec = field(default_factory=PhiSpec)
+    convex = True
 
     def _component(self, u):
         return self.phi.tilde_star(u)
+
+    def _closed_omega(self, t):
+        s = self.phi.s
+        if self.phi.fn is None and s == 1.0:
+            return np.where(t <= 1.0, t * t, np.inf)
+        if self.phi.fn is None:
+            return np.maximum(t * t, np.power(t, s / (s - 1.0)))
+
+    def _closed_conjugate(self, c):
+        # tilde-Phi is convex for a power Phi with s >= 2, so the biconjugate
+        # is tilde-Phi itself; otherwise only the numeric transform applies
+        if self.phi.fn is None and self.phi.s >= 2.0:
+            return self.phi.tilde(c)
+
+    def _params(self):
+        if self.phi.fn is not None:
+            raise InputError("custom Phi functions are not JSON-serializable")
+        return {"s": self.phi.s}
+
+    @classmethod
+    def _from_params(cls, dim, params):
+        _expect_keys(params, ("s",), "SeparableFromPhi params")
+        if "s" not in params:
+            raise InputError("SeparableFromPhi requires params.s")
+        return cls(dim=dim, phi=PhiSpec(s=float(params["s"])))
 
 
 @dataclass(frozen=True)
@@ -236,6 +370,7 @@ class BobkovLedouxCap(PsiSpec):
     """Psi(x) = sum_i H(x_i), H(u) = u^2 for |u| <= threshold, +inf beyond."""
 
     threshold: float = 0.5
+    convex = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -249,6 +384,21 @@ class BobkovLedouxCap(PsiSpec):
         # Psi(px/a) <= p iff p|x|_inf/a <= threshold and p^2|x|_2^2/a^2 <= p
         return np.maximum(p * np.max(np.abs(X), axis=-1) / self.threshold,
                           math.sqrt(p) * np.linalg.norm(X, axis=-1))
+
+    def _closed_omega(self, t):
+        return np.where(t <= 1.0, t * t, np.inf)
+
+    def _closed_conjugate(self, c):
+        thr = self.threshold
+        return np.where(c <= 2.0 * thr, 0.25 * c * c, thr * c - thr * thr)
+
+    def _params(self):
+        return {"threshold": self.threshold}
+
+    @classmethod
+    def _from_params(cls, dim, params):
+        _expect_keys(params, ("threshold",), "BobkovLedouxCap params")
+        return cls(dim=dim, threshold=float(params.get("threshold", 0.5)))
 
 
 @dataclass(frozen=True)
@@ -271,7 +421,8 @@ class UserSeparable(PsiSpec):
         return np.asarray(self.fn(u), dtype=float)
 
 
-BUILTIN_FAMILIES = ("PowerNorm", "SeparableTwoLevel", "SeparableFromPhi", "BobkovLedouxCap")
+_FAMILIES = {cls.__name__: cls for cls in
+             (PowerNorm, SeparableTwoLevel, SeparableFromPhi, BobkovLedouxCap)}
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +453,7 @@ def _parse_norm_descriptor(v) -> float:
 
 
 def psi_to_dict(spec: PsiSpec) -> dict:
-    if isinstance(spec, PowerNorm):
-        params = {"norm": _norm_descriptor(spec.norm), "a": spec.a}
-        fam = "PowerNorm"
-    elif isinstance(spec, SeparableTwoLevel):
-        params = {"r": spec.r}
-        fam = "SeparableTwoLevel"
-    elif isinstance(spec, SeparableFromPhi):
-        if spec.phi.fn is not None:
-            raise InputError("custom Phi functions are not JSON-serializable")
-        params = {"s": spec.phi.s}
-        fam = "SeparableFromPhi"
-    elif isinstance(spec, BobkovLedouxCap):
-        params = {"threshold": spec.threshold}
-        fam = "BobkovLedouxCap"
-    else:
-        raise InputError(f"{type(spec).__name__} is not JSON-serializable")
-    return {"family": fam, "params": params, "dim": spec.dim}
+    return {"family": type(spec).__name__, "params": spec._params(), "dim": spec.dim}
 
 
 def psi_to_json(spec: PsiSpec) -> str:
@@ -345,24 +480,14 @@ def psi_from_dict(obj: dict) -> PsiSpec:
         raise InputError("params must be an object")
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise InputError(f"dim must be an integer, got {dim!r}")
-    if fam == "PowerNorm":
-        _expect_keys(params, ("norm", "a"), "PowerNorm params")
-        return PowerNorm(dim=dim, norm=_parse_norm_descriptor(params.get("norm", "l2")),
-                         a=float(params.get("a", 2.0)))
-    if fam == "SeparableTwoLevel":
-        _expect_keys(params, ("r",), "SeparableTwoLevel params")
-        if "r" not in params:
-            raise InputError("SeparableTwoLevel requires params.r")
-        return SeparableTwoLevel(dim=dim, r=float(params["r"]))
-    if fam == "SeparableFromPhi":
-        _expect_keys(params, ("s",), "SeparableFromPhi params")
-        if "s" not in params:
-            raise InputError("SeparableFromPhi requires params.s")
-        return SeparableFromPhi(dim=dim, phi=PhiSpec(s=float(params["s"])))
-    if fam == "BobkovLedouxCap":
-        _expect_keys(params, ("threshold",), "BobkovLedouxCap params")
-        return BobkovLedouxCap(dim=dim, threshold=float(params.get("threshold", 0.5)))
-    raise InputError(f"unknown PsiSpec family {fam!r}")
+    if not (isinstance(fam, str) and fam in _FAMILIES):
+        raise InputError(f"unknown PsiSpec family {fam!r}")
+    try:
+        return _FAMILIES[fam]._from_params(dim, params)
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:  # a non-numeric parameter value
+        raise InputError(f"malformed {fam} params: {exc}") from None
 
 
 def psi_from_json(text: str) -> PsiSpec:
@@ -587,6 +712,8 @@ _T_GRID = np.geomspace(1e-3, 1e3, 61)
 
 
 def _sample_rays(spec: PsiSpec, ray_samples: int, seed) -> np.ndarray:
+    if ray_samples < 1:
+        raise InputError("ray_samples must be >= 1")
     rng = np.random.default_rng(seed)
     rays = rng.standard_normal((ray_samples, spec.dim))
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
@@ -599,8 +726,6 @@ def check_condition_C(spec: PsiSpec, ray_samples: int = 16, seed=0) -> CheckRepo
     Left-continuity (C4) is not observable at grid resolution and is only
     exercised implicitly through the monotone ratio grid.
     """
-    if ray_samples < 1:
-        raise InputError("ray_samples must be >= 1")
     violations = []
     worst = {"ratio_drop": 0.0}
     at_zero = eval_psi(spec, np.zeros(spec.dim))
@@ -641,8 +766,6 @@ def check_growth(spec: PsiSpec, env: GrowthEnvelope, ray_samples: int = 16,
                  seed=0) -> CheckReport:
     """Test K^{-1} t^alpha <= Psi(tx)/Psi(x) <= K t^beta on sampled rays and
     t >= 1, plus the derived comparison Psi(x) <= K(|x|_Psi^alpha + |x|_Psi^beta)."""
-    if ray_samples < 1:
-        raise InputError("ray_samples must be >= 1")
     violations = []
     lower_margin = math.inf
     upper_margin = math.inf

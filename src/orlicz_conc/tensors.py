@@ -28,6 +28,7 @@ _POWER_TOL = 1e-10
 _POWER_MAX_ITERS = 100_000
 _ALT_TOL = 1e-12
 _ALT_MAX_ITERS = 500
+_CHAOS_MAX_ITERS = 200
 
 
 def _is_symmetric(data: np.ndarray, rng: np.random.Generator) -> bool:
@@ -194,7 +195,8 @@ def partition_norms(A: MultiIndexMatrix, r: float, restarts: int = 32,
     (symmetry is not required; the suprema are over independent left and
     right arguments). hs/entry_lr are entrywise sums; op is the top singular
     value; the two mixed norms are alternating-maximization lower bounds
-    over `restarts` seeded starts."""
+    over `restarts` seeded starts; for r >= 2 the unit l_{r*} ball lies in
+    the unit l_2 ball, so mixed_2_rstar is at least rstar_rstar."""
     if A.k != 2:
         raise InputError(f"partition norms require k = 2, got k = {A.k}")
     if not r >= 2.0:
@@ -211,7 +213,7 @@ def partition_norms(A: MultiIndexMatrix, r: float, restarts: int = 32,
         mixed = max(mixed, _alternating_mixed(M, r, True, np.random.default_rng([seed, 0xB, i])))
         rstar = max(rstar, _alternating_mixed(M, r, False, np.random.default_rng([seed, 0xC, i])))
     return PartitionNorms(hs=hs, op=op, entry_lr=entry_lr,
-                          mixed_2_rstar=mixed, rstar_rstar=rstar, r=r)
+                          mixed_2_rstar=max(mixed, rstar), rstar_rstar=rstar, r=r)
 
 
 def chaos_deterministic_term(A: MultiIndexMatrix, spec: PsiSpec, p: float,
@@ -237,13 +239,15 @@ def chaos_deterministic_term(A: MultiIndexMatrix, spec: PsiSpec, p: float,
         rng = np.random.default_rng([seed, 0xD, i])
         _, y1 = support_argmax(spec, p, rng.standard_normal(A.n))
         val = 0.0
-        for _ in range(200):
+        for _ in range(_CHAOS_MAX_ITERS):
             _, y2 = support_argmax(spec, p, M @ y1)
             new_val, y1 = support_argmax(spec, p, M @ y2)
-            if abs(new_val - val) <= 1e-12 * max(new_val, 1.0):
-                val = new_val
-                break
+            converged = abs(new_val - val) <= 1e-12 * max(new_val, 1.0)
             val = new_val
+            if converged:
+                break
+        else:
+            raise NumericalError(f"chaos maximization hit its {_CHAOS_MAX_ITERS}-iteration cap")
         best = max(best, val)
     return best
 

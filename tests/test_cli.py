@@ -113,12 +113,34 @@ def test_numerical_failures_exit_three(capsys, monkeypatch):
      "--psi", PSI2),
     ("verify", "centered", "--n", "3", "--function", "quadratic", "--matrix", "MATRIX",
      "--psi", '{"family":"PowerNorm","params":{"norm":"l2","a":2},"dim":3}'),
+    ("verify", "mlsi", "--n", "2", "--function", "tilt", "--theta", "0.5,0",
+     "--psi", PSI2, "--N", "1"),
+    ("verify", "enlargement", "--n", "2", "--psi", PSI2, "--K", "1", "--N", "1"),
+    ("verify", "centered", "--n", "2", "--theta", "1,0", "--psi", PSI2, "--N", "31"),
+    ("verify", "comparison", "--n", "2", "--theta", "1,0", "--N", "1"),
 ], ids=["negative_seed", "seed_2_64", "zero_N", "N_below_batches", "theta_dim",
-        "matrix_dim"])
+        "matrix_dim", "mlsi_N_below_batches", "enlargement_N_below_batches",
+        "centered_N_below_batches", "comparison_N_below_batches"])
 def test_bad_stream_and_function_inputs_exit_two(capsys, matrix_file, argv):
     rc, out, err = run(capsys, *(matrix_file if a == "MATRIX" else a for a in argv))
     assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize("params", ['{"r":"abc"}', '{"r":null}', '{"r":[3]}'])
+def test_non_numeric_psi_params_exit_two(capsys, params):
+    psi = '{"family":"SeparableTwoLevel","params":%s,"dim":2}' % params
+    rc, out, err = run(capsys, "norm", "--psi", psi, "--p", "2", "--x", "1,1")
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+def test_chaos_iteration_cap_exits_three(capsys, monkeypatch, matrix_file):
+    monkeypatch.setattr(cli.tn, "_CHAOS_MAX_ITERS", 1)
+    rc, out, err = run(capsys, "tensor", "--matrix", matrix_file, "--op", "chaos",
+                       "--psi", PSI2, "--p", "2", "--restarts", "1")
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "numerical"
 
 
 def test_norm_x_file_equals_per_row_x(capsys, tmp_path):

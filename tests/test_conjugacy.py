@@ -20,6 +20,7 @@ POWER15 = PowerNorm(dim=4, norm=2.0, a=1.5)
 TWOLEVEL3 = SeparableTwoLevel(dim=4, r=3.0)
 SFP1 = SeparableFromPhi(dim=4, phi=PhiSpec(s=1.0))
 SFP3 = SeparableFromPhi(dim=4, phi=PhiSpec(s=3.0))
+SFP15 = SeparableFromPhi(dim=4, phi=PhiSpec(s=1.5))
 BL1 = BobkovLedouxCap(dim=4, threshold=1.0)
 
 ALL = (POWER2, POWER15, TWOLEVEL3, SFP1, SFP3, BL1)
@@ -41,8 +42,8 @@ def test_omega_closed_forms():
 
 def test_omega_matches_ray_supremum_oracle():
     rng = np.random.default_rng(5)
-    for spec in (TWOLEVEL3, SFP1, SFP3):
-        for t in rng.uniform(0.1, 8.0, size=6):
+    for spec in (TWOLEVEL3, SFP1, SFP3, BL1, SFP15):
+        for t in [*rng.uniform(0.1, 8.0, size=6), 0.3, 0.9]:
             closed = omega(spec, float(t))
             numeric = cj.omega_ray_sup(spec, float(t))
             assert numeric == pytest.approx(closed, rel=1e-6)

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orlicz_conc import (InputError, MultiIndexMatrix, PowerNorm,
+import orlicz_conc.tensors as tn
+from orlicz_conc import (InputError, MultiIndexMatrix, NumericalError, PowerNorm,
                          SeparableTwoLevel, chaos_deterministic_term,
                          eval_form, form_gradient, load_matrix,
                          partition_norms, save_matrix, support_function,
@@ -135,6 +136,8 @@ def test_rank_one_mixed_norm_closed_form():
 
 @given(seed=st.integers(0, 2**31), r=st.sampled_from([2.0, 3.0, 4.0]))
 @settings(max_examples=25, deadline=None)
+@example(seed=345, r=4.0)  # alternating mixed_2_rstar stopped below rstar_rstar
+@example(seed=838, r=3.0)
 def test_partition_norm_chain(seed, r):
     rng = np.random.default_rng(seed)
     A = MultiIndexMatrix(2, 6, rng.standard_normal((6, 6)))
@@ -198,6 +201,16 @@ def test_chaos_term_k2_identity_closed_form():
     for p in (2.0, 2.5, 8.0):
         got = chaos_deterministic_term(A, spec, p, restarts=4, seed=0)
         assert got == pytest.approx(4.0 * p, rel=1e-6)
+
+
+def test_chaos_term_raises_at_its_iteration_cap(monkeypatch):
+    spec = PowerNorm(dim=4, norm=2.0, a=2.0)
+    A = _sym(2, 4, 21)
+    assert chaos_deterministic_term(A, spec, 2.0, restarts=2) > 0.0
+    # the first step moves the value off 0, so one step never converges
+    monkeypatch.setattr(tn, "_CHAOS_MAX_ITERS", 1)
+    with pytest.raises(NumericalError, match="iteration cap"):
+        chaos_deterministic_term(A, spec, 2.0, restarts=2)
 
 
 def test_chaos_term_dimension_mismatch():
