@@ -17,14 +17,14 @@ import numpy as np
 
 from .conjugacy import omega_star
 from .errors import InputError
-from .psi import GrowthEnvelope, PhiSpec, PsiSpec, SeparableFromPhi, psi_p_norm
+from .psi import GrowthEnvelope, PhiSpec, PsiSpec, SeparableFromPhi, _bracket_sup, psi_p_norm
 
 _E = math.e
 
 # exp() overflow guard; exponents above this are treated as +inf
 _EXP_CAP = 700.0
 
-P_MAX = 1e6  # bisection cap for chebyshev_level
+P_MAX = 1e6  # largest level chebyshev_level reports
 
 
 def _check_nonneg(**kwargs):
@@ -223,16 +223,9 @@ def chebyshev_level(grad_moment_fn: Callable, env: GrowthEnvelope, C: float,
         return 1.0
     if L * grad_moment_fn(P_MAX) <= t:
         return math.exp(-P_MAX)
-    lo, hi = env.beta, P_MAX
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if L * grad_moment_fn(mid) <= t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return math.exp(-lo)
+    p_star = _bracket_sup(lambda d, ps: np.array([L * grad_moment_fn(float(p)) for p in ps]) - d,
+                          np.array([float(t)]), np.array([float(env.beta)]), "chebyshev_level")
+    return math.exp(-float(p_star[0]))
 
 
 def lipschitz_profile(a: float, b: float, env: GrowthEnvelope, spec: PsiSpec,

@@ -60,7 +60,7 @@ def _parse_vector(raw: str) -> np.ndarray:
         raise InputError(f"malformed vector {raw!r}: {exc}") from exc
 
 
-def _parse_grid(raw: str, log: bool = True) -> np.ndarray:
+def _parse_grid(raw: str) -> np.ndarray:
     parts = raw.split(",")
     if len(parts) != 3:
         raise InputError(f"grid must be 'lo,hi,count', got {raw!r}")
@@ -68,9 +68,9 @@ def _parse_grid(raw: str, log: bool = True) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InputError(f"malformed grid {raw!r}: {exc}") from exc
-    if not (lo > 0 and hi > lo and count >= 2) and log:
-        raise InputError(f"log grid needs 0 < lo < hi and count >= 2, got {raw!r}")
-    return np.geomspace(lo, hi, count) if log else np.linspace(lo, hi, count)
+    if not (0 < lo < hi < math.inf and count >= 2):
+        raise InputError(f"log grid needs 0 < lo < hi < inf and count >= 2, got {raw!r}")
+    return np.geomspace(lo, hi, count)
 
 
 def _emit(lines, out_path):
@@ -193,6 +193,29 @@ def _parse_extra_params(tokens) -> dict:
     return params
 
 
+def _load_params(ns, extra_tokens, name: str, allowed, required, structured=()) -> dict:
+    """The --params JSON object overlaid with the '--key value' pairs.  Keys
+    must lie in `allowed` and include `required`; every value but those named
+    in `structured`, which the caller parses, must be numeric."""
+    raw = {}
+    if ns.params:
+        obj = json.loads(_read_arg_text(ns.params))
+        if not isinstance(obj, dict):
+            raise InputError("--params must be a JSON object")
+        raw.update(obj)
+    raw.update(_parse_extra_params(extra_tokens))
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise InputError(f"unknown parameter(s) for {name}: {sorted(unknown)}")
+    missing = [k for k in required if k not in raw]
+    if missing:
+        raise InputError(f"{name} missing parameter(s): {missing}")
+    try:
+        return {k: v if k in structured else float(v) for k, v in raw.items()}
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"non-numeric parameter: {exc}") from exc
+
+
 def _cmd_bound(ns, extra_tokens) -> int:
     name = ns.name
     if name == "gk_moment":
@@ -203,28 +226,12 @@ def _cmd_bound(ns, extra_tokens) -> int:
         raise InputError(f"unknown bound {name!r}; known: "
                          f"{sorted(_BOUNDS) + ['gk_moment', 'bcg_moment_bound']}")
     required, optional, needs_env, needs_psi, fn = _BOUNDS[name]
-    raw = {}
-    if ns.params:
-        obj = json.loads(_read_arg_text(ns.params))
-        if not isinstance(obj, dict):
-            raise InputError("--params must be a JSON object")
-        raw.update(obj)
-    raw.update(_parse_extra_params(extra_tokens))
     allowed = set(required) | set(optional) | ({"t", "u"} if name in _SWEPT else set())
     if needs_env:
         allowed |= set(_ENV_KEYS)
-    unknown = set(raw) - allowed
-    if unknown:
-        raise InputError(f"unknown parameter(s) for {name}: {sorted(unknown)}")
-    try:
-        params = {k: float(v) for k, v in raw.items()}
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"non-numeric parameter: {exc}") from exc
+    params = _load_params(ns, extra_tokens, name, allowed, required)
     for k, v in optional.items():
         params.setdefault(k, v)
-    missing = [k for k in required if k not in params]
-    if missing:
-        raise InputError(f"{name} missing parameter(s): {missing}")
     env = _env_from(params) if needs_env else None
     spec = psi_from_json(_read_arg_text(ns.psi)) if needs_psi and ns.psi else None
     if needs_psi and spec is None:
@@ -252,42 +259,30 @@ def _cmd_bound(ns, extra_tokens) -> int:
 
 
 def _cmd_bound_gk(ns, extra_tokens) -> int:
-    raw = _parse_extra_params(extra_tokens)
-    if ns.params:
-        raw = {**json.loads(_read_arg_text(ns.params)), **raw}
-    unknown = set(raw) - {"x", "s", "p"}
-    if unknown:
-        raise InputError(f"unknown parameter(s) for gk_moment: {sorted(unknown)}")
-    for key in ("x", "s", "p"):
-        if key not in raw:
-            raise InputError(f"gk_moment missing parameter {key!r}")
-    x = _parse_vector(raw["x"]) if isinstance(raw["x"], str) else np.asarray(raw["x"], dtype=float)
-    phi = PhiSpec(s=float(raw["s"]))
-    p = float(raw["p"])
+    keys = ("x", "s", "p")
+    raw = _load_params(ns, extra_tokens, "gk_moment", keys, keys, structured=("x",))
+    try:
+        x = (_parse_vector(raw["x"]) if isinstance(raw["x"], str)
+             else np.asarray(raw["x"], dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"x must be a list of numbers: {exc}") from exc
+    phi, p = PhiSpec(s=raw["s"]), raw["p"]
     config = {"bound": "gk_moment", "x": x.tolist(), "s": phi.s, "p": p}
     _emit_result(config, bd.gk_moment(x, phi, p), ns.out, ns.format)
     return 0
 
 
 def _cmd_bound_bcg_chain(ns, extra_tokens) -> int:
-    raw = _parse_extra_params(extra_tokens)
-    if ns.params:
-        raw = {**json.loads(_read_arg_text(ns.params)), **raw}
-    unknown = set(raw) - {"L", "p", "dk_norm", "hess_op_mp", "higher"}
-    if unknown:
-        raise InputError(f"unknown parameter(s) for bcg_moment_bound: {sorted(unknown)}")
-    for key in ("L", "p", "dk_norm", "hess_op_mp", "higher"):
-        if key not in raw:
-            raise InputError(f"bcg_moment_bound missing parameter {key!r}")
+    keys = ("L", "p", "dk_norm", "hess_op_mp", "higher")
+    raw = _load_params(ns, extra_tokens, "bcg_moment_bound", keys, keys, structured=("higher",))
     higher = raw["higher"]
-    if isinstance(higher, str):
-        higher = json.loads(higher)
     try:
+        if isinstance(higher, str):
+            higher = json.loads(higher)
         higher = [(int(m), float(v)) for m, v in higher]
     except (TypeError, ValueError) as exc:
         raise InputError(f"higher must be a list of [m, value] pairs: {exc}") from exc
-    L, p = float(raw["L"]), float(raw["p"])
-    dk, hop = float(raw["dk_norm"]), float(raw["hess_op_mp"])
+    L, p, dk, hop = raw["L"], raw["p"], raw["dk_norm"], raw["hess_op_mp"]
     config = {"bound": "bcg_moment_bound", "L": L, "p": p, "dk_norm": dk,
               "hess_op_mp": hop, "higher": [[m, v] for m, v in higher]}
     _emit_result(config, bd.bcg_moment_bound(L, p, higher, dk, hop), ns.out, ns.format)
@@ -304,7 +299,10 @@ def _cmd_norm(ns) -> int:
     if ns.x is not None:
         X = _parse_vector(ns.x)[None, :]
     else:
-        X = np.atleast_2d(np.loadtxt(ns.x_file, delimiter=",", ndmin=2))
+        try:
+            X = np.loadtxt(ns.x_file, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise InputError(f"malformed --x-file {ns.x_file!r}: {exc}") from exc
     config = {"command": "norm", "psi": psi_to_dict(spec), "p": ns.p}
     vals = psi_p_norm_rows(spec, ns.p, X)
     payload = float(vals[0]) if vals.size == 1 and ns.x is not None else {"norm": vals}

@@ -11,9 +11,9 @@ bound of the true omega and is reported as such.  The conjugate-type profile
 
     omega*(t) = t * sup{u > 0 : omega(u)/u <= t}
 
-is computed by monotone bisection (omega(u)/u is non-decreasing) and is
-sandwiched between the Legendre transform lambda(t) = sup_y(t y - omega(y))
-and lambda(2t).
+is computed by the gauge's bracketing solve (omega(u)/u is non-decreasing)
+and is sandwiched between the Legendre transform lambda(t) =
+sup_y(t y - omega(y)) and lambda(2t).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .psi import PsiSpec, _as_vector, eval_psi
+from .psi import PsiSpec, _as_vector, _bracket_sup, eval_psi
 
 GRID_LO = 1e-6
 GRID_HI = 1e6
@@ -158,49 +158,28 @@ def omega_values(spec: PsiSpec, ts: np.ndarray) -> np.ndarray:
     return np.array([omega_ray_sup(spec, float(t)) for t in ts.ravel()]).reshape(ts.shape)
 
 
-def _monotone_sup(pred: Callable, what: str) -> float:
-    """sup{t > 0 : pred(t)} for a monotone predicate (true near 0, false for
-    large t), by geometric bracketing and log-bisection."""
-    if pred(1.0):
-        lo, hi = 1.0, 2.0
-        for _ in range(400):
-            if not pred(hi):
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            raise NumericalError(f"{what}: no upper crossing below 2^400")
-    else:
-        lo, hi = 0.5, 1.0
-        for _ in range(400):
-            if pred(lo):
-                break
-            lo, hi = lo * 0.5, lo
-        else:
-            raise NumericalError(f"{what}: predicate false down to 2^-400")
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return lo
+def _omega_inv_values(spec: PsiSpec, s: np.ndarray) -> np.ndarray:
+    return _bracket_sup(lambda d, t: omega_values(spec, t) - d, s, np.ones_like(s), "omega_inv")
+
+
+def _omega_star_values(spec: PsiSpec, t: np.ndarray) -> np.ndarray:
+    u_star = _bracket_sup(lambda d, u: omega_values(spec, u) / u - d, t, np.ones_like(t),
+                          "omega_star")
+    return t * u_star
 
 
 def omega_inv(spec: PsiSpec, s: float) -> float:
     """Right-continuous inverse sup{t > 0 : omega(t) <= s}."""
     if not s > 0:
         raise InputError(f"omega_inv requires s > 0, got {s}")
-    return _monotone_sup(lambda t: omega(spec, t) <= s, "omega_inv")
+    return float(_omega_inv_values(spec, np.array([float(s)]))[0])
 
 
 def omega_star(spec: PsiSpec, t: float) -> float:
-    """omega*(t) = t * sup{u > 0 : omega(u)/u <= t} by monotone bisection."""
+    """omega*(t) = t * sup{u > 0 : omega(u)/u <= t}."""
     if not t > 0:
         raise InputError(f"omega_star requires t > 0, got {t}")
-    u_star = _monotone_sup(lambda u: omega(spec, u) / u <= t, "omega_star")
-    return t * u_star
+    return float(_omega_star_values(spec, np.array([float(t)]))[0])
 
 
 def lam(spec: PsiSpec, t: float) -> float:
@@ -233,11 +212,10 @@ def omega_profile(spec: PsiSpec) -> OmegaProfile:
 def profile_table(spec: PsiSpec, ts) -> np.ndarray:
     """Columns (t, omega, omega_inv, omega*, lambda) for CSV export."""
     ts = np.asarray(ts, dtype=float)
-    rows = np.empty((len(ts), 5))
-    for i, t in enumerate(ts):
-        rows[i] = (t, omega(spec, t), omega_inv(spec, t), omega_star(spec, t),
-                   lam(spec, t))
-    return rows
+    if not np.all(ts > 0):
+        raise InputError(f"profile_table requires t > 0, got {ts[~(ts > 0)][0]}")
+    return np.column_stack((ts, omega_values(spec, ts), _omega_inv_values(spec, ts),
+                            _omega_star_values(spec, ts), [lam(spec, t) for t in ts]))
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +248,15 @@ def psi_star(spec: PsiSpec, y) -> float:
 
 
 def conjugate_ray_radius(spec: PsiSpec, u: float, axis: int = 0) -> float:
-    """s(u) = sup{c > 0 : Psi*(c e_axis) < u}, the reach of the enlargement
-    body {Psi* < u} along a coordinate axis."""
+    """s(u) = sup{c > 0 : Psi*(c e_axis) <= u}, the reach of the enlargement
+    body {Psi* < u} along a coordinate axis.  Psi*(c e_axis) is the 1-D
+    conjugate at c, the same for every axis."""
     if not u > 0:
         raise InputError(f"requires u > 0, got {u}")
     if not (0 <= axis < spec.dim):
         raise InputError(f"axis {axis} out of range for dim {spec.dim}")
-    e = np.zeros(spec.dim)
-    e[axis] = 1.0
-    return _monotone_sup(lambda c: psi_star(spec, c * e) < u, "conjugate_ray_radius")
+    return float(_bracket_sup(lambda d, c: _conjugate_1d(spec, c) - d, np.array([float(u)]),
+                              np.ones(1), "conjugate_ray_radius")[0])
 
 
 def support_function(spec: PsiSpec, p: float, theta) -> float:
@@ -338,8 +316,9 @@ def support_argmax(spec: PsiSpec, p: float, theta) -> tuple:
         y[j] = _coordinate_argmax(spec, tj, lam_star, p)
     # pull back onto the feasible set (guards multiplier round-off)
     if psi_star(spec, y) > p:
-        c = _monotone_sup(lambda c_: psi_star(spec, c_ * y) <= p, "support_argmax")
-        y = c * y
+        c = _bracket_sup(lambda d, cs: np.array([psi_star(spec, c_ * y) for c_ in cs]) - d,
+                         np.array([float(p)]), np.ones(1), "support_argmax")
+        y = float(c[0]) * y
     return max(float(np.dot(theta, y)), 0.0), y
 
 

@@ -380,6 +380,12 @@ class MlsiReport(_Report):
     infinite: bool
     meta: dict
 
+    def to_csv(self, path: str):
+        _write_csv(path, self.meta, {
+            "residual": [self.residual], "se": [self.se], "rhs_mean": [self.rhs_mean],
+            "entropy": [self.entropy], "infinite": [float(self.infinite)],
+        })
+
 
 # ---------------------------------------------------------------------------
 # verification harness

@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError
-from .psi import PhiSpec
+from .psi import PhiSpec, _bracket_solve
 
 CHUNK = 65536
 
@@ -81,25 +81,14 @@ def _uniform_open(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _phi_inv_array(phi: PhiSpec, y: np.ndarray) -> np.ndarray:
-    """Vectorized phi^{-1}: closed form for powers, array bisection otherwise."""
+    """Vectorized phi^{-1}: closed form for powers, otherwise the least a with
+    Phi(a) >= y to float resolution, by the gauge's bracketing solve."""
     y = np.asarray(y, dtype=float)
     if phi.fn is None:
         return y ** (1.0 / phi.s)
-    lo = np.zeros_like(y)
-    hi = np.ones_like(y)
-    for _ in range(200):
-        low = phi.phi(hi) < y
-        if not np.any(low):
-            break
-        hi[low] *= 2.0
-    else:
-        raise InputError("phi^{-1} bracket failed; phi grows too slowly")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        ge = phi.phi(mid) >= y
-        hi[ge] = mid[ge]
-        lo[~ge] = mid[~ge]
-    return 0.5 * (lo + hi)
+    flat = y.ravel()
+    return _bracket_solve(lambda d, a: d - phi.phi(a), flat, np.ones_like(flat), 0.0,
+                          "phi^{-1}").reshape(y.shape)
 
 
 def sample_chunk(family: Family, seed: int, j: int, rows: int) -> np.ndarray:

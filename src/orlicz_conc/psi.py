@@ -31,9 +31,10 @@ from .errors import InputError, NumericalError
 DEFAULT_TOL = 1e-10
 
 _BRACKET_MAX = 200  # doublings/halvings before giving up (condition C3 failure)
-_SOLVE_MAX = 100    # Chandrupatla steps; pure bisection would need about 35
+_SOLVE_MAX = 100    # Chandrupatla steps; bisection needs 35 (tol 1e-10) to 52 (float resolution)
 _NUDGE_MAX = 16     # doubling steps, at most 2^16 ulps, that repair a rounded closed form
 _BLOCK = 8192       # rows per iterative solve, bounding its per-row temporaries
+_SUP_TOL = 1e-13    # relative width of the profile, radius and level solves
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +608,8 @@ def psi_p_norm_rows(spec: PsiSpec, p: float, X, tol: float = DEFAULT_TOL) -> np.
     act = np.flatnonzero(l2 > 0.0)
     a = spec._closed_gauge(p, X[act])
     if a is None:
-        def resid(PX, b):
-            return spec._eval_rows(PX / b[:, None]) - p
-
-        for start in range(0, act.size, _BLOCK):
-            rows = act[start:start + _BLOCK]
-            out[rows] = _bracket_solve(resid, p * X[rows], l2[rows], tol)
+        out[act] = _bracket_solve(lambda rows, b: spec._eval_rows(p * X[rows] / b[:, None]) - p,
+                                  act, l2[act], tol, "gauge", "; Psi may violate (C3)")
         return out
     # rounding leaves some closed forms up to 13 ulps infeasible: raise those
     # rows by a relative step that doubles from one ulp
@@ -628,29 +625,39 @@ def psi_p_norm_rows(spec: PsiSpec, p: float, X, tol: float = DEFAULT_TOL) -> np.
     raise NumericalError(f"closed-form gauge still infeasible after {_NUDGE_MAX} steps")
 
 
-def _bracket_solve(resid, PX, start, tol: float):
-    """Per row, the feasible (resid <= 0) end of a bracket at most tol wide
-    around the root of the decreasing a -> resid(PX, a): [a/2, a] moves by
-    factors of 2 from a = start, then Chandrupatla's method (1997, Adv. Eng.
-    Software 28:145) narrows it, bisecting where interpolation is unsafe."""
+def _bracket_solve(resid, data, start, tol: float, what: str, why: str = ""):
+    """Per row of data, the feasible (resid <= 0) end of a bracket at most tol
+    wide around the root of the decreasing a -> resid(data, a): [a/2, a] moves
+    by factors of 2 from a = start, then Chandrupatla's method (1997, Adv.
+    Eng. Software 28:145) narrows it, bisecting where interpolation is unsafe.
+    Rows are solved in blocks of _BLOCK, each row on its own; a cap raises
+    NumericalError naming `what`."""
+    out = np.empty(start.shape)
+    for i in range(0, start.size, _BLOCK):
+        out[i:i + _BLOCK] = _solve_block(resid, data[i:i + _BLOCK], start[i:i + _BLOCK],
+                                         tol, what, why)
+    return out
+
+
+def _solve_block(resid, data, start, tol, what, why):
     x1, x2 = 0.5 * start, start.copy()  # x1 infeasible, x2 feasible once bracketed
-    f1, f2 = resid(PX, x1), resid(PX, x2)
+    f1, f2 = resid(data, x1), resid(data, x2)
     for _ in range(_BRACKET_MAX):
         up = np.flatnonzero(~(f2 <= 0))
         down = np.flatnonzero((f1 <= 0) & (f2 <= 0))
         if up.size == 0 and down.size == 0:
             break
         x1[up], f1[up], x2[up] = x2[up], f2[up], 2.0 * x2[up]
-        f2[up] = resid(PX[up], x2[up])
+        f2[up] = resid(data[up], x2[up])
         x2[down], f2[down], x1[down] = x1[down], f1[down], 0.5 * x1[down]
-        f1[down] = resid(PX[down], x1[down])
+        f1[down] = resid(data[down], x1[down])
     else:
-        raise NumericalError(f"gauge bracket failed after {_BRACKET_MAX} steps; Psi may violate (C3)")
+        raise NumericalError(f"{what} bracket failed after {_BRACKET_MAX} steps{why}")
     tol = max(tol, 2.0 * np.finfo(float).eps)  # adjacent floats end a solve
     out, idx, t = np.empty_like(x1), np.arange(x1.size), np.full(x1.size, 0.5)
     for _ in range(_SOLVE_MAX):
         x = x1 + t * (x2 - x1)
-        f = resid(PX, x)
+        f = resid(data, x)
         same = (f <= 0) == (f1 <= 0)
         x1, x2, x3 = x, np.where(same, x2, x1), np.where(same, x1, x2)
         f1, f2, f3 = f, np.where(same, f2, f1), np.where(same, f1, f2)
@@ -660,15 +667,22 @@ def _bracket_solve(resid, PX, start, tol: float):
             out[idx[done]] = feas[done]
             if np.all(done):
                 return out
-            idx, PX, x1, f1, x2, f2, x3, f3, feas, dx = (
-                v[~done] for v in (idx, PX, x1, f1, x2, f2, x3, f3, feas, dx))
+            idx, data, x1, f1, x2, f2, x3, f3, feas, dx = (
+                v[~done] for v in (idx, data, x1, f1, x2, f2, x3, f3, feas, dx))
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite f bisects
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
             iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
             t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
                          - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
         t = np.clip(t, 0.5 * tol * feas / dx, 1.0 - 0.5 * tol * feas / dx)
-    raise NumericalError(f"gauge solve did not converge in {_SOLVE_MAX} steps for {idx.size} rows")
+    raise NumericalError(f"{what} solve did not converge in {_SOLVE_MAX} steps for {idx.size} rows")
+
+
+def _bracket_sup(resid, data, start, what: str):
+    """Per row, sup{t > 0 : resid(data, t) <= 0} for resid increasing in t:
+    _bracket_solve on the decreasing a -> resid(data, 1/a) from a = 1/start,
+    returned as the 1/a at which the feasible end was evaluated."""
+    return 1.0 / _bracket_solve(lambda d, a: resid(d, 1.0 / a), data, 1.0 / start, _SUP_TOL, what)
 
 
 def two_level_equiv_norm(x, p: float, r: float) -> float:

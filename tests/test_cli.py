@@ -135,6 +135,59 @@ def test_non_numeric_psi_params_exit_two(capsys, params):
     assert json.loads(err)["error"] == "input"
 
 
+BAD_INPUTS = {
+    "norm_ragged_x_file": ("norm", "--psi", PSI2, "--p", "4", "--x-file", "RAGGED"),
+    "norm_text_x_file": ("norm", "--psi", PSI2, "--p", "4", "--x-file", "TEXT"),
+    "norm_negative_p": ("norm", "--psi", PSI2, "--p", "-1", "--x", "1,2"),
+    "conjugate_infinite_grid": ("conjugate", "--psi", PSI2, "--grid", "1,inf,3"),
+    "conjugate_bad_y": ("conjugate", "--psi", PSI2, "--y", "1,abc"),
+    "conjugate_norm_profile": ("conjugate", "--psi", PSI2.replace('"a":2', '"a":1'),
+                               "--grid", "1,2,3"),
+    "bound_gk_text_s": ("bound", "gk_moment", "--x", "1,2", "--s", "abc", "--p", "4"),
+    "bound_gk_object_x": ("bound", "gk_moment", "--params", '{"x":{"a":1},"s":2,"p":4}'),
+    "bound_bcg_list_params": ("bound", "bcg_moment_bound", "--params", "[1]"),
+    "bound_bcg_text_dk_norm": ("bound", "bcg_moment_bound", "--L", "1", "--p", "4",
+                               "--dk_norm", "x", "--hess_op_mp", "1", "--higher", "[[1,0.5]]"),
+    "bound_bcg_bad_higher": ("bound", "bcg_moment_bound", "--L", "1", "--p", "4",
+                             "--dk_norm", "1", "--hess_op_mp", "1", "--higher", "[[1,2,3]]"),
+    "bound_list_params": ("bound", "l_constant", "--params", "[1]"),
+    "bound_text_t": ("bound", "two_level_tail", "--a", "1", "--b", "1", "--r", "3",
+                     "--t", "abc"),
+    "tensor_bad_x": ("tensor", "--matrix", "MATRIX", "--op", "eval", "--x", "1,abc"),
+    "tensor_text_matrix": ("tensor", "--matrix", "TEXT", "--op", "eval", "--x", "1,2"),
+    "tensor_small_r": ("tensor", "--matrix", "MATRIX", "--op", "partition", "--r", "1"),
+    "sample_small_phi_s": ("sample", "--family", "phi_tail", "--phi-s", "0.5",
+                           "--seed", "0", "--count", "10"),
+    "sample_zero_count": ("sample", "--family", "gaussian", "--seed", "0", "--count", "0"),
+    "verify_text_p_grid": ("verify", "nu-logp", "--p-grid", "2,abc"),
+    "verify_small_K": ("verify", "centered", "--n", "2", "--theta", "1,0", "--psi", PSI2,
+                       "--K", "0.5"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_inputs_exit_with_a_json_error(capsys, tmp_path, matrix_file, argv):
+    files = {"MATRIX": matrix_file, "RAGGED": tmp_path / "ragged.csv",
+             "TEXT": tmp_path / "text.csv"}
+    files["RAGGED"].write_text("1,2\n3\n")
+    files["TEXT"].write_text("1,abc\n")
+    rc, out, err = run(capsys, *(str(files.get(a, a)) for a in argv))
+    assert rc in (2, 3) and out == ""
+    assert json.loads(err)["error"] == ("input" if rc == 2 else "numerical")
+
+
+def test_verify_mlsi_writes_a_one_row_csv(capsys, tmp_path):
+    path = tmp_path / "mlsi.csv"
+    rc, out, _ = run(capsys, "verify", "mlsi", "--n", "2", "--psi", PSI2, "--function", "tilt",
+                     "--theta", "0.5,0", "--D", "4", "--N", "2000", "--seed", "3",
+                     "--format", "csv", "--out", str(path))
+    assert rc == 0 and out == ""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    assert lines[1] == "residual,se,rhs_mean,entropy,infinite"
+    assert len(lines) == 3 and len(lines[2].split(",")) == 5
+
+
 def test_chaos_iteration_cap_exits_three(capsys, monkeypatch, matrix_file):
     monkeypatch.setattr(cli.tn, "_CHAOS_MAX_ITERS", 1)
     rc, out, err = run(capsys, "tensor", "--matrix", matrix_file, "--op", "chaos",

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orlicz_conc.conjugacy as cj
+import orlicz_conc.psi as psi_mod
 from orlicz_conc import (BobkovLedouxCap, InputError, NumericalError, PhiSpec,
                          PowerNorm, SeparableFromPhi, SeparableTwoLevel,
                          UserSeparable, conjugate_ray_radius, lam, legendre_1d,
@@ -108,9 +109,10 @@ def test_legendre_1d_of_quadratic():
         assert legendre_1d(phi, t) == pytest.approx(t * t / 4.0, rel=1e-6)
 
 
-def test_monotone_sup_reports_bracket_failure():
+def test_bracket_sup_reports_bracket_failure():
     with pytest.raises(NumericalError):
-        cj._monotone_sup(lambda c: False, "nothing is feasible")
+        psi_mod._bracket_sup(lambda d, c: np.ones_like(c), np.zeros(1), np.ones(1),
+                             "nothing is feasible")
 
 
 # ---------------------------------------------------------------------------
