@@ -30,15 +30,17 @@ def main():
         "wigner": (G + G.T) / 2.0,
     }
     p_grid = np.array([2.0, 4.0, 8.0, 16.0, 32.0])
+    family = oc.StandardGaussian(n=args.n)
 
     print(f"n={args.n} N={args.N} r={args.r}")
     print(f"{'matrix':>10s} " + " ".join(f"p={p:<5g}" for p in p_grid))
     for name, A in mats.items():
         M = oc.MultiIndexMatrix(k=2, n=args.n, data=A, symmetric=True)
         norms = oc.partition_norms(M, args.r, restarts=16, seed=args.seed)
-        rows = oc.sample_chunk(oc.StandardGaussian(n=args.n), args.seed + 1, 0,
-                               min(args.N, oc.CHUNK))
-        vals = np.einsum("ij,jk,ik->i", rows, A, rows) - np.trace(A)
+        # all N rows of the stream, one chunk in memory at a time
+        chunks = (oc.sample_chunk(family, args.seed + 1, j, min(oc.CHUNK, args.N - j * oc.CHUNK))
+                  for j in range(-(-args.N // oc.CHUNK)))
+        vals = np.concatenate([np.einsum("ij,jk,ik->i", X, A, X) for X in chunks]) - np.trace(A)
         ratios = [oc.empirical_moment(vals, p)
                   / oc.quadratic_chaos_moment(norms, p) for p in p_grid]
         print(f"{name:>10s} " + " ".join(f"{r:7.3f}" for r in ratios))

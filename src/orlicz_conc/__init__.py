@@ -8,18 +8,14 @@ tail bound evaluators, multi-index form norms, exact samplers for the
 reference measures, and a Monte Carlo verification harness.
 """
 
-from .bounds import (MomentBoundInputs, PartitionNorms, TailProfile,
-                     alpha1_moment_bound, bcg_derivative_chain, bcg_first_line,
-                     bcg_moment_bound, bcg_tail, bcg_tail_profile,
-                     centered_moment_bound, chebyshev_level,
-                     chebyshev_tail_profile, defective_moment_bound,
-                     defective_moment_bound_q, enlargement_bound,
-                     enlargement_profile, enlargement_rate, gk_moment,
-                     hanson_wright_tail, hanson_wright_tail_profile,
-                     l_constant, lipschitz_profile, lipschitz_tail_profile,
+from .bounds import (MomentBoundInputs, PartitionNorms, alpha1_moment_bound,
+                     bcg_derivative_chain, bcg_first_line, bcg_moment_bound,
+                     bcg_tail, centered_moment_bound, chebyshev_level,
+                     defective_moment_bound, defective_moment_bound_q,
+                     enlargement_bound, enlargement_rate, gk_moment,
+                     hanson_wright_tail, l_constant, lipschitz_profile,
                      moment_interpolation_factor, poincare_beta_bound,
-                     quadratic_chaos_moment, two_level_tail,
-                     two_level_tail_profile)
+                     quadratic_chaos_moment, two_level_tail)
 from .conjugacy import (OmegaProfile, conjugate_ray_radius, lam, legendre_1d,
                         omega, omega_inv, omega_profile, omega_star,
                         omega_values, profile_table, psi_star,

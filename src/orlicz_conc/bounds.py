@@ -5,17 +5,19 @@ enlargement lower bounds, and chaos moment sums.
 Every unspecified universal constant appears as an explicit knob (default 1);
 verification code fits empirical constants instead of asserting against
 unknown absolutes. All evaluators are pure and total on their stated domains.
+The tail and enlargement evaluators map a scalar t (or u) to a float and an
+array to an array of the same shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .conjugacy import omega_star
+from .conjugacy import _omega_star_values
 from .errors import InputError
 from .psi import GrowthEnvelope, PhiSpec, PsiSpec, SeparableFromPhi, _bracket_sup, psi_p_norm
 
@@ -70,32 +72,6 @@ class PartitionNorms:
                       rstar_rstar=self.rstar_rstar)
         if not self.r >= 2.0:
             raise InputError(f"partition norms require r >= 2, got {self.r}")
-
-
-@dataclass
-class TailProfile:
-    """A named tail bound t -> probability, clipped to [0,1] on output.
-
-    raw() exposes the unclipped value for constant fitting; kind names the
-    bound shape this instantiates (e.g. "lipschitz", "two_level").
-    """
-
-    kind: str
-    parameters: Dict[str, float]
-    fn: Callable = field(repr=False)
-
-    def raw(self, t: float) -> float:
-        return self.fn(float(t))
-
-    def __call__(self, t: float) -> float:
-        return min(1.0, max(0.0, self.raw(t)))
-
-    def table(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty((len(ts), 2))
-        for i, t in enumerate(ts):
-            out[i] = (t, self(t))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -209,40 +185,49 @@ def quadratic_chaos_moment(norms: PartitionNorms, p: float) -> float:
 # ---------------------------------------------------------------------------
 # tail profiles
 
-def chebyshev_level(grad_moment_fn: Callable, env: GrowthEnvelope, C: float,
-                    t: float) -> float:
+def _column(t, ok, requirement: str) -> np.ndarray:
+    """t as a float array; InputError names the first entry failing ok."""
+    ts = np.asarray(t, dtype=float)
+    bad = ~ok(ts)
+    if np.any(bad):
+        raise InputError(f"{requirement}, got {float(ts[bad][0])!r}")
+    return ts
+
+
+def _like(t, values: np.ndarray):
+    """A float for a scalar t, else the array."""
+    return float(values) if np.ndim(t) == 0 else values
+
+
+def chebyshev_level(grad_moment_fn: Callable, env: GrowthEnvelope, C: float, t):
     """Exceedance level e^{-p*} where p* is the largest p >= beta with
     C L G(p) <= t; returns 1 when even p = beta fails, and floors at
-    exp(-P_MAX) for bounded G."""
-    if not t > 0:
-        raise InputError(f"requires t > 0, got {t}")
+    exp(-P_MAX) for bounded G. G is called on Python floats; the levels of
+    the t between those two cases come from one bracketing solve."""
+    ts = _column(t, lambda v: v > 0, "requires t > 0")
     if not C > 0:
         raise InputError(f"C must be > 0, got {C}")
     L = C * l_constant(env)
-    if L * grad_moment_fn(env.beta) > t:
-        return 1.0
-    if L * grad_moment_fn(P_MAX) <= t:
-        return math.exp(-P_MAX)
-    p_star = _bracket_sup(lambda d, ps: np.array([L * grad_moment_fn(float(p)) for p in ps]) - d,
-                          np.array([float(t)]), np.array([float(env.beta)]), "chebyshev_level")
-    return math.exp(-float(p_star[0]))
+    fails = L * grad_moment_fn(env.beta) > ts
+    out = np.where(fails, 1.0, math.exp(-P_MAX))
+    if not np.all(fails):
+        mid = ~fails & ~(L * grad_moment_fn(P_MAX) <= ts)
+        p_star = _bracket_sup(lambda d, ps: np.array([L * grad_moment_fn(float(p)) for p in ps]) - d,
+                              ts[mid], np.full_like(ts[mid], env.beta), "chebyshev_level")
+        out[mid] = np.exp(-p_star)
+    return _like(t, out)
 
 
-def lipschitz_profile(a: float, b: float, env: GrowthEnvelope, spec: PsiSpec,
-                      C: float, t: float) -> float:
+def lipschitz_profile(a: float, b: float, env: GrowthEnvelope, spec: PsiSpec, C: float, t):
     """min(1, exp(beta - a omega*(t / (C L b)))) for an a-concentrated,
-    b-Lipschitz observable."""
+    b-Lipschitz observable; omega* comes from one solve over the t > 0."""
     if not (a > 0 and b > 0 and C > 0):
         raise InputError(f"requires a, b, C > 0, got a={a} b={b} C={C}")
-    if t < 0:
-        raise InputError(f"requires t >= 0, got {t}")
-    if t == 0.0:
-        return 1.0
-    s = t / (C * l_constant(env) * b)
-    arg = env.beta - a * omega_star(spec, s)
-    if arg >= _EXP_CAP:
-        return 1.0
-    return min(1.0, math.exp(arg))
+    ts = _column(t, lambda v: v >= 0, "requires t >= 0")
+    out, pos = np.ones(ts.shape), ts > 0
+    s = _column(ts[pos] / (C * l_constant(env) * b), lambda v: v > 0, "omega_star requires t > 0")
+    out[pos] = np.exp(np.minimum(env.beta - a * _omega_star_values(spec, s), 0.0))
+    return _like(t, out)
 
 
 def enlargement_rate(env: GrowthEnvelope, C_impl: float = 1.0) -> float:
@@ -255,68 +240,59 @@ def enlargement_rate(env: GrowthEnvelope, C_impl: float = 1.0) -> float:
     return min(env.K ** (-e1) * L ** (-env.alpha * e1), 1.0 / L)
 
 
-def enlargement_bound(u: float, env: GrowthEnvelope, C_impl: float = 1.0) -> float:
+def enlargement_bound(u, env: GrowthEnvelope, C_impl: float = 1.0):
     """Lower bound max(0, 1 - 2 exp(beta - u rho)) on the measure of the
     conjugate-ball enlargement of a median-mass set."""
-    if not u > 0:
-        raise InputError(f"requires u > 0, got {u}")
-    rho = enlargement_rate(env, C_impl)
-    arg = env.beta - u * rho
-    if arg >= _EXP_CAP:
-        return 0.0
-    return max(0.0, 1.0 - 2.0 * math.exp(arg))
+    us = _column(u, lambda v: v > 0, "requires u > 0")
+    arg = env.beta - us * enlargement_rate(env, C_impl)
+    return _like(u, np.maximum(0.0, 1.0 - 2.0 * np.exp(np.minimum(arg, 0.0))))
 
 
-def two_level_tail(a: float, b: float, r: float, c: float, t: float) -> float:
+def _two_rate_tail(c: float, t, x: float, e: float, y: float, f: float):
+    """min(1, 2 exp(-c min((t/x)^e, (t/y)^f))), the exponent capped at
+    _EXP_CAP. np.float_power rounds as the C library's pow does; np.power's
+    SIMD loops can differ in the last bit, which exp(-expo) turns into a
+    relative move of expo ulps (1e-13 near the cap)."""
+    _check_nonneg(c=c)
+    ts = _column(t, lambda v: np.isfinite(v) & (v >= 0), "t must be a finite real >= 0")
+    with np.errstate(over="ignore"):
+        expo = c * np.minimum(np.float_power(ts / x, e), np.float_power(ts / y, f))
+    return _like(t, np.minimum(1.0, 2.0 * np.exp(-np.minimum(expo, _EXP_CAP))))
+
+
+def two_level_tail(a: float, b: float, r: float, c: float, t):
     """min(1, 2 exp(-c min(t^2/a^2, (t/b)^{r*}))) with r* = r/(r-1), r >= 2."""
     if not (a > 0 and b > 0):
         raise InputError(f"requires a, b > 0, got a={a} b={b}")
     if not r >= 2.0:
         raise InputError(f"requires r >= 2, got {r}")
-    _check_nonneg(c=c, t=t)
-    rs = r / (r - 1.0)
-    expo = c * min((t / a) ** 2, (t / b) ** rs)
-    if expo >= _EXP_CAP:
-        return 2.0 * math.exp(-_EXP_CAP)
-    return min(1.0, 2.0 * math.exp(-expo))
+    return _two_rate_tail(c, t, a, 2.0, b, r / (r - 1.0))
 
 
-def hanson_wright_tail(A_q: float, B: float, q: float, c: float, t: float) -> float:
+def hanson_wright_tail(A_q: float, B: float, q: float, c: float, t):
     """Quadratic-form tail min(1, 2 exp(-c min((t/A_q)^{q*}, (t/B)^{q*/2})))
     for entry/operator surrogates A_q, B and q in (1, 2]."""
     if not (A_q > 0 and B > 0):
         raise InputError(f"requires A_q, B > 0, got A_q={A_q} B={B}")
     if not (1.0 < q <= 2.0):
         raise InputError(f"requires q in (1, 2], got {q}")
-    _check_nonneg(c=c, t=t)
     qs = q / (q - 1.0)
-    expo = c * min((t / A_q) ** qs, (t / B) ** (qs / 2.0))
-    if expo >= _EXP_CAP:
-        return 2.0 * math.exp(-_EXP_CAP)
-    return min(1.0, 2.0 * math.exp(-expo))
+    return _two_rate_tail(c, t, A_q, qs, B, qs / 2.0)
 
 
-def bcg_tail(L: float, hess_hs_m2: float, mean_grad: float, hess_op_sup: float,
-             t: float) -> float:
+def bcg_tail(L: float, hess_hs_m2: float, mean_grad: float, hess_op_sup: float, t):
     """Bounded-second-derivative tail min(1, e^2 exp(-min(t^2/a^2, t/b))) with
     a^2 = 4e^2 (sqrt(2) L^2 hess_hs_m2 + L mean_grad)^2 and b = 2e L^2 hess_op_sup."""
     if not L > 0:
         raise InputError(f"requires L > 0, got {L}")
-    _check_nonneg(hess_hs_m2=hess_hs_m2, mean_grad=mean_grad,
-                  hess_op_sup=hess_op_sup, t=t)
-    if t == 0.0:
-        return 1.0
+    _check_nonneg(hess_hs_m2=hess_hs_m2, mean_grad=mean_grad, hess_op_sup=hess_op_sup)
+    ts = _column(t, lambda v: np.isfinite(v) & (v >= 0), "t must be a finite real >= 0")
     a2 = 4.0 * _E * _E * (math.sqrt(2.0) * L * L * hess_hs_m2 + L * mean_grad) ** 2
     b = 2.0 * _E * L * L * hess_op_sup
-    terms = []
-    if a2 > 0.0:
-        terms.append(t * t / a2)
-    if b > 0.0:
-        terms.append(t / b)
-    expo = min(terms) if terms else math.inf
-    if expo >= _EXP_CAP:
-        return 0.0
-    return min(1.0, _E * _E * math.exp(-expo))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        expo = np.minimum(ts * ts / a2, ts / b)  # a zero a2 or b drops its term
+    out = np.where(expo >= _EXP_CAP, 0.0, np.minimum(1.0, _E * _E * np.exp(-expo)))
+    return _like(t, np.where(ts == 0.0, 1.0, out))
 
 
 def bcg_first_line(L: float, p: float, mean_grad_norm: float,
@@ -364,42 +340,64 @@ def bcg_moment_bound(L: float, p: float, higher: Sequence[Tuple[int, float]],
 
 
 # ---------------------------------------------------------------------------
-# profile factories (CSV-facing)
+# registry of the `bound` command
 
-def lipschitz_tail_profile(a: float, b: float, env: GrowthEnvelope,
-                           spec: PsiSpec, C: float = 1.0) -> TailProfile:
-    return TailProfile("lipschitz", {"a": a, "b": b, "C": C},
-                       lambda t: lipschitz_profile(a, b, env, spec, C, t))
+class _Bound(NamedTuple):
+    """A bound by name: evaluate, a callable or the name of a function here
+    (looked up at each call, so a patched or traced one runs), takes the
+    parameters as keywords, plus env, spec and t where the flags say so."""
 
+    evaluate: Union[Callable, str]
+    required: Tuple[str, ...]
+    optional: Dict[str, float]
+    needs_env: bool = False
+    needs_psi: bool = False
+    swept: bool = False  # t, or u, may be a whole column
 
-def two_level_tail_profile(a: float, b: float, r: float,
-                           c: float = 1.0) -> TailProfile:
-    return TailProfile("two_level", {"a": a, "b": b, "r": r, "c": c},
-                       lambda t: two_level_tail(a, b, r, c, t))
-
-
-def hanson_wright_tail_profile(A_q: float, B: float, q: float,
-                               c: float = 1.0) -> TailProfile:
-    return TailProfile("hanson_wright", {"A_q": A_q, "B": B, "q": q, "c": c},
-                       lambda t: hanson_wright_tail(A_q, B, q, c, t))
-
-
-def bcg_tail_profile(L: float, hess_hs_m2: float, mean_grad: float,
-                     hess_op_sup: float) -> TailProfile:
-    return TailProfile("bcg",
-                       {"L": L, "hess_hs_m2": hess_hs_m2,
-                        "mean_grad": mean_grad, "hess_op_sup": hess_op_sup},
-                       lambda t: bcg_tail(L, hess_hs_m2, mean_grad, hess_op_sup, t))
+    def __call__(self, params: dict, env, spec, t):
+        keys = {k: params[k] for k in (*self.required, *self.optional)}
+        for key, value, used in (("env", env, self.needs_env), ("spec", spec, self.needs_psi),
+                                 ("t", t, self.swept)):
+            if used:
+                keys[key] = value
+        evaluate = globals()[self.evaluate] if isinstance(self.evaluate, str) else self.evaluate
+        return evaluate(**keys)
 
 
-def chebyshev_tail_profile(grad_moment_fn: Callable, env: GrowthEnvelope,
-                           C: float = 1.0) -> TailProfile:
-    return TailProfile("chebyshev", {"C": C},
-                       lambda t: chebyshev_level(grad_moment_fn, env, C, t))
-
-
-def enlargement_profile(env: GrowthEnvelope, C_impl: float = 1.0) -> TailProfile:
-    # here the "tail" variable is the enlargement budget u, and larger is better
-    return TailProfile("enlargement",
-                       {"C_impl": C_impl, "rho": enlargement_rate(env, C_impl)},
-                       lambda u: enlargement_bound(u, env, C_impl))
+_BOUNDS = {
+    "l_constant": _Bound("l_constant", (), {}, needs_env=True),
+    "defective_moment_bound": _Bound(
+        lambda env, p, lower_moment, grad_moment: defective_moment_bound(
+            MomentBoundInputs(p, lower_moment, grad_moment, env)),
+        ("p", "lower_moment", "grad_moment"), {}, needs_env=True),
+    "defective_moment_bound_q": _Bound(
+        lambda env, p, lower_moment, grad_moment, q: defective_moment_bound_q(
+            MomentBoundInputs(p, lower_moment, grad_moment, env), q),
+        ("p", "lower_moment", "grad_moment", "q"), {}, needs_env=True),
+    "alpha1_moment_bound": _Bound("alpha1_moment_bound", ("norm_beta", "grad_moment", "p"), {},
+                                  needs_env=True),
+    "centered_moment_bound": _Bound("centered_moment_bound", ("grad_moment", "p"), {"C": 1.0},
+                                    needs_env=True),
+    "poincare_beta_bound": _Bound("poincare_beta_bound", ("grad_moment_beta",), {"C": 1.0},
+                                  needs_env=True),
+    "chebyshev_level": _Bound(
+        lambda env, g0, g_exponent, C, t: chebyshev_level(lambda p: g0 * p ** g_exponent,
+                                                          env, C, t),
+        ("g0", "g_exponent"), {"C": 1.0}, needs_env=True, swept=True),
+    "lipschitz_profile": _Bound("lipschitz_profile", ("a", "b"), {"C": 1.0},
+                                needs_env=True, needs_psi=True, swept=True),
+    "enlargement_rate": _Bound("enlargement_rate", (), {"C_impl": 1.0}, needs_env=True),
+    "enlargement_bound": _Bound(lambda env, C_impl, t: enlargement_bound(t, env, C_impl),
+                                (), {"C_impl": 1.0}, needs_env=True, swept=True),
+    "two_level_tail": _Bound("two_level_tail", ("a", "b", "r"), {"c": 1.0}, swept=True),
+    "hanson_wright_tail": _Bound("hanson_wright_tail", ("A_q", "B", "q"), {"c": 1.0},
+                                 swept=True),
+    "bcg_tail": _Bound("bcg_tail", ("L", "hess_hs_m2", "mean_grad", "hess_op_sup"), {},
+                       swept=True),
+    "quadratic_chaos_moment": _Bound(
+        lambda hs, op, entry_lr, mixed_2_rstar, rstar_rstar, r, p: quadratic_chaos_moment(
+            PartitionNorms(hs, op, entry_lr, mixed_2_rstar, rstar_rstar, r), p),
+        ("hs", "op", "entry_lr", "mixed_2_rstar", "rstar_rstar", "r", "p"), {}),
+    "moment_interpolation_factor": _Bound("moment_interpolation_factor", ("A", "p", "q", "r"), {}),
+    "bcg_first_line": _Bound("bcg_first_line", ("L", "p", "mean_grad_norm", "hess_op_mp"), {}),
+}

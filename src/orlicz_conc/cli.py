@@ -110,75 +110,16 @@ def _emit_result(config: dict, payload, out_path, fmt: str):
 
 
 # ---------------------------------------------------------------------------
-# bound registry
+# bound command (the bounds themselves are described in bounds._BOUNDS)
+
+_ENV_KEYS = ("K", "alpha", "beta", "D", "d")  # the first three are required
+
 
 def _env_from(params: dict) -> GrowthEnvelope:
-    missing = [k for k in ("K", "alpha", "beta") if k not in params]
+    missing = [k for k in _ENV_KEYS[:3] if k not in params]
     if missing:
         raise InputError(f"growth envelope needs {missing}")
-    return env_from_dict({k: params[k] for k in ("K", "alpha", "beta", "D", "d")
-                          if k in params})
-
-_ENV_KEYS = ("K", "alpha", "beta", "D", "d")
-
-# name -> (required keys, optional keys with defaults, needs_env, needs_psi,
-#          evaluate(params, env, spec, t) -> value); grid-capable entries
-# treat 't' (or 'u') as the swept variable
-_BOUNDS = {
-    "l_constant": ((), {}, True, False,
-                   lambda pr, env, spec, t: bd.l_constant(env)),
-    "defective_moment_bound": (("p", "lower_moment", "grad_moment"), {}, True, False,
-                               lambda pr, env, spec, t: bd.defective_moment_bound(
-                                   bd.MomentBoundInputs(pr["p"], pr["lower_moment"],
-                                                        pr["grad_moment"], env))),
-    "defective_moment_bound_q": (("p", "lower_moment", "grad_moment", "q"), {}, True, False,
-                                 lambda pr, env, spec, t: bd.defective_moment_bound_q(
-                                     bd.MomentBoundInputs(pr["p"], pr["lower_moment"],
-                                                          pr["grad_moment"], env), pr["q"])),
-    "alpha1_moment_bound": (("norm_beta", "grad_moment", "p"), {}, True, False,
-                            lambda pr, env, spec, t: bd.alpha1_moment_bound(
-                                pr["norm_beta"], pr["grad_moment"], env, pr["p"])),
-    "centered_moment_bound": (("grad_moment", "p"), {"C": 1.0}, True, False,
-                              lambda pr, env, spec, t: bd.centered_moment_bound(
-                                  pr["grad_moment"], env, pr["p"], pr["C"])),
-    "poincare_beta_bound": (("grad_moment_beta",), {"C": 1.0}, True, False,
-                            lambda pr, env, spec, t: bd.poincare_beta_bound(
-                                pr["grad_moment_beta"], env, pr["C"])),
-    "chebyshev_level": (("g0", "g_exponent"), {"C": 1.0}, True, False,
-                        lambda pr, env, spec, t: bd.chebyshev_level(
-                            lambda p: pr["g0"] * p ** pr["g_exponent"], env, pr["C"], t)),
-    "lipschitz_profile": (("a", "b"), {"C": 1.0}, True, True,
-                          lambda pr, env, spec, t: bd.lipschitz_profile(
-                              pr["a"], pr["b"], env, spec, pr["C"], t)),
-    "enlargement_rate": ((), {"C_impl": 1.0}, True, False,
-                         lambda pr, env, spec, t: bd.enlargement_rate(env, pr["C_impl"])),
-    "enlargement_bound": ((), {"C_impl": 1.0}, True, False,
-                          lambda pr, env, spec, t: bd.enlargement_bound(t, env, pr["C_impl"])),
-    "two_level_tail": (("a", "b", "r"), {"c": 1.0}, False, False,
-                       lambda pr, env, spec, t: bd.two_level_tail(
-                           pr["a"], pr["b"], pr["r"], pr["c"], t)),
-    "hanson_wright_tail": (("A_q", "B", "q"), {"c": 1.0}, False, False,
-                           lambda pr, env, spec, t: bd.hanson_wright_tail(
-                               pr["A_q"], pr["B"], pr["q"], pr["c"], t)),
-    "bcg_tail": (("L", "hess_hs_m2", "mean_grad", "hess_op_sup"), {}, False, False,
-                 lambda pr, env, spec, t: bd.bcg_tail(
-                     pr["L"], pr["hess_hs_m2"], pr["mean_grad"], pr["hess_op_sup"], t)),
-    "quadratic_chaos_moment": (("hs", "op", "entry_lr", "mixed_2_rstar",
-                                "rstar_rstar", "r", "p"), {}, False, False,
-                               lambda pr, env, spec, t: bd.quadratic_chaos_moment(
-                                   bd.PartitionNorms(pr["hs"], pr["op"], pr["entry_lr"],
-                                                     pr["mixed_2_rstar"], pr["rstar_rstar"],
-                                                     pr["r"]), pr["p"])),
-    "moment_interpolation_factor": (("A", "p", "q", "r"), {}, False, False,
-                                    lambda pr, env, spec, t: bd.moment_interpolation_factor(
-                                        pr["A"], pr["p"], pr["q"], pr["r"])),
-    "bcg_first_line": (("L", "p", "mean_grad_norm", "hess_op_mp"), {}, False, False,
-                       lambda pr, env, spec, t: bd.bcg_first_line(
-                           pr["L"], pr["p"], pr["mean_grad_norm"], pr["hess_op_mp"])),
-}
-
-_SWEPT = {"chebyshev_level", "lipschitz_profile", "enlargement_bound",
-          "two_level_tail", "hanson_wright_tail", "bcg_tail"}
+    return env_from_dict({k: params[k] for k in _ENV_KEYS if k in params})
 
 
 def _parse_extra_params(tokens) -> dict:
@@ -196,7 +137,7 @@ def _parse_extra_params(tokens) -> dict:
 def _load_params(ns, extra_tokens, name: str, allowed, required, structured=()) -> dict:
     """The --params JSON object overlaid with the '--key value' pairs.  Keys
     must lie in `allowed` and include `required`; every value but those named
-    in `structured`, which the caller parses, must be numeric."""
+    in `structured`, which the caller parses, must be a finite number."""
     raw = {}
     if ns.params:
         obj = json.loads(_read_arg_text(ns.params))
@@ -211,9 +152,14 @@ def _load_params(ns, extra_tokens, name: str, allowed, required, structured=()) 
     if missing:
         raise InputError(f"{name} missing parameter(s): {missing}")
     try:
-        return {k: v if k in structured else float(v) for k, v in raw.items()}
+        params = {k: v if k in structured else float(v) for k, v in raw.items()}
     except (TypeError, ValueError) as exc:
         raise InputError(f"non-numeric parameter: {exc}") from exc
+    non_finite = sorted(k for k, v in params.items()
+                        if k not in structured and not math.isfinite(v))
+    if non_finite:
+        raise InputError(f"non-finite parameter(s) for {name}: {non_finite}")
+    return params
 
 
 def _cmd_bound(ns, extra_tokens) -> int:
@@ -222,39 +168,38 @@ def _cmd_bound(ns, extra_tokens) -> int:
         return _cmd_bound_gk(ns, extra_tokens)
     if name == "bcg_moment_bound":
         return _cmd_bound_bcg_chain(ns, extra_tokens)
-    if name not in _BOUNDS:
+    if name not in bd._BOUNDS:
         raise InputError(f"unknown bound {name!r}; known: "
-                         f"{sorted(_BOUNDS) + ['gk_moment', 'bcg_moment_bound']}")
-    required, optional, needs_env, needs_psi, fn = _BOUNDS[name]
-    allowed = set(required) | set(optional) | ({"t", "u"} if name in _SWEPT else set())
-    if needs_env:
+                         f"{sorted(bd._BOUNDS) + ['gk_moment', 'bcg_moment_bound']}")
+    bound = bd._BOUNDS[name]
+    allowed = set(bound.required) | set(bound.optional)
+    if bound.swept:
+        allowed |= {"t", "u"}
+    if bound.needs_env:
         allowed |= set(_ENV_KEYS)
-    params = _load_params(ns, extra_tokens, name, allowed, required)
-    for k, v in optional.items():
-        params.setdefault(k, v)
-    env = _env_from(params) if needs_env else None
-    spec = psi_from_json(_read_arg_text(ns.psi)) if needs_psi and ns.psi else None
-    if needs_psi and spec is None:
+    params = {**bound.optional,
+              **_load_params(ns, extra_tokens, name, allowed, bound.required)}
+    env = _env_from(params) if bound.needs_env else None
+    spec = psi_from_json(_read_arg_text(ns.psi)) if bound.needs_psi and ns.psi else None
+    if bound.needs_psi and spec is None:
         raise InputError(f"{name} requires --psi")
     config = {"bound": name, "params": params}
     if env is not None:
         config["env"] = env_to_dict(env)
     if spec is not None:
         config["psi"] = psi_to_dict(spec)
+    t = None
     if ns.grid:
-        if name not in _SWEPT:
+        if not bound.swept:
             raise InputError(f"{name} is not a profile; --grid not supported")
-        ts = _parse_grid(ns.grid)
-        config["grid"] = [float(ts[0]), float(ts[-1]), int(len(ts))]
-        vals = np.array([fn(params, env, spec, t) for t in ts])
-        _emit_result(config, {"t": ts, "bound": vals}, ns.out, ns.format)
-        return 0
-    t = params.pop("u", params.pop("t", None))
-    if name in _SWEPT and t is None:
-        raise InputError(f"{name} needs --t/--u or --grid")
-    if t is not None:
-        config["t"] = t
-    _emit_result(config, fn(params, env, spec, t), ns.out, ns.format)
+        t = _parse_grid(ns.grid)
+        config["grid"] = [float(t[0]), float(t[-1]), int(len(t))]
+    elif bound.swept:
+        t = config["t"] = params.pop("u", params.pop("t", None))
+        if t is None:
+            raise InputError(f"{name} needs --t/--u or --grid")
+    value = bound(params, env, spec, t)
+    _emit_result(config, {"t": t, "bound": value} if ns.grid else value, ns.out, ns.format)
     return 0
 
 
@@ -456,8 +401,7 @@ def _cmd_verify(ns) -> int:
     if ns.scenario == "centered":
         family = _family_from_flags(ns.family, ns.n, ns.phi_s)
         spec = psi_from_json(_read_arg_text(ns.psi))
-        env = _env_from({"K": ns.K, "alpha": ns.alpha, "beta": ns.beta,
-                         "D": ns.D, "d": ns.d})
+        env = _env_from({k: getattr(ns, k) for k in _ENV_KEYS})
         f = _build_function(ns, spec.dim)
         rep = em.verify_centered(family, f, spec, env, _parse_vector(ns.p_grid),
                                  ns.N, ns.seed, C=ns.C)
@@ -476,8 +420,7 @@ def _cmd_verify(ns) -> int:
         spec = psi_from_json(_read_arg_text(ns.psi))
         env = None
         if ns.K is not None:
-            env = _env_from({"K": ns.K, "alpha": ns.alpha, "beta": ns.beta,
-                             "D": ns.D, "d": ns.d})
+            env = _env_from({k: getattr(ns, k) for k in _ENV_KEYS})
         rep = em.enlargement_mc(family, ns.m, spec, _parse_vector(ns.u_grid),
                                 ns.N, ns.seed, env=env, C_impl=ns.C)
         _emit_verify_report(rep, ns)

@@ -505,12 +505,12 @@ def enlargement_mc(sampler, m: float, spec: PsiSpec, u_grid, N: int,
     radius = np.array([conjugate_ray_radius(spec, u) for u in u_grid])
     emp = np.empty(u_grid.size)
     se = np.empty(u_grid.size)
-    bound = np.empty(u_grid.size)
-    for i, (u, s_u) in enumerate(zip(u_grid, radius)):
+    for i, s_u in enumerate(radius):
         thresh = m + s_u
         emp[i] = float(np.mean(x1 < thresh))
         se[i] = batch_se(x1, lambda b, th=thresh: float(np.mean(b < th)))
-        bound[i] = enlargement_bound(u, env, C_impl) if env is not None else math.nan
+    bound = (enlargement_bound(u_grid, env, C_impl) if env is not None
+             else np.full(u_grid.size, math.nan))
     meta = {"scenario": "enlargement", "m": m, "psi": _psi_meta(spec),
             "env": env_to_dict(env) if env is not None else None,
             "C_impl": C_impl, "sampler": _family_meta(family),

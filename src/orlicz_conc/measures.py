@@ -76,8 +76,10 @@ def _chunk_rng(seed: int, j: int) -> np.random.Generator:
 
 
 def _uniform_open(rng: np.random.Generator, shape) -> np.ndarray:
-    # strictly inside (0,1): 53-bit integers offset by half an ulp
-    return (rng.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) * 2.0 ** -53
+    # strictly inside (0,1): 53-bit integers offset by half an ulp; the top
+    # draw 2^53 - 1 rounds to 1, so it alone moves to the largest double below 1
+    u = (rng.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) * 2.0 ** -53
+    return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 
 def _phi_inv_array(phi: PhiSpec, y: np.ndarray) -> np.ndarray:

@@ -11,16 +11,12 @@ from orlicz_conc import (GrowthEnvelope, InputError, MomentBoundInputs,
                          PartitionNorms, PhiSpec, PowerNorm,
                          alpha1_moment_bound, bcg_derivative_chain,
                          bcg_first_line, bcg_moment_bound, bcg_tail,
-                         bcg_tail_profile, centered_moment_bound,
-                         chebyshev_level, chebyshev_tail_profile,
+                         centered_moment_bound, chebyshev_level,
                          defective_moment_bound, defective_moment_bound_q,
-                         enlargement_bound, enlargement_profile,
-                         enlargement_rate, gk_moment, hanson_wright_tail,
-                         hanson_wright_tail_profile, l_constant,
-                         lipschitz_profile, lipschitz_tail_profile,
+                         enlargement_bound, enlargement_rate, gk_moment,
+                         hanson_wright_tail, l_constant, lipschitz_profile,
                          moment_interpolation_factor, poincare_beta_bound,
-                         quadratic_chaos_moment, two_level_tail,
-                         two_level_tail_profile)
+                         quadratic_chaos_moment, two_level_tail)
 
 E = math.e
 ENV22 = GrowthEnvelope(K=1.0, alpha=2.0, beta=2.0, D=1.0, d=0.0)
@@ -229,31 +225,51 @@ def test_bcg_derivative_chain_rejects_duplicate_orders():
 
 
 # ---------------------------------------------------------------------------
-# profile objects
+# evaluators over a whole t (or u) column
 
 def test_profiles_are_clipped_and_nonincreasing():
     spec = PowerNorm(dim=2, norm=2.0, a=2.0)
     C = 1.0 / l_constant(ENV22)
     profiles = [
-        two_level_tail_profile(1.0, 1.0, 3.0, 1.0),
-        hanson_wright_tail_profile(1.0, 0.5, 2.0, 1.0),
-        bcg_tail_profile(2.0, 1.0, 1.0, 1.0),
-        lipschitz_tail_profile(1.0, 1.0, ENV22, spec, C),
-        chebyshev_tail_profile(lambda p: math.sqrt(p), ENV22, C),
+        lambda t: two_level_tail(1.0, 1.0, 3.0, 1.0, t),
+        lambda t: hanson_wright_tail(1.0, 0.5, 2.0, 1.0, t),
+        lambda t: bcg_tail(2.0, 1.0, 1.0, 1.0, t),
+        lambda t: lipschitz_profile(1.0, 1.0, ENV22, spec, C, t),
+        lambda t: chebyshev_level(lambda p: math.sqrt(p), ENV22, C, t),
     ]
     ts = np.geomspace(1e-2, 1e2, 40)
     for prof in profiles:
-        vals = prof.table(ts)[:, 1]
+        vals = prof(ts)
+        assert isinstance(vals, np.ndarray) and vals.shape == ts.shape
         assert np.all(vals <= 1.0) and np.all(vals >= 0.0)
         assert np.all(np.diff(vals) <= 1e-12)
-        assert prof(float(ts[3])) == pytest.approx(vals[3], rel=1e-12)
+        scalar = prof(float(ts[3]))
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(vals[3], rel=1e-12)
+        np.testing.assert_array_equal(prof(ts.reshape(5, 8)), vals.reshape(5, 8))
 
 
 def test_enlargement_profile_carries_rho():
-    prof = enlargement_profile(ENV22, C_impl=0.2)
-    assert prof.kind == "enlargement"
-    assert prof.parameters["rho"] == pytest.approx(enlargement_rate(ENV22, 0.2), rel=1e-12)
-    rho = prof.parameters["rho"]
+    rho = enlargement_rate(ENV22, 0.2)
+    assert rho == pytest.approx(1.0 / (0.2 * l_constant(ENV22)), rel=1e-12)
     u0 = (ENV22.beta + math.log(2.0)) / rho
-    assert prof(0.5 * u0) == 0.0
-    assert prof(3.0 * u0) > 0.0
+    vals = enlargement_bound(np.array([0.5 * u0, 3.0 * u0]), ENV22, C_impl=0.2)
+    assert vals[0] == 0.0
+    assert vals[1] > 0.0
+    assert vals[1] == pytest.approx(1.0 - 2.0 * math.exp(ENV22.beta - 3.0 * u0 * rho), rel=1e-12)
+    assert enlargement_bound(3.0 * u0, ENV22, C_impl=0.2) == vals[1]
+
+
+def test_swept_evaluators_check_every_entry():
+    spec = PowerNorm(dim=2, norm=2.0, a=2.0)
+    calls = [
+        (lambda t: two_level_tail(1.0, 1.0, 3.0, 1.0, t), [1.0, math.nan]),
+        (lambda t: hanson_wright_tail(1.0, 0.5, 2.0, 1.0, t), [1.0, math.inf]),
+        (lambda t: bcg_tail(2.0, 1.0, 1.0, 1.0, t), [1.0, -1.0]),
+        (lambda t: lipschitz_profile(1.0, 1.0, ENV22, spec, 1.0, t), [1.0, -1.0]),
+        (lambda t: chebyshev_level(math.sqrt, ENV22, 1.0, t), [1.0, 0.0]),
+        (lambda u: enlargement_bound(u, ENV22), [1.0, 0.0]),
+    ]
+    for call, ts in calls:
+        with pytest.raises(InputError):
+            call(np.array(ts))

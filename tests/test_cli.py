@@ -8,11 +8,15 @@ import sys
 import numpy as np
 import pytest
 
+import orlicz_conc as oc
 import orlicz_conc.cli as cli
-from orlicz_conc import two_level_tail
+from orlicz_conc import (GrowthEnvelope, SeparableTwoLevel, bcg_tail, chebyshev_level,
+                         enlargement_bound, hanson_wright_tail, lipschitz_profile,
+                         two_level_tail)
 from orlicz_conc.errors import NumericalError
 
 PSI2 = '{"family":"PowerNorm","params":{"norm":"l2","a":2},"dim":2}'
+ENV_FLAGS = ("--K", "1", "--D", "1", "--alpha", "2", "--beta", "2")
 
 
 def run(capsys, *argv):
@@ -176,6 +180,29 @@ def test_bad_inputs_exit_with_a_json_error(capsys, tmp_path, matrix_file, argv):
     assert json.loads(err)["error"] == ("input" if rc == 2 else "numerical")
 
 
+NON_FINITE = {
+    "nan_flag": ("bound", "chebyshev_level", *ENV_FLAGS, "--g0", "1", "--g_exponent", "nan",
+                 "--t", "1"),
+    "inf_flag": ("bound", "two_level_tail", "--a", "inf", "--b", "1", "--r", "3", "--t", "1"),
+    "minus_inf_json": ("bound", "two_level_tail", "--params",
+                       '{"a": 1, "b": 1, "r": 3, "t": -Infinity}'),
+    "nan_json_env": ("bound", "l_constant", "--params", '{"K": 1, "alpha": 2, "beta": NaN}'),
+    "inf_grid_bound_param": ("bound", "lipschitz_profile", "--psi", PSI2, *ENV_FLAGS,
+                             "--a", "1", "--b", "Infinity", "--grid", "1,2,3"),
+    "gk_inf_s": ("bound", "gk_moment", "--x", "1,2", "--s", "inf", "--p", "4"),
+    "bcg_chain_nan_L": ("bound", "bcg_moment_bound", "--L", "nan", "--p", "4", "--dk_norm", "1",
+                        "--hess_op_mp", "1", "--higher", "[[1,0.5]]"),
+}
+
+
+@pytest.mark.parametrize("argv", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_bound_parameters_exit_two(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "input" and "non-finite" in obj["message"]
+
+
 def test_verify_mlsi_writes_a_one_row_csv(capsys, tmp_path):
     path = tmp_path / "mlsi.csv"
     rc, out, _ = run(capsys, "verify", "mlsi", "--n", "2", "--psi", PSI2, "--function", "tilt",
@@ -251,14 +278,36 @@ def test_conjugate_point_and_support(capsys):
     assert float(value_lines(out)[0]) == pytest.approx(12.0, rel=1e-9)
 
 
-def test_bound_grid_matches_direct_calls(capsys):
-    rc, out, _ = run(capsys, "bound", "two_level_tail", "--a", "1", "--b", "1",
-                     "--r", "3", "--grid", "1,4,5")
+ENV22 = GrowthEnvelope(K=1.0, alpha=2.0, beta=2.0, D=1.0)
+PSI_TL = '{"family":"SeparableTwoLevel","params":{"r":3},"dim":4}'
+SWEPT = {
+    "two_level_tail": (("--a", "1", "--b", "1", "--r", "3"),
+                       lambda t: two_level_tail(1.0, 1.0, 3.0, 1.0, t)),
+    "hanson_wright_tail": (("--A_q", "2", "--B", "1", "--q", "1.5", "--c", "0.5"),
+                           lambda t: hanson_wright_tail(2.0, 1.0, 1.5, 0.5, t)),
+    "bcg_tail": (("--L", "2", "--hess_hs_m2", "1", "--mean_grad", "1", "--hess_op_sup", "1"),
+                 lambda t: bcg_tail(2.0, 1.0, 1.0, 1.0, t)),
+    "chebyshev_level": ((*ENV_FLAGS, "--g0", "1", "--g_exponent", "0.5"),
+                        lambda t: chebyshev_level(math.sqrt, ENV22, 1.0, t)),
+    "lipschitz_profile": (("--psi", PSI_TL, "--a", "1", "--b", "1", *ENV_FLAGS),
+                          lambda t: lipschitz_profile(1.0, 1.0, ENV22,
+                                                      SeparableTwoLevel(dim=4, r=3.0), 1.0, t)),
+    "enlargement_bound": ((*ENV_FLAGS, "--C_impl", "0.2"),
+                          lambda u: enlargement_bound(u, ENV22, 0.2)),
+}
+
+
+@pytest.mark.parametrize("name", SWEPT)
+def test_bound_grid_matches_direct_calls(capsys, name):
+    flags, scalar = SWEPT[name]
+    rc, out, _ = run(capsys, "bound", name, *flags, "--grid", "0.1,1000,40")
     assert rc == 0
     rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    assert len(rows) == 40
+    vals = [float(v_str) for _, v_str in rows]
+    assert min(vals) < max(vals)  # the grid crosses the bound's transition
     for t_str, v_str in rows:
-        assert float(v_str) == pytest.approx(
-            two_level_tail(1.0, 1.0, 3.0, 1.0, float(t_str)), rel=1e-12)
+        assert float(v_str) == pytest.approx(scalar(float(t_str)), rel=1e-14, abs=0.0)
 
 
 def test_bound_params_json_equivalent_to_flags(capsys):
@@ -276,6 +325,52 @@ def test_json_format_includes_config(capsys):
     obj = json.loads(out)
     assert obj["result"] == pytest.approx(10.0)
     assert obj["config"]["psi"]["family"] == "PowerNorm"
+
+
+ENV23 = GrowthEnvelope(K=2.0, alpha=1.5, beta=3.0, D=3.0, d=0.5)
+ENV23_FLAGS = ("--K", "2", "--alpha", "1.5", "--beta", "3", "--D", "3", "--d", "0.5")
+UNSWEPT = {
+    "l_constant": ((), lambda: oc.l_constant(ENV23)),
+    "defective_moment_bound": (("--p", "4", "--lower_moment", "1", "--grad_moment", "2"),
+                               lambda: oc.defective_moment_bound(
+                                   oc.MomentBoundInputs(4.0, 1.0, 2.0, ENV23))),
+    "defective_moment_bound_q": (("--p", "6", "--lower_moment", "1", "--grad_moment", "2",
+                                  "--q", "2"),
+                                 lambda: oc.defective_moment_bound_q(
+                                     oc.MomentBoundInputs(6.0, 1.0, 2.0, ENV23), 2.0)),
+    "alpha1_moment_bound": (("--norm_beta", "1", "--grad_moment", "2", "--p", "4"),
+                            lambda: oc.alpha1_moment_bound(1.0, 2.0, ENV23, 4.0)),
+    "centered_moment_bound": (("--grad_moment", "2", "--p", "4", "--C", "3"),
+                              lambda: oc.centered_moment_bound(2.0, ENV23, 4.0, 3.0)),
+    "poincare_beta_bound": (("--grad_moment_beta", "2"),
+                            lambda: oc.poincare_beta_bound(2.0, ENV23)),
+    "enlargement_rate": (("--C_impl", "0.2"), lambda: oc.enlargement_rate(ENV23, 0.2)),
+    "quadratic_chaos_moment": (("--hs", "1", "--op", "0.5", "--entry_lr", "0.3",
+                                "--mixed_2_rstar", "0.4", "--rstar_rstar", "0.2", "--r", "4",
+                                "--p", "8"),
+                               lambda: oc.quadratic_chaos_moment(
+                                   oc.PartitionNorms(1.0, 0.5, 0.3, 0.4, 0.2, 4.0), 8.0)),
+    "moment_interpolation_factor": (("--A", "2", "--p", "8", "--q", "4", "--r", "2"),
+                                    lambda: oc.moment_interpolation_factor(2.0, 8.0, 4.0, 2.0)),
+    "bcg_first_line": (("--L", "2", "--p", "9", "--mean_grad_norm", "1", "--hess_op_mp", "0.5"),
+                       lambda: oc.bcg_first_line(2.0, 9.0, 1.0, 0.5)),
+}
+
+
+def test_registry_tests_cover_every_bound():
+    assert set(SWEPT) == {n for n, b in cli.bd._BOUNDS.items() if b.swept}
+    assert set(UNSWEPT) == {n for n, b in cli.bd._BOUNDS.items() if not b.swept}
+
+
+@pytest.mark.parametrize("name", UNSWEPT)
+def test_every_unswept_bound_matches_its_direct_call(capsys, name):
+    flags, direct = UNSWEPT[name]
+    env = ENV23_FLAGS if cli.bd._BOUNDS[name].needs_env else ()
+    rc, out, _ = run(capsys, "bound", name, *flags, *env)
+    assert rc == 0
+    assert float(value_lines(out)[0]) == direct()
+    rc, _, err = run(capsys, "bound", name, *flags, *env, "--grid", "1,2,3")
+    assert rc == 2 and "not a profile" in json.loads(err)["message"]
 
 
 def test_gk_and_chain_bounds(capsys):

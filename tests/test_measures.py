@@ -1,16 +1,23 @@
 """Reference measures: exact samplers, densities, quantiles, reproducibility."""
 
 import math
+import pathlib
+import runpy
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+import orlicz_conc as oc
 import orlicz_conc.measures as ms
 from orlicz_conc import (InputError, NuMeasure, PhiSpec, ProductPhiTail,
                          SamplerSpec, StandardGaussian,
                          isoperimetric_profile_nu, nu_cdf, nu_pdf,
                          nu_quantile, sample, sample_chunk, save_samples)
+
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _draw(family, seed, count):
@@ -44,6 +51,27 @@ def test_uniforms_are_strictly_inside_the_unit_interval():
     u = ms._uniform_open(np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64))), 200000)
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+def test_extreme_uniform_draws_stay_inside_the_unit_interval():
+    # k + 0.5 rounds to 2^53 for the top draw k = 2^53 - 1
+    class Stub:
+        def integers(self, lo, hi, size):
+            return np.array([0, 2 ** 52 + 1, 2 ** 53 - 1], dtype=np.int64).reshape(size)
+
+    u = ms._uniform_open(Stub(), (3,))
+    assert np.all((u > 0.0) & (u < 1.0))
+    np.testing.assert_array_equal(u[:2], [0.5 * 2.0 ** -53, (2.0 ** 52 + 1.5) * 2.0 ** -53])
+
+
+def test_chaos_ratio_study_reads_every_requested_row(monkeypatch, capsys):
+    sizes = []
+    moment = oc.empirical_moment
+    monkeypatch.setattr(oc, "empirical_moment", lambda v, p: sizes.append(v.size) or moment(v, p))
+    monkeypatch.setattr(sys, "argv", ["chaos_ratio_study.py", "--n", "4", "--N", "70000"])
+    runpy.run_path(str(SCRIPTS / "chaos_ratio_study.py"), run_name="__main__")
+    assert "N=70000" in capsys.readouterr().out
+    assert sizes and set(sizes) == {70000}
 
 
 # ---------------------------------------------------------------------------
