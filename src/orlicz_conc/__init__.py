@@ -16,10 +16,9 @@ from .bounds import (MomentBoundInputs, PartitionNorms, alpha1_moment_bound,
                      hanson_wright_tail, l_constant, lipschitz_profile,
                      moment_interpolation_factor, poincare_beta_bound,
                      quadratic_chaos_moment, two_level_tail)
-from .conjugacy import (OmegaProfile, conjugate_ray_radius, lam, legendre_1d,
-                        omega, omega_inv, omega_profile, omega_star,
-                        omega_values, profile_table, psi_star,
-                        support_argmax, support_function)
+from .conjugacy import (conjugate_ray_radius, lam, legendre_1d, omega,
+                        omega_inv, omega_star, omega_values, profile_table,
+                        psi_star, support_argmax, support_function)
 from .empirics import (EnlargementCurve, MlsiReport, MomentReport,
                        NuLogPReport, TestFunction, batch_se, comparison_check,
                        empirical_entropy, empirical_moment, enlargement_mc,

@@ -17,7 +17,7 @@ from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .conjugacy import _omega_star_values
+from .conjugacy import omega_star
 from .errors import InputError
 from .psi import GrowthEnvelope, PhiSpec, PsiSpec, SeparableFromPhi, _bracket_sup, psi_p_norm
 
@@ -226,7 +226,7 @@ def lipschitz_profile(a: float, b: float, env: GrowthEnvelope, spec: PsiSpec, C:
     ts = _column(t, lambda v: v >= 0, "requires t >= 0")
     out, pos = np.ones(ts.shape), ts > 0
     s = _column(ts[pos] / (C * l_constant(env) * b), lambda v: v > 0, "omega_star requires t > 0")
-    out[pos] = np.exp(np.minimum(env.beta - a * _omega_star_values(spec, s), 0.0))
+    out[pos] = np.exp(np.minimum(env.beta - a * omega_star(spec, s), 0.0))
     return _like(t, out)
 
 
@@ -342,6 +342,11 @@ def bcg_moment_bound(L: float, p: float, higher: Sequence[Tuple[int, float]],
 # ---------------------------------------------------------------------------
 # registry of the `bound` command
 
+def _float_power(x: float, e: float) -> float:
+    with np.errstate(over="ignore"):  # x ** e as C's pow rounds it, +inf on overflow
+        return float(np.float_power(x, e))
+
+
 class _Bound(NamedTuple):
     """A bound by name: evaluate, a callable or the name of a function here
     (looked up at each call, so a patched or traced one runs), takes the
@@ -381,8 +386,8 @@ _BOUNDS = {
     "poincare_beta_bound": _Bound("poincare_beta_bound", ("grad_moment_beta",), {"C": 1.0},
                                   needs_env=True),
     "chebyshev_level": _Bound(
-        lambda env, g0, g_exponent, C, t: chebyshev_level(lambda p: g0 * p ** g_exponent,
-                                                          env, C, t),
+        lambda env, g0, g_exponent, C, t: chebyshev_level(
+            lambda p: g0 * _float_power(p, g_exponent), env, C, t),
         ("g0", "g_exponent"), {"C": 1.0}, needs_env=True, swept=True),
     "lipschitz_profile": _Bound("lipschitz_profile", ("a", "b"), {"C": 1.0},
                                 needs_env=True, needs_psi=True, swept=True),

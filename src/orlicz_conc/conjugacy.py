@@ -19,8 +19,7 @@ sup_y(t y - omega(y)) and lambda(2t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,115 +29,141 @@ from .psi import PsiSpec, _as_vector, _bracket_sup, eval_psi
 GRID_LO = 1e-6
 GRID_HI = 1e6
 GRID_POINTS = 2048
+_ROWS = 16  # t values per grid block, bounding the (rows, points) temporaries
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class ScalarConvexFn:
-    """1-D function handle phi: [0, inf) -> [0, inf], phi(0) = 0, with an
-    optional closed-form conjugate and the point beyond which phi = +inf."""
-
-    fn: Callable
-    name: str = ""
-    domain_bound: float = math.inf
-    conjugate_closed: Optional[Callable] = None
-
-
-def _call_grid(fn: Callable, ys: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(fn(ys), dtype=float)
-        if vals.shape == ys.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(y)) for y in ys])
-
-
-def _golden_max(fn: Callable, a: float, b: float, iters: int = 80) -> float:
-    """Golden-section maximization of a scalar unimodal fn on [a, b]."""
+def _golden_search(a: float, b: float, iters: int):
+    """Golden-section search for the maximum of a unimodal function on
+    [a, b], as a generator: it yields each point, is sent that point's value,
+    and returns the larger interior value once the bracket is at most
+    1e-12 * max(|b|, 1) wide or after `iters` steps."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
+    f1 = yield x1
+    f2 = yield x2
     for _ in range(iters):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
+            f2 = yield x2
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
+            f1 = yield x1
         if b - a <= 1e-12 * max(abs(b), 1.0):
             break
     return max(f1, f2)
 
 
-def legendre_1d(phi, t: float, lo: float = GRID_LO, hi: float = GRID_HI,
-                points: int = GRID_POINTS) -> float:
-    """sup_{y > 0} (t y - phi(y)) by log-grid search plus golden-section
-    refinement in the winning cell.
+def _golden_max(fn: Callable, data: np.ndarray, a: np.ndarray, b: np.ndarray,
+                iters: int) -> np.ndarray:
+    """Per row, the golden-section maximum of the unimodal x -> fn(data, x)
+    on [a, b]: one fn call per step, on the data and next point of every row
+    still running, each row stopping on its own.  A row's bracket moves in
+    Python floats, since numpy calls on the one or few rows most searches
+    have cost several times the arithmetic."""
+    searches = [_golden_search(lo, hi, iters) for lo, hi in zip(a.tolist(), b.tolist())]
+    out, run = np.empty(len(searches)), list(range(len(searches)))
+    xs, rows = [s.send(None) for s in searches], data
+    while run:
+        running, xs_next = [], []
+        for k, value in zip(run, fn(rows, np.array(xs)).tolist()):
+            try:
+                xs_next.append(searches[k].send(value))
+                running.append(k)
+            except StopIteration as stop:
+                out[k] = stop.value
+        if len(running) < len(run):
+            rows = data[running]
+        run, xs = running, xs_next
+    return out
+
+
+def _grid_sup(ts: np.ndarray, xs: np.ndarray, on_grid: Callable, unbounded: Callable,
+              fn: Callable, iters: int) -> np.ndarray:
+    """Per t, sup_x fn(t, x): the grid maximum of on_grid(t), the (rows, xs)
+    values taken _ROWS t at a time, or the golden refinement in the cell
+    around it if larger; +inf for the t that unbounded(values) flags."""
+    i, top = np.empty(ts.size, dtype=np.intp), np.empty(ts.size)
+    inf = np.empty(ts.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for s in range(0, ts.size, _ROWS):
+            vals = on_grid(ts[s:s + _ROWS, None])
+            i[s:s + _ROWS], top[s:s + _ROWS] = np.argmax(vals, axis=1), np.max(vals, axis=1)
+            inf[s:s + _ROWS] = unbounded(vals)
+        rows = np.flatnonzero(~inf)
+        best = _golden_max(fn, ts[rows], xs[np.maximum(i[rows] - 1, 0)],
+                           xs[np.minimum(i[rows] + 1, xs.size - 1)], iters)
+    out = np.full(ts.size, np.inf)
+    out[rows] = np.where(best > top[rows], best, top[rows])
+    return out
+
+
+def _shaped(out: np.ndarray, t: np.ndarray):
+    """A float for a scalar t, else out in t's shape."""
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+
+def legendre_1d(phi: Callable, t, lo: float = GRID_LO, hi: float = GRID_HI,
+                points: int = GRID_POINTS):
+    """sup_{y > 0} (t y - phi(y)) for a vectorized phi, elementwise over t:
+    one log grid, then golden-section refinement in each t's winning cell.
 
     Reports +inf when the objective is still climbing at the top grid edge.
     The result is clamped at 0, the supremum attained as y -> 0+ whenever
     phi vanishes at the origin (all uses here).
     """
-    if isinstance(phi, ScalarConvexFn):
-        phi = phi.fn
-    if not (t >= 0):
-        raise InputError(f"legendre_1d requires t >= 0, got {t}")
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
+        raise InputError(f"legendre_1d requires t >= 0, got {t[~(t >= 0)].ravel()[0]}")
     ys = np.geomspace(lo, hi, points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        obj = t * ys - _call_grid(phi, ys)
-    obj = np.where(np.isnan(obj), -np.inf, obj)
-    i = int(np.argmax(obj))
-    if i == points - 1:
-        per_decade = max(2, int(points / math.log10(hi / lo)))
-        if obj[-1] > obj[-per_decade] + 1e-12 * max(1.0, abs(obj[-1])):
-            return math.inf
-    a = ys[max(i - 1, 0)]
-    b = ys[min(i + 1, points - 1)]
+    phi_ys = np.asarray(phi(ys), dtype=float)
+    per_decade = max(2, int(points / math.log10(hi / lo)))
 
-    def g(y):
-        v = float(np.asarray(phi(np.asarray([y])), dtype=float).ravel()[0])
-        return t * y - v
+    def on_grid(tb):
+        obj = tb * ys - phi_ys
+        obj[np.isnan(obj)] = -np.inf
+        return obj
 
-    best = _golden_max(g, a, b)
-    return max(0.0, max(best, float(obj[i])))
+    def climbing(obj):
+        return (np.argmax(obj, axis=1) == points - 1) & (
+            obj[:, -1] > obj[:, -per_decade] + 1e-12 * np.maximum(1.0, np.abs(obj[:, -1])))
+
+    sup = _grid_sup(t.ravel(), ys, on_grid, climbing,
+                    lambda tt, y: tt * y - np.asarray(phi(y), dtype=float), 80)
+    return _shaped(np.maximum(sup, 0.0), t)
 
 
 # ---------------------------------------------------------------------------
 # omega and friends
 
-def omega_ray_sup(spec: PsiSpec, t: float, points: int = GRID_POINTS) -> float:
-    """Numeric sup_u h(tu)/h(u) for a separable spec; a lower bound of the
-    true omega in general, exact up to grid resolution for the built-ins."""
+def omega_ray_sup(spec: PsiSpec, t, points: int = GRID_POINTS):
+    """Numeric sup_u h(tu)/h(u) for a separable spec, elementwise over t; a
+    lower bound of the true omega in general, exact up to grid resolution
+    for the built-ins."""
     if not spec.separable:
         raise InputError("ray supremum requires a separable spec")
+    t = np.asarray(t, dtype=float)
     us = np.geomspace(GRID_LO, GRID_HI, points)
     with np.errstate(over="ignore", invalid="ignore"):
         h_u = spec._component(us)
-        h_tu = spec._component(t * us)
     valid = (h_u > 0.0) & np.isfinite(h_u)
     if not np.any(valid):
         raise NumericalError("component is nowhere finite-positive on the grid")
-    if np.any(np.isinf(h_tu[valid])):
-        return math.inf
-    ratio = h_tu[valid] / h_u[valid]
-    us_v = us[valid]
-    i = int(np.argmax(ratio))
+    us_v, h_v = us[valid], h_u[valid]
 
-    def g(logu):
-        u = math.exp(logu)
-        hu = float(spec._component(np.asarray([u]))[0])
-        htu = float(spec._component(np.asarray([t * u]))[0])
-        if hu <= 0.0 or not math.isfinite(hu):
-            return -math.inf
-        return htu / hu
+    def on_grid(tb):
+        return spec._component((tb * us_v).ravel()).reshape(tb.size, -1) / h_v
 
-    a = math.log(us_v[max(i - 1, 0)])
-    b = math.log(us_v[min(i + 1, len(us_v) - 1)])
-    return max(float(ratio[i]), _golden_max(g, a, b, iters=60))
+    def ratio(tt, logu):
+        u = np.exp(logu)
+        h = spec._component(u)
+        return np.where((h > 0.0) & np.isfinite(h), spec._component(tt * u) / h, -np.inf)
+
+    return _shaped(_grid_sup(t.ravel(), np.log(us_v), on_grid,
+                             lambda r: np.any(np.isinf(r), axis=1), ratio, 60), t)
 
 
 def omega(spec: PsiSpec, t: float) -> float:
@@ -155,58 +180,34 @@ def omega_values(spec: PsiSpec, ts: np.ndarray) -> np.ndarray:
         closed = spec._closed_omega(ts)
     if closed is not None:
         return closed
-    return np.array([omega_ray_sup(spec, float(t)) for t in ts.ravel()]).reshape(ts.shape)
+    return omega_ray_sup(spec, ts)
 
 
-def _omega_inv_values(spec: PsiSpec, s: np.ndarray) -> np.ndarray:
-    return _bracket_sup(lambda d, t: omega_values(spec, t) - d, s, np.ones_like(s), "omega_inv")
+def omega_inv(spec: PsiSpec, s):
+    """Right-continuous inverse sup{t > 0 : omega(t) <= s}, elementwise."""
+    s = np.asarray(s, dtype=float)
+    if not np.all(s > 0):
+        raise InputError(f"omega_inv requires s > 0, got {s[~(s > 0)].ravel()[0]}")
+    ss = s.ravel()
+    return _shaped(_bracket_sup(lambda d, t: omega_values(spec, t) - d, ss, np.ones_like(ss),
+                                "omega_inv"), s)
 
 
-def _omega_star_values(spec: PsiSpec, t: np.ndarray) -> np.ndarray:
-    u_star = _bracket_sup(lambda d, u: omega_values(spec, u) / u - d, t, np.ones_like(t),
-                          "omega_star")
-    return t * u_star
+def omega_star(spec: PsiSpec, t):
+    """omega*(t) = t * sup{u > 0 : omega(u)/u <= t}, elementwise."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
+        raise InputError(f"omega_star requires t > 0, got {t[~(t > 0)].ravel()[0]}")
+    ts = t.ravel()
+    return _shaped(ts * _bracket_sup(lambda d, u: omega_values(spec, u) / u - d, ts,
+                                     np.ones_like(ts), "omega_star"), t)
 
 
-def omega_inv(spec: PsiSpec, s: float) -> float:
-    """Right-continuous inverse sup{t > 0 : omega(t) <= s}."""
-    if not s > 0:
-        raise InputError(f"omega_inv requires s > 0, got {s}")
-    return float(_omega_inv_values(spec, np.array([float(s)]))[0])
-
-
-def omega_star(spec: PsiSpec, t: float) -> float:
-    """omega*(t) = t * sup{u > 0 : omega(u)/u <= t}."""
-    if not t > 0:
-        raise InputError(f"omega_star requires t > 0, got {t}")
-    return float(_omega_star_values(spec, np.array([float(t)]))[0])
-
-
-def lam(spec: PsiSpec, t: float) -> float:
+def lam(spec: PsiSpec, t):
     """lambda(t) = sup_{y>0} (t y - omega(y)), the Legendre transform of
-    omega; sandwiches omega* via lambda(t) <= omega*(t) <= lambda(2t)."""
+    omega, elementwise over t; sandwiches omega* via lambda(t) <= omega*(t)
+    <= lambda(2t)."""
     return legendre_1d(lambda ys: omega_values(spec, ys), t)
-
-
-@dataclass(frozen=True)
-class OmegaProfile:
-    """Bundled omega / omega^{-1} / omega* / lambda callables for one spec."""
-
-    spec: PsiSpec
-    omega: Callable
-    omega_inv: Callable
-    omega_star: Callable
-    lam: Callable
-
-
-def omega_profile(spec: PsiSpec) -> OmegaProfile:
-    return OmegaProfile(
-        spec=spec,
-        omega=lambda t: omega(spec, t),
-        omega_inv=lambda s: omega_inv(spec, s),
-        omega_star=lambda t: omega_star(spec, t),
-        lam=lambda t: lam(spec, t),
-    )
 
 
 def profile_table(spec: PsiSpec, ts) -> np.ndarray:
@@ -214,8 +215,8 @@ def profile_table(spec: PsiSpec, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if not np.all(ts > 0):
         raise InputError(f"profile_table requires t > 0, got {ts[~(ts > 0)][0]}")
-    return np.column_stack((ts, omega_values(spec, ts), _omega_inv_values(spec, ts),
-                            _omega_star_values(spec, ts), [lam(spec, t) for t in ts]))
+    return np.column_stack((ts, omega_values(spec, ts), omega_inv(spec, ts),
+                            omega_star(spec, ts), lam(spec, ts)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def _conjugate_1d(spec: PsiSpec, v: np.ndarray) -> np.ndarray:
         closed = spec._closed_conjugate(v)
     if closed is not None:
         return closed
-    return np.array([legendre_1d(spec._component, float(x)) for x in v])
+    return legendre_1d(spec._component, v)
 
 
 def psi_star(spec: PsiSpec, y) -> float:
@@ -276,23 +277,7 @@ def support_function(spec: PsiSpec, p: float, theta) -> float:
     closed = spec._closed_support(p, theta)
     if closed is not None:
         return closed
-
-    def negobj(lam_):
-        with np.errstate(over="ignore"):
-            val = lam_ * (p + eval_psi(spec, theta / lam_))
-        return -val
-
-    lams = np.geomspace(1e-9, 1e9, 512)
-    vals = np.array([negobj(l) for l in lams])
-    i = int(np.argmax(vals))
-
-    def negobj_log(ll):
-        return negobj(math.exp(ll))
-
-    a = math.log(lams[max(i - 1, 0)])
-    b = math.log(lams[min(i + 1, len(lams) - 1)])
-    best = max(float(vals[i]), _golden_max(negobj_log, a, b))
-    return -best
+    return _support_multiplier(spec, p, theta)[1]
 
 
 def support_argmax(spec: PsiSpec, p: float, theta) -> tuple:
@@ -310,26 +295,32 @@ def support_argmax(spec: PsiSpec, p: float, theta) -> tuple:
         return closed
 
     # separable: multiplier from the dual, then exact per-coordinate argmax
-    lam_star = _support_multiplier(spec, p, theta)
+    lam_star = _support_multiplier(spec, p, theta)[0]
     y = np.empty(spec.dim)
     for j, tj in enumerate(theta):
         y[j] = _coordinate_argmax(spec, tj, lam_star, p)
     # pull back onto the feasible set (guards multiplier round-off)
     if psi_star(spec, y) > p:
-        c = _bracket_sup(lambda d, cs: np.array([psi_star(spec, c_ * y) for c_ in cs]) - d,
+        c = _bracket_sup(lambda d, cs: np.sum(_conjugate_1d(spec, cs[:, None] * y), axis=1) - d,
                          np.array([float(p)]), np.ones(1), "support_argmax")
         y = float(c[0]) * y
     return max(float(np.dot(theta, y)), 0.0), y
 
 
-def _support_multiplier(spec: PsiSpec, p: float, theta) -> float:
+def _support_multiplier(spec: PsiSpec, p: float, theta) -> tuple:
+    """(lam*, value) of the dual min_{lam>0} lam (p + Psi(theta/lam)): a log
+    grid, then golden section on log lam.  The value is the least objective
+    over the grid point and the final bracket ends, which stay finite where
+    the bracket midpoint lam* may not (a capped Psi is +inf just below the
+    minimizer)."""
     lams = np.geomspace(1e-9, 1e9, 512)
 
     def obj(lam_):
         with np.errstate(over="ignore"):
             return lam_ * (p + eval_psi(spec, theta / lam_))
 
-    vals = np.array([obj(l) for l in lams])
+    with np.errstate(over="ignore"):
+        vals = lams * (p + spec._eval_rows(theta / lams[:, None]))
     i = int(np.argmin(vals))
     lo = math.log(lams[max(i - 1, 0)])
     hi = math.log(lams[min(i + 1, len(lams) - 1)])
@@ -342,7 +333,7 @@ def _support_multiplier(spec: PsiSpec, p: float, theta) -> float:
             lo = m1
         if hi - lo < 1e-12:
             break
-    return math.exp(0.5 * (lo + hi))
+    return math.exp(0.5 * (lo + hi)), min(float(vals[i]), obj(math.exp(lo)), obj(math.exp(hi)))
 
 
 def _coordinate_argmax(spec: PsiSpec, tj: float, lam_star: float, p: float) -> float:

@@ -120,9 +120,11 @@ def _chunk_plan(count: int) -> list:
 
 
 def sample(spec: SamplerSpec) -> np.ndarray:
-    """Full (count x n) sample matrix, assembled chunk by chunk."""
-    return np.vstack([sample_chunk(spec.family, spec.seed, j, rows)
-                      for j, rows in _chunk_plan(spec.count)])
+    """Full (count x n) sample matrix, filled chunk by chunk."""
+    out = np.empty((spec.count, spec.family.n))
+    for j, rows in _chunk_plan(spec.count):
+        out[j * CHUNK:j * CHUNK + rows] = sample_chunk(spec.family, spec.seed, j, rows)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ def save_samples(X: np.ndarray, path: str, fmt: str = "bin",
     X = np.asarray(X, dtype=float)
     if fmt == "bin":
         with open(path, "wb") as fh:
-            fh.write(np.ascontiguousarray(X, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(X, dtype="<f8"))
         return
     if fmt == "csv":
         with open(path, "w", newline="") as fh:

@@ -669,7 +669,7 @@ def _solve_block(resid, data, start, tol, what, why):
                 return out
             idx, data, x1, f1, x2, f2, x3, f3, feas, dx = (
                 v[~done] for v in (idx, data, x1, f1, x2, f2, x3, f3, feas, dx))
-        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite f bisects
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite f bisects
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
             iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
             t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)

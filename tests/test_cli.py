@@ -203,6 +203,20 @@ def test_non_finite_bound_parameters_exit_two(capsys, argv):
     assert obj["error"] == "input" and "non-finite" in obj["message"]
 
 
+def test_chebyshev_level_with_overflowing_moment_growth(capsys):
+    # G(p) = p^100 overflows a double at p = P_MAX, which must read as +inf;
+    # the level is exp(-p*) with L p*^100 = t
+    t = 1e40
+    rc, out, _ = run(capsys, "bound", "chebyshev_level", *ENV_FLAGS, "--g0", "1",
+                     "--g_exponent", "100", "--t", str(t))
+    assert rc == 0
+    p_star = (t / oc.l_constant(ENV22)) ** (1.0 / 100.0)
+    assert float(value_lines(out)[0]) == pytest.approx(math.exp(-p_star), rel=1e-12)
+    rc, out, _ = run(capsys, "bound", "chebyshev_level", *ENV_FLAGS, "--g0", "1",
+                     "--g_exponent", "100", "--grid", "1e30,1e300,5")
+    assert rc == 0 and len(value_lines(out)) == 6
+
+
 def test_verify_mlsi_writes_a_one_row_csv(capsys, tmp_path):
     path = tmp_path / "mlsi.csv"
     rc, out, _ = run(capsys, "verify", "mlsi", "--n", "2", "--psi", PSI2, "--function", "tilt",

@@ -12,7 +12,7 @@ import orlicz_conc.psi as psi_mod
 from orlicz_conc import (BobkovLedouxCap, InputError, NumericalError, PhiSpec,
                          PowerNorm, SeparableFromPhi, SeparableTwoLevel,
                          UserSeparable, conjugate_ray_radius, lam, legendre_1d,
-                         omega, omega_inv, omega_profile, omega_star,
+                         omega, omega_inv, omega_star, omega_values,
                          profile_table, psi_star, support_argmax,
                          support_function)
 
@@ -96,17 +96,15 @@ def test_profile_table_columns():
     assert tab.shape == (7, 5)
     np.testing.assert_allclose(tab[:, 0], ts)
     np.testing.assert_allclose(tab[:, 1], ts ** 2, rtol=1e-12)
-    prof = omega_profile(POWER2)
-    assert prof.omega(2.0) == pytest.approx(4.0, rel=1e-12)
-    assert prof.omega_star(2.0) == pytest.approx(4.0, rel=1e-9)
-    assert prof.omega_inv(4.0) == pytest.approx(2.0, rel=1e-9)
-    assert prof.lam(2.0) == pytest.approx(1.0, rel=1e-6)
+    assert omega(POWER2, 2.0) == pytest.approx(4.0, rel=1e-12)
+    assert omega_star(POWER2, 2.0) == pytest.approx(4.0, rel=1e-9)
+    assert omega_inv(POWER2, 4.0) == pytest.approx(2.0, rel=1e-9)
+    assert lam(POWER2, 2.0) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_legendre_1d_of_quadratic():
-    phi = cj.ScalarConvexFn(fn=lambda y: np.square(y), name="quad")
     for t in (0.5, 2.0, 11.0):
-        assert legendre_1d(phi, t) == pytest.approx(t * t / 4.0, rel=1e-6)
+        assert legendre_1d(np.square, t) == pytest.approx(t * t / 4.0, rel=1e-6)
 
 
 def test_bracket_sup_reports_bracket_failure():
@@ -139,10 +137,9 @@ def test_psi_star_linear_component_value():
 def test_separable_conjugate_matches_numeric_legendre():
     rng = np.random.default_rng(9)
     for spec in (TWOLEVEL3, SFP3, BL1):
-        comp = cj.ScalarConvexFn(
-            fn=lambda v, s=spec: s._component(np.abs(np.asarray(v, dtype=float))),
-            name="component",
-            domain_bound=getattr(spec, "threshold", math.inf))
+        def comp(v, s=spec):
+            return s._component(np.abs(np.asarray(v, dtype=float)))
+
         y = rng.uniform(-3.0, 3.0, size=4)
         want = sum(legendre_1d(comp, abs(v)) for v in y)
         assert psi_star(spec, y) == pytest.approx(want, rel=1e-6, abs=1e-9)
@@ -204,3 +201,167 @@ def test_support_function_rejects_nonconvex_gauges():
     with pytest.raises(InputError):
         support_function(UserSeparable(dim=2, fn=lambda u: np.square(u)), 2.0,
                          np.array([1.0, 0.0]))
+
+
+def test_support_function_of_capped_component_matches_closed_form():
+    # BobkovLedouxCap: Psi(theta/lam) = |theta|_2^2/lam^2 for lam >= max|theta|/thr and
+    # +inf below, so the dual min_lam lam (p + Psi(theta/lam)) sits at
+    # lam = max(|theta|_2/sqrt(p), max|theta|/thr); when the cap binds, the dual
+    # objective is +inf just below its minimizer
+    spec = BobkovLedouxCap(dim=4, threshold=0.5)
+    for p, theta in ((4.0, np.array([1.0, 0.1, -0.1, 0.1])),
+                     (2.0, np.array([-0.3, 0.2, 0.05, 0.1])),
+                     (0.5, np.array([0.7, -0.6, 0.3, 0.2]))):
+        norm2 = float(np.linalg.norm(theta))
+        lam_ = max(norm2 / math.sqrt(p), float(np.max(np.abs(theta))) / spec.threshold)
+        want = lam_ * p + norm2 ** 2 / lam_
+        assert support_function(spec, p, theta) == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the array-valued suprema against the per-point routines they replaced
+
+def _golden_max_oracle(fn, a, b, iters=80):
+    x1 = b - cj._GOLDEN * (b - a)
+    x2 = a + cj._GOLDEN * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(iters):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + cj._GOLDEN * (b - a)
+            f2 = fn(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - cj._GOLDEN * (b - a)
+            f1 = fn(x1)
+        if b - a <= 1e-12 * max(abs(b), 1.0):
+            break
+    return max(f1, f2)
+
+
+def _legendre_oracle(phi, t, lo=cj.GRID_LO, hi=cj.GRID_HI, points=cj.GRID_POINTS):
+    ys = np.geomspace(lo, hi, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj = t * ys - np.asarray(phi(ys), dtype=float)
+    obj = np.where(np.isnan(obj), -np.inf, obj)
+    i = int(np.argmax(obj))
+    if i == points - 1:
+        per_decade = max(2, int(points / math.log10(hi / lo)))
+        if obj[-1] > obj[-per_decade] + 1e-12 * max(1.0, abs(obj[-1])):
+            return math.inf
+
+    def g(y):
+        return t * y - float(np.asarray(phi(np.asarray([y])), dtype=float).ravel()[0])
+
+    best = _golden_max_oracle(g, ys[max(i - 1, 0)], ys[min(i + 1, points - 1)])
+    return max(0.0, max(best, float(obj[i])))
+
+
+def _omega_ray_sup_oracle(spec, t, points=cj.GRID_POINTS):
+    us = np.geomspace(cj.GRID_LO, cj.GRID_HI, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_u = spec._component(us)
+        h_tu = spec._component(t * us)
+    valid = (h_u > 0.0) & np.isfinite(h_u)
+    if np.any(np.isinf(h_tu[valid])):
+        return math.inf
+    ratio = h_tu[valid] / h_u[valid]
+    us_v = us[valid]
+    i = int(np.argmax(ratio))
+
+    def g(logu):
+        u = math.exp(logu)
+        hu = float(spec._component(np.asarray([u]))[0])
+        with np.errstate(over="ignore"):
+            htu = float(spec._component(np.asarray([t * u]))[0])
+        if hu <= 0.0 or not math.isfinite(hu):
+            return -math.inf
+        return htu / hu
+
+    a = math.log(us_v[max(i - 1, 0)])
+    b = math.log(us_v[min(i + 1, len(us_v) - 1)])
+    return max(float(ratio[i]), _golden_max_oracle(g, a, b, iters=60))
+
+
+CUBE = UserSeparable(dim=2, fn=lambda u: np.abs(u) ** 3, name="cube")
+
+
+def test_golden_max_rows_equal_the_scalar_search():
+    rng = np.random.default_rng(21)
+    c = rng.uniform(-3.0, 3.0, size=40)
+    a, b = c - rng.uniform(0.01, 2.0, size=40), c + rng.uniform(0.01, 2.0, size=40)
+    got = cj._golden_max(lambda cc, x: -(x - cc) * (x - cc), c, a, b, 80)
+    for k in range(c.size):
+        want = _golden_max_oracle(lambda x: -(x - c[k]) * (x - c[k]), a[k], b[k])
+        assert got[k] == want
+
+
+@pytest.mark.parametrize("spec", [TWOLEVEL3, SFP1, SFP3, SFP15, BL1, CUBE],
+                         ids=["two_level", "sfp1", "sfp3", "sfp15", "blcap", "cube"])
+def test_legendre_1d_array_equals_per_point_oracle(spec):
+    # 0 and the far end cover the clamp at 0 and the +inf (still climbing) rows
+    ts = np.concatenate(([0.0], np.geomspace(1e-3, 1e7, 45)))
+    got = legendre_1d(spec._component, ts)
+    want = np.array([_legendre_oracle(spec._component, float(t)) for t in ts])
+    assert np.array_equal(got, want)
+    assert legendre_1d(spec._component, float(ts[7])) == want[7]
+    if spec._closed_conjugate(ts) is None:  # the 1-D conjugate is this transform
+        assert np.array_equal(cj._conjugate_1d(spec, -ts.reshape(2, -1)), got.reshape(2, -1))
+
+
+@pytest.mark.parametrize("spec", [TWOLEVEL3, SFP1, SFP15, BL1, CUBE],
+                         ids=["two_level", "sfp1", "sfp15", "blcap", "cube"])
+def test_omega_ray_sup_array_matches_per_point_oracle(spec):
+    ts = np.geomspace(0.05, 20.0, 23)
+    got = cj.omega_ray_sup(spec, ts)
+    want = np.array([_omega_ray_sup_oracle(spec, float(t)) for t in ts])
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    np.testing.assert_allclose(got[fin], want[fin], rtol=1e-15, atol=0.0)
+    assert cj.omega_ray_sup(spec, float(ts[3])) == got[3]
+
+
+def test_lambda_of_a_user_component_equals_per_point_transform():
+    ts = np.array([0.5, 3.0])
+    tab = profile_table(CUBE, ts)
+    np.testing.assert_array_equal(tab[:, 1], omega_values(CUBE, ts))
+    for k, t in enumerate(ts):
+        assert tab[k, 4] == _legendre_oracle(lambda ys: omega_values(CUBE, ys), float(t))
+        assert tab[k, 4] == lam(CUBE, float(t))
+
+
+def _support_multiplier_oracle(spec, p, theta):
+    lams = np.geomspace(1e-9, 1e9, 512)
+
+    def obj(lam_):
+        with np.errstate(over="ignore"):
+            return lam_ * (p + psi_mod.eval_psi(spec, theta / lam_))
+
+    vals = np.array([obj(l) for l in lams])
+    i = int(np.argmin(vals))
+    lo = math.log(lams[max(i - 1, 0)])
+    hi = math.log(lams[min(i + 1, len(lams) - 1)])
+    for _ in range(200):
+        m1 = lo + (hi - lo) * (1 - cj._GOLDEN)
+        m2 = lo + (hi - lo) * cj._GOLDEN
+        if obj(math.exp(m1)) <= obj(math.exp(m2)):
+            hi = m2
+        else:
+            lo = m1
+        if hi - lo < 1e-12:
+            break
+    return math.exp(0.5 * (lo + hi)), min(float(vals[i]), obj(math.exp(lo)), obj(math.exp(hi)))
+
+
+def test_support_argmax_unchanged_by_the_array_dual_and_transform(monkeypatch):
+    rng = np.random.default_rng(33)
+    cases = [(spec, p, rng.standard_normal(4)) for spec in (TWOLEVEL3, SFP3) for p in (2.0, 7.0)]
+    cases.append((SFP15, 4.0, rng.standard_normal(4)))
+    got = [support_argmax(spec, p, theta) for spec, p, theta in cases]
+    monkeypatch.setattr(cj, "_support_multiplier", _support_multiplier_oracle)
+    monkeypatch.setattr(cj, "legendre_1d", lambda phi, t: np.array(
+        [_legendre_oracle(phi, float(x)) for x in np.ravel(t)]).reshape(np.shape(t)))
+    for (spec, p, theta), (value, y) in zip(cases, got):
+        want_value, want_y = support_argmax(spec, p, theta)
+        assert value == want_value
+        assert np.array_equal(y, want_y)
