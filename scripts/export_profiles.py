@@ -4,14 +4,13 @@ families to CSV, one file per instance. Useful for eyeballing how the tail
 exponent profile changes across the family zoo."""
 
 import argparse
-import json
 import os
 
 import numpy as np
 
 from orlicz_conc import (BobkovLedouxCap, PhiSpec, PowerNorm,
                          SeparableFromPhi, SeparableTwoLevel, profile_table,
-                         psi_to_dict)
+                         psi_to_dict, write_table)
 
 INSTANCES = {
     "power_l2_a15": PowerNorm(dim=4, norm=2.0, a=1.5),
@@ -37,13 +36,9 @@ def main():
     os.makedirs(args.out_dir, exist_ok=True)
     ts = np.geomspace(args.t_lo, args.t_hi, args.points)
     for name, spec in INSTANCES.items():
-        tab = profile_table(spec, ts)
         path = os.path.join(args.out_dir, f"{name}.csv")
-        with open(path, "w") as fh:
-            fh.write("# config: " + json.dumps(psi_to_dict(spec), sort_keys=True) + "\n")
-            fh.write("t,omega,omega_inv,omega_star,lambda\n")
-            for row in tab:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_table(path, psi_to_dict(spec), profile_table(spec, ts),
+                    ["t", "omega", "omega_inv", "omega_star", "lambda"])
         print(f"wrote {path}")
 
 

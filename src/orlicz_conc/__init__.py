@@ -27,10 +27,10 @@ from .empirics import (EnlargementCurve, MlsiReport, MomentReport,
                        quadratic_form, top_mass_fraction, verify_centered,
                        verify_nu_logp)
 from .errors import InputError, NumericalError
-from .measures import (CHUNK, NuMeasure, ProductPhiTail, SamplerSpec,
+from .measures import (CHUNK, Family, NuMeasure, ProductPhiTail, SamplerSpec,
                        StandardGaussian, isoperimetric_profile_nu, nu_cdf,
                        nu_pdf, nu_quantile, sample, sample_chunk,
-                       save_samples)
+                       save_samples, write_table)
 from .psi import (BobkovLedouxCap, CheckReport, GrowthEnvelope, PhiSpec,
                   PowerNorm, PsiSpec, SeparableFromPhi, SeparableTwoLevel,
                   UserSeparable, check_condition_C, check_growth,

@@ -39,10 +39,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _read_arg_text(raw: str) -> str:
     if raw.startswith("@"):
         try:
@@ -73,40 +69,24 @@ def _parse_grid(raw: str) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit_json(obj, out_path):
+    with ms._text_out(out_path or sys.stdout) as fh:
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _emit_result(config: dict, payload, out_path, fmt: str):
-    """payload: scalar, vector, or (column-name -> array) table."""
+    """payload: scalar, vector, or (column-name -> array) table; text and
+    csv both print the table."""
+    table = isinstance(payload, dict)
     if fmt == "json":
-        if isinstance(payload, dict):
-            body = {k: np.asarray(v).tolist() for k, v in payload.items()}
-        elif isinstance(payload, np.ndarray):
-            body = payload.tolist()
-        else:
-            body = payload
-        _emit([json.dumps({"config": config, "result": body}, sort_keys=True)],
-              out_path)
-        return
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    if isinstance(payload, dict):
-        names = list(payload)
-        lines.append(",".join(names))
-        length = len(np.asarray(payload[names[0]]))
-        for i in range(length):
-            lines.append(",".join(_fmt(np.asarray(payload[c])[i]) for c in names))
-    elif isinstance(payload, np.ndarray):
-        lines.extend(",".join(_fmt(v) for v in np.atleast_1d(row))
-                     for row in np.atleast_2d(payload))
+        body = ({k: np.asarray(v).tolist() for k, v in payload.items()} if table
+                else np.asarray(payload).tolist())
+        _emit_json({"config": config, "result": body}, out_path)
+    elif table:
+        ms.write_table(out_path or sys.stdout, config, np.column_stack(list(payload.values())),
+                       list(payload))
     else:
-        lines.append(_fmt(payload))
-    _emit(lines, out_path)
+        ms.write_table(out_path or sys.stdout, config, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +321,12 @@ def _family_from_flags(family: str, n: int, phi_s: float):
 
 def _cmd_sample(ns) -> int:
     family = _family_from_flags(ns.family, ns.n, ns.phi_s)
-    spec = ms.SamplerSpec(family=family, seed=ns.seed, count=ns.count)
-    X = ms.sample(spec)
-    config = {"command": "sample", "seed": ns.seed, "count": ns.count,
-              **em._family_meta(family)}
-    if ns.format == "bin":
-        if not ns.out:
-            raise InputError("binary samples require --out")
-        ms.save_samples(X, ns.out, fmt="bin")
-        return 0
-    header = ["config: " + json.dumps(config, sort_keys=True)]
-    if ns.out:
-        ms.save_samples(X, ns.out, fmt="csv", header_lines=header)
-    else:
-        sys.stdout.write(f"# {header[0]}\n")
-        for row in np.atleast_2d(X):
-            sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+    X = ms.sample(ms.SamplerSpec(family=family, seed=ns.seed, count=ns.count))
+    config = {"command": "sample", "seed": ns.seed, "count": ns.count, **family.meta()}
+    if ns.format == "bin" and not ns.out:
+        raise InputError("binary samples require --out")
+    ms.save_samples(X, ns.out or sys.stdout, fmt=ns.format,
+                    header_lines=["config: " + json.dumps(config, sort_keys=True)])
     return 0
 
 
@@ -388,54 +358,36 @@ def _build_function(ns, dim: int) -> em.TestFunction:
 def _cmd_verify(ns) -> int:
     if ns.scenario == "nu-logp":
         rep = em.verify_nu_logp(_parse_vector(ns.p_grid), ns.N, ns.seed)
-        _emit_verify_report(rep, ns)
-        return 0 if rep.all_passed else 1
-    if ns.scenario == "mlsi":
+    elif ns.scenario == "mlsi":
         family = _family_from_flags(ns.family, ns.n, ns.phi_s)
         spec = psi_from_json(_read_arg_text(ns.psi))
         g = _build_function(ns, spec.dim)
         rep = em.mlsi_report(family, g, spec, ns.D, ns.N, ns.seed)
-        _emit_verify_report(rep, ns)
-        ok = rep.infinite or rep.residual >= -3.0 * rep.se
-        return 0 if ok else 1
-    if ns.scenario == "centered":
+    elif ns.scenario == "centered":
         family = _family_from_flags(ns.family, ns.n, ns.phi_s)
         spec = psi_from_json(_read_arg_text(ns.psi))
         env = _env_from({k: getattr(ns, k) for k in _ENV_KEYS})
         f = _build_function(ns, spec.dim)
         rep = em.verify_centered(family, f, spec, env, _parse_vector(ns.p_grid),
                                  ns.N, ns.seed, C=ns.C)
-        _emit_verify_report(rep, ns)
-        ok = math.isfinite(rep.fitted) and bool(np.all(np.isfinite(rep.lhs)))
-        return 0 if ok else 1
-    if ns.scenario == "comparison":
+    elif ns.scenario == "comparison":
         family = _family_from_flags(ns.family, ns.n, ns.phi_s)
         f = _build_function(ns, family.n)
         rep = em.comparison_check(family, PhiSpec(s=ns.phi_s), f,
                                   _parse_vector(ns.p_grid), ns.N, ns.seed)
-        _emit_verify_report(rep, ns)
-        return 0 if bool(np.all(np.isfinite(rep.ratio))) else 1
-    if ns.scenario == "enlargement":
+    elif ns.scenario == "enlargement":
         family = _family_from_flags(ns.family, ns.n, ns.phi_s)
         spec = psi_from_json(_read_arg_text(ns.psi))
-        env = None
-        if ns.K is not None:
-            env = _env_from({k: getattr(ns, k) for k in _ENV_KEYS})
+        env = _env_from({k: getattr(ns, k) for k in _ENV_KEYS})
         rep = em.enlargement_mc(family, ns.m, spec, _parse_vector(ns.u_grid),
                                 ns.N, ns.seed, env=env, C_impl=ns.C)
-        _emit_verify_report(rep, ns)
-        if env is None:
-            return 0
-        ok = bool(np.all(rep.emp >= rep.bound - 3.0 * rep.se))
-        return 0 if ok else 1
-    raise InputError(f"unknown scenario {ns.scenario!r}")
-
-
-def _emit_verify_report(rep, ns):
+    else:
+        raise InputError(f"unknown scenario {ns.scenario!r}")
     if ns.format == "csv" and ns.out:
         rep.to_csv(ns.out)
-        return
-    _emit([json.dumps(rep.to_json_dict(), sort_keys=True)], ns.out)
+    else:
+        _emit_json(rep.to_json_dict(), ns.out)
+    return 0 if rep.passed else 1
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,10 @@ def _shaped(out: np.ndarray, t: np.ndarray):
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
-def legendre_1d(phi: Callable, t, lo: float = GRID_LO, hi: float = GRID_HI,
-                points: int = GRID_POINTS):
+def legendre_1d(phi: Callable, t):
     """sup_{y > 0} (t y - phi(y)) for a vectorized phi, elementwise over t:
-    one log grid, then golden-section refinement in each t's winning cell.
+    one log grid of GRID_POINTS points on [GRID_LO, GRID_HI], then
+    golden-section refinement in each t's winning cell.
 
     Reports +inf when the objective is still climbing at the top grid edge.
     The result is clamped at 0, the supremum attained as y -> 0+ whenever
@@ -118,9 +118,9 @@ def legendre_1d(phi: Callable, t, lo: float = GRID_LO, hi: float = GRID_HI,
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise InputError(f"legendre_1d requires t >= 0, got {t[~(t >= 0)].ravel()[0]}")
-    ys = np.geomspace(lo, hi, points)
+    ys = np.geomspace(GRID_LO, GRID_HI, GRID_POINTS)
     phi_ys = np.asarray(phi(ys), dtype=float)
-    per_decade = max(2, int(points / math.log10(hi / lo)))
+    per_decade = max(2, int(GRID_POINTS / math.log10(GRID_HI / GRID_LO)))
 
     def on_grid(tb):
         obj = tb * ys - phi_ys
@@ -128,7 +128,7 @@ def legendre_1d(phi: Callable, t, lo: float = GRID_LO, hi: float = GRID_HI,
         return obj
 
     def climbing(obj):
-        return (np.argmax(obj, axis=1) == points - 1) & (
+        return (np.argmax(obj, axis=1) == GRID_POINTS - 1) & (
             obj[:, -1] > obj[:, -per_decade] + 1e-12 * np.maximum(1.0, np.abs(obj[:, -1])))
 
     sup = _grid_sup(t.ravel(), ys, on_grid, climbing,
@@ -139,14 +139,14 @@ def legendre_1d(phi: Callable, t, lo: float = GRID_LO, hi: float = GRID_HI,
 # ---------------------------------------------------------------------------
 # omega and friends
 
-def omega_ray_sup(spec: PsiSpec, t, points: int = GRID_POINTS):
+def omega_ray_sup(spec: PsiSpec, t):
     """Numeric sup_u h(tu)/h(u) for a separable spec, elementwise over t; a
     lower bound of the true omega in general, exact up to grid resolution
     for the built-ins."""
     if not spec.separable:
         raise InputError("ray supremum requires a separable spec")
     t = np.asarray(t, dtype=float)
-    us = np.geomspace(GRID_LO, GRID_HI, points)
+    us = np.geomspace(GRID_LO, GRID_HI, GRID_POINTS)
     with np.errstate(over="ignore", invalid="ignore"):
         h_u = spec._component(us)
     valid = (h_u > 0.0) & np.isfinite(h_u)

@@ -11,7 +11,6 @@ contiguous batch means; verification bands are set at 3 SE.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -23,7 +22,7 @@ from .bounds import centered_moment_bound, enlargement_bound, l_constant
 from .conjugacy import _conjugate_1d, conjugate_ray_radius
 from .errors import InputError
 from .measures import (CHUNK, Family, NuMeasure, ProductPhiTail, SamplerSpec,
-                       StandardGaussian, _chunk_plan, sample_chunk)
+                       _chunk_plan, sample_chunk, write_table)
 from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, env_to_dict, eval_psi_rows,
                   psi_p_norm_rows, psi_to_dict)
 from .tensors import MultiIndexMatrix
@@ -60,25 +59,15 @@ def _map_chunks(count: int, job: Callable) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def _family_of(sampler, seed: int, N: int) -> Family:
-    """The sampler's family, once (family, seed, N) pass the SamplerSpec checks
-    and N >= BATCHES: with fewer rows the batch SE is infinite and every
-    3-SE verdict would pass vacuously."""
-    family = sampler.family if isinstance(sampler, SamplerSpec) else sampler
-    family = SamplerSpec(family, seed, N).family
+def _family_of(family: Family, seed: int, N: int) -> Family:
+    """The family, once (family, seed, N) pass the SamplerSpec checks and
+    N >= BATCHES: with fewer rows the batch SE is infinite and every 3-SE
+    verdict would pass vacuously. A SamplerSpec is refused, as its own seed
+    and count would be ignored."""
+    SamplerSpec(family, seed, N)
     if N < BATCHES:
         raise InputError(f"verification needs N >= {BATCHES} rows for a batch SE, got {N}")
     return family
-
-
-def _family_meta(family: Family) -> dict:
-    if isinstance(family, StandardGaussian):
-        return {"family": "StandardGaussian", "n": family.n}
-    if isinstance(family, ProductPhiTail):
-        phi = family.phi
-        return {"family": "ProductPhiTail", "n": family.n,
-                "phi": {"s": phi.s, "custom": phi.fn is not None}}
-    return {"family": "NuMeasure", "n": 1}
 
 
 def _psi_meta(spec: PsiSpec) -> dict:
@@ -275,20 +264,6 @@ def top_mass_fraction(values, p: float, k: int = 10) -> float:
 # ---------------------------------------------------------------------------
 # reports
 
-def _fmt_cell(v) -> str:
-    return f"{v:.17g}"
-
-
-def _write_csv(path: str, meta: dict, columns: Dict[str, np.ndarray]):
-    names = list(columns)
-    length = len(next(iter(columns.values())))
-    with open(path, "w", newline="") as fh:
-        fh.write("# config: " + json.dumps(meta, sort_keys=True) + "\n")
-        fh.write(",".join(names) + "\n")
-        for i in range(length):
-            fh.write(",".join(_fmt_cell(columns[c][i]) for c in names) + "\n")
-
-
 def _jsonable(v):
     if isinstance(v, np.ndarray):
         return v.tolist()
@@ -298,9 +273,17 @@ def _jsonable(v):
 
 
 class _Report:
+    """A verification report: `passed` is its verdict (exit 1 when False),
+    `_CSV` the fields its CSV holds, one column each, named without the
+    `_grid` suffix."""
+
     def to_json_dict(self) -> dict:
         """Every field, with arrays as lists and dict keys as strings."""
         return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+
+    def to_csv(self, path: str):
+        write_table(path, self.meta, np.column_stack([getattr(self, f) for f in self._CSV]),
+                    [f.removesuffix("_grid") for f in self._CSV])
 
 
 @dataclass
@@ -316,12 +299,12 @@ class MomentReport(_Report):
     fitted: float
     flags: Dict[float, float]
     meta: dict
+    _CSV = ("p_grid", "lhs", "lhs_se", "rhs", "bound", "ratio")
 
-    def to_csv(self, path: str):
-        _write_csv(path, self.meta, {
-            "p": self.p_grid, "lhs": self.lhs, "lhs_se": self.lhs_se,
-            "rhs": self.rhs, "bound": self.bound, "ratio": self.ratio,
-        })
+    @property
+    def passed(self) -> bool:
+        """Every moment and ratio is finite."""
+        return bool(np.all(np.isfinite(self.lhs)) and np.all(np.isfinite(self.ratio)))
 
 
 @dataclass
@@ -336,21 +319,15 @@ class NuLogPReport(_Report):
     passed_lower: np.ndarray
     passed_upper: np.ndarray
     meta: dict
+    _CSV = ("p_grid", "emp", "emp_se", "lower", "upper", "passed_lower", "passed_upper")
 
     @property
-    def all_passed(self) -> bool:
+    def passed(self) -> bool:
+        """Every moment lies in both bands."""
         return bool(np.all(self.passed_lower) and np.all(self.passed_upper))
 
     def to_json_dict(self) -> dict:
-        return {**super().to_json_dict(), "all_passed": self.all_passed}
-
-    def to_csv(self, path: str):
-        _write_csv(path, self.meta, {
-            "p": self.p_grid, "emp": self.emp, "emp_se": self.emp_se,
-            "lower": self.lower, "upper": self.upper,
-            "passed_lower": self.passed_lower.astype(float),
-            "passed_upper": self.passed_upper.astype(float),
-        })
+        return {**super().to_json_dict(), "all_passed": self.passed}
 
 
 @dataclass
@@ -363,12 +340,13 @@ class EnlargementCurve(_Report):
     base_mass: float
     base_se: float
     meta: dict
+    _CSV = ("u_grid", "radius", "emp", "se", "bound")
 
-    def to_csv(self, path: str):
-        _write_csv(path, self.meta, {
-            "u": self.u_grid, "radius": self.radius, "emp": self.emp,
-            "se": self.se, "bound": self.bound,
-        })
+    @property
+    def passed(self) -> bool:
+        """Every mass is at least its bound less 3 SE; without an envelope
+        there is no bound, and nothing to fail."""
+        return self.meta["env"] is None or bool(np.all(self.emp >= self.bound - 3.0 * self.se))
 
 
 @dataclass
@@ -379,12 +357,12 @@ class MlsiReport(_Report):
     entropy: float
     infinite: bool
     meta: dict
+    _CSV = ("residual", "se", "rhs_mean", "entropy", "infinite")
 
-    def to_csv(self, path: str):
-        _write_csv(path, self.meta, {
-            "residual": [self.residual], "se": [self.se], "rhs_mean": [self.rhs_mean],
-            "entropy": [self.entropy], "infinite": [float(self.infinite)],
-        })
+    @property
+    def passed(self) -> bool:
+        """The residual is at least -3 SE, or infinite."""
+        return self.infinite or self.residual >= -3.0 * self.se
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +414,7 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
 
     data = _map_chunks(N, job)
     meta = {"scenario": "centered", "function": f.name, "psi": _psi_meta(spec),
-            "env": env_to_dict(env), "sampler": _family_meta(family),
+            "env": env_to_dict(env), "sampler": family.meta(),
             "seed": seed, "N": N, "C": C, "l_constant": l_constant(env)}
     return _moment_report(p_grid, data[:, 0], data[:, 1:].T,
                           lambda g, p: centered_moment_bound(g, env, p, C), meta)
@@ -458,7 +436,7 @@ def verify_nu_logp(p_grid, N: int, seed: int) -> NuLogPReport:
     passed_lower = emp >= lower - 3.0 * emp_se
     passed_upper = emp <= upper + 3.0 * (emp_se + l1_se)
     meta = {"scenario": "nu_logp", "seed": seed, "N": N,
-            "sampler": _family_meta(family)}
+            "sampler": family.meta()}
     return NuLogPReport(p_grid=p_grid, emp=emp, emp_se=emp_se, l1=l1,
                         l1_se=l1_se, lower=lower, upper=upper,
                         passed_lower=passed_lower, passed_upper=passed_upper,
@@ -480,9 +458,8 @@ def comparison_check(samplerX, phi: PhiSpec, f: TestFunction, p_grid,
         return np.column_stack([f.f(X), np.sum(f.grad(X) * Z, axis=1)])
 
     data = _map_chunks(N, job)
-    meta = {"scenario": "comparison", "function": f.name,
-            "phi": {"s": phi.s, "custom": phi.fn is not None},
-            "sampler": _family_meta(famX), "seed": seed, "N": N}
+    meta = {"scenario": "comparison", "function": f.name, "phi": famZ.meta()["phi"],
+            "sampler": famX.meta(), "seed": seed, "N": N}
     return _moment_report(p_grid, data[:, 0], [data[:, 1]] * p_grid.size,
                           lambda g, p: g, meta)
 
@@ -513,7 +490,7 @@ def enlargement_mc(sampler, m: float, spec: PsiSpec, u_grid, N: int,
              else np.full(u_grid.size, math.nan))
     meta = {"scenario": "enlargement", "m": m, "psi": _psi_meta(spec),
             "env": env_to_dict(env) if env is not None else None,
-            "C_impl": C_impl, "sampler": _family_meta(family),
+            "C_impl": C_impl, "sampler": family.meta(),
             "seed": seed, "N": N}
     return EnlargementCurve(u_grid=u_grid, radius=radius, emp=emp, se=se,
                             bound=bound, base_mass=base_mass, base_se=base_se,
@@ -545,7 +522,7 @@ def mlsi_report(sampler, g: TestFunction, spec: PsiSpec, D: float, N: int,
     infinite = bool(np.any(np.isinf(terms)))
     ent = empirical_entropy(gv)
     meta = {"scenario": "mlsi", "function": g.name, "psi": _psi_meta(spec),
-            "D": D, "sampler": _family_meta(family), "seed": seed, "N": N}
+            "D": D, "sampler": family.meta(), "seed": seed, "N": N}
     if infinite:
         return MlsiReport(residual=math.inf, se=math.nan,
                           rhs_mean=math.inf, entropy=ent, infinite=True,

@@ -1,6 +1,7 @@
 """Reference measures: exact samplers (counter-based, chunk-keyed Philox
 streams), closed-form CDF/density/quantile for the heavy-tailed measure nu,
-and its isoperimetric-type profile.
+and its isoperimetric-type profile; `write_table`, the text-table format
+every CSV output shares.
 
 Chunk j of a stream is generated from key (seed, j), so samples are
 bit-identical however generation is scheduled across workers.
@@ -8,8 +9,9 @@ bit-identical however generation is scheduled across workers.
 
 from __future__ import annotations
 
+import json
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -19,31 +21,53 @@ from .psi import PhiSpec, _bracket_solve
 CHUNK = 65536
 
 
-@dataclass(frozen=True)
-class StandardGaussian:
-    n: int
+class Family:
+    """A reference measure on R^n with an exact chunked sampler. A subclass
+    is a frozen dataclass with a field n; it owns `_draw`, which turns one
+    chunk's Philox stream into all CHUNK rows, and `meta`, its JSON form."""
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
             raise InputError(f"n must be an integer >= 1, got {self.n!r}")
 
+    def _draw(self, rng: np.random.Generator) -> np.ndarray:
+        raise NotImplementedError
+
+    def meta(self) -> dict:
+        return {"family": type(self).__name__, "n": self.n}
+
 
 @dataclass(frozen=True)
-class ProductPhiTail:
+class StandardGaussian(Family):
+    n: int
+
+    def _draw(self, rng):
+        return rng.standard_normal((CHUNK, self.n))
+
+
+@dataclass(frozen=True)
+class ProductPhiTail(Family):
     """Product of n i.i.d. symmetric variables with P(|Z| >= t) = exp(-phi(t))."""
 
     phi: PhiSpec
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise InputError(f"n must be an integer >= 1, got {self.n!r}")
+        super().__post_init__()
         if not isinstance(self.phi, PhiSpec):
             raise InputError("phi must be a PhiSpec")
 
+    def _draw(self, rng):
+        u = _uniform_open(rng, (CHUNK, self.n))
+        mags = _phi_inv_array(self.phi, -np.log(u))
+        return mags * (2.0 * rng.integers(0, 2, size=(CHUNK, self.n)) - 1.0)
+
+    def meta(self) -> dict:
+        return {**super().meta(), "phi": {"s": self.phi.s, "custom": self.phi.fn is not None}}
+
 
 @dataclass(frozen=True)
-class NuMeasure:
+class NuMeasure(Family):
     """The 1-D measure with CDF F(x) = (1/2) e^{-e^{-x}+1} for x < 0."""
 
     n: int = 1
@@ -52,8 +76,8 @@ class NuMeasure:
         if self.n != 1:
             raise InputError("NuMeasure is one-dimensional; n must be 1")
 
-
-Family = Union[StandardGaussian, ProductPhiTail, NuMeasure]
+    def _draw(self, rng):
+        return nu_quantile(_uniform_open(rng, (CHUNK, 1)))
 
 
 @dataclass(frozen=True)
@@ -63,7 +87,7 @@ class SamplerSpec:
     count: int
 
     def __post_init__(self):
-        if not isinstance(self.family, (StandardGaussian, ProductPhiTail, NuMeasure)):
+        if not isinstance(self.family, Family):
             raise InputError(f"unknown sampler family {type(self.family).__name__}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise InputError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
@@ -101,17 +125,7 @@ def sample_chunk(family: Family, seed: int, j: int, rows: int) -> np.ndarray:
     """
     if not 0 < rows <= CHUNK:
         raise InputError(f"rows must lie in (0, {CHUNK}], got {rows}")
-    rng = _chunk_rng(seed, j)
-    if isinstance(family, StandardGaussian):
-        return rng.standard_normal((CHUNK, family.n))[:rows]
-    if isinstance(family, ProductPhiTail):
-        u = _uniform_open(rng, (CHUNK, family.n))
-        mags = _phi_inv_array(family.phi, -np.log(u))
-        signs = 2.0 * rng.integers(0, 2, size=(CHUNK, family.n)) - 1.0
-        return (mags * signs)[:rows]
-    if isinstance(family, NuMeasure):
-        return nu_quantile(_uniform_open(rng, (CHUNK, 1)))[:rows]
-    raise InputError(f"unknown sampler family {type(family).__name__}")
+    return family._draw(_chunk_rng(seed, j))[:rows]
 
 
 def _chunk_plan(count: int) -> list:
@@ -170,20 +184,37 @@ def isoperimetric_profile_nu(t):
 # ---------------------------------------------------------------------------
 # export
 
-def save_samples(X: np.ndarray, path: str, fmt: str = "bin",
-                 header_lines=()) -> None:
+def _text_out(out):
+    """A context manager giving a text stream: `out` itself if it is one,
+    else the file at path `out`, opened for writing."""
+    return nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="")
+
+
+def write_table(out, config, rows, names=None) -> None:
+    """The text table of every CSV output: a '# config: <sorted JSON>' line
+    (none when config is None), the column names if given, then one line of
+    .17g cells per row of the 2-D `rows` (a scalar is one cell). `out` is a
+    path or an open text stream, which is left open."""
+    with _text_out(out) as fh:
+        if config is not None:
+            fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        if names is not None:
+            fh.write(",".join(names) + "\n")
+        for row in np.atleast_2d(np.asarray(rows, dtype=float)):
+            fh.write(",".join(f"{v:.17g}" for v in row.tolist()) + "\n")
+
+
+def save_samples(X: np.ndarray, path, fmt: str = "bin", header_lines=()) -> None:
     """bin: raw little-endian float64, row-major, no header.
-    csv: comma-separated, 17 significant digits, optional '#' header lines."""
-    X = np.asarray(X, dtype=float)
+    csv: comma-separated, 17 significant digits, optional '#' header lines;
+    `path` may also be an open text stream."""
     if fmt == "bin":
         with open(path, "wb") as fh:
             fh.write(np.ascontiguousarray(X, dtype="<f8"))
         return
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            for row in np.atleast_2d(X):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        with _text_out(path) as fh:
+            fh.writelines(f"# {line}\n" for line in header_lines)
+            write_table(fh, None, X)
         return
     raise InputError(f"unknown sample format {fmt!r} (expected 'bin' or 'csv')")

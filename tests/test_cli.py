@@ -464,3 +464,73 @@ def test_verify_writes_report_file(capsys, tmp_path):
     assert rc == 0
     rep = json.loads(open(path).read())
     assert rep["all_passed"] is True
+
+
+@pytest.mark.parametrize("family", [("gaussian", "--n", "2"),
+                                    ("phi_tail", "--n", "3", "--phi-s", "1.5"),
+                                    ("nu",)], ids=lambda f: f[0])
+def test_sample_csv_on_stdout_equals_the_out_file(capsys, tmp_path, family):
+    # more rows than one chunk
+    argv = ("sample", "--family", *family, "--seed", "4", "--count", str(oc.CHUNK + 5))
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    path = tmp_path / "s.csv"
+    rc, quiet, _ = run(capsys, *argv, "--out", str(path))
+    assert rc == 0 and quiet == ""
+    assert path.read_text() == out
+    assert out.startswith("# config: ") and len(out.splitlines()) == oc.CHUNK + 6
+
+
+ENL = ("verify", "enlargement", "--n", "2", "--psi", PSI2, "--N", "5000")
+MLSI = ("verify", "mlsi", "--n", "2", "--psi", PSI2, "--function", "tilt",
+        "--theta", "0.5,0", "--N", "5000")
+VERIFY_EXIT = {
+    "centered": (("verify", "centered", "--n", "2", "--theta", "1,0", "--psi", PSI2,
+                  "--N", "5000"), 0),
+    "centered_high_p": (("verify", "centered", "--n", "2", "--theta", "1,0", "--psi", PSI2,
+                         "--N", "5000", "--p-grid", "2,80"), 0),
+    "nu_logp": (("verify", "nu-logp", "--N", "5000", "--p-grid", "2,4"), 0),
+    "comparison": (("verify", "comparison", "--n", "3", "--function", "max",
+                    "--N", "5000"), 0),
+    "enlargement": ((*ENL, "--K", "1", "--D", "1", "--C", "0.2"), 0),
+    # --K defaults to 1, so the band is checked against that envelope's bound
+    "enlargement_without_K": (ENL, 0),
+    "enlargement_band_fails": ((*ENL, "--D", "1", "--C", "0.01"), 1),
+    "mlsi": (MLSI, 0),
+    "mlsi_band_fails": ((*MLSI, "--D", "0.01"), 1),
+    "mlsi_infinite": (("verify", "mlsi", "--n", "2", "--function", "tilt", "--theta", "1,0",
+                       "--psi", '{"family":"BobkovLedouxCap","params":{"threshold":0.1},'
+                       '"dim":2}', "--N", "2000"), 0),
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_EXIT)
+def test_verify_exit_code_per_scenario(capsys, tmp_path, name):
+    argv, want = VERIFY_EXIT[name]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == want
+    json.loads(out)
+    # the CSV report carries the same verdict
+    path = tmp_path / "rep.csv"
+    rc, out, _ = run(capsys, *argv, "--format", "csv", "--out", str(path))
+    assert rc == want and out == ""
+    assert path.read_text().startswith("# config: ")
+
+
+def test_enlargement_without_K_checks_the_default_envelope(capsys):
+    rc, out, _ = run(capsys, *ENL)
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["meta"]["env"]["K"] == 1.0 and not any(math.isnan(b) for b in rep["bound"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("conjugate", "--psi", PSI2, "--grid", "0.5,2,3"),
+    ("norm", "--psi", PSI2, "--p", "4", "--x", "3,4"),
+    ("bound", "two_level_tail", "--a", "1", "--b", "1", "--r", "3", "--grid", "1,10,4"),
+], ids=["conjugate", "norm", "bound"])
+def test_csv_format_is_the_text_table(capsys, argv):
+    _, text, _ = run(capsys, *argv)
+    _, csv, _ = run(capsys, *argv, "--format", "csv")
+    assert csv == text
+

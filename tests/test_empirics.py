@@ -2,14 +2,15 @@
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import orlicz_conc.empirics as em
-from orlicz_conc import (BobkovLedouxCap, GrowthEnvelope, InputError,
-                         MultiIndexMatrix, NuMeasure, PhiSpec, PowerNorm,
-                         SamplerSpec, SeparableFromPhi, SeparableTwoLevel,
+from orlicz_conc import (CHUNK, BobkovLedouxCap, Family, GrowthEnvelope,
+                         InputError, MultiIndexMatrix, NuMeasure, PhiSpec,
+                         PowerNorm, SamplerSpec, SeparableFromPhi, SeparableTwoLevel,
                          StandardGaussian, UserSeparable, batch_se,
                          comparison_check, empirical_entropy,
                          empirical_moment, enlargement_mc, euclidean_norm,
@@ -224,7 +225,7 @@ def test_threaded_chunk_map_matches_one_worker(monkeypatch):
 
 def test_verify_nu_logp_small_run_passes():
     rep = verify_nu_logp(np.array([2.0, 4.0]), 20000, 1)
-    assert rep.all_passed
+    assert rep.passed
     np.testing.assert_allclose(rep.lower, np.log([2.0, 4.0]) / (2.0 * math.e), rtol=1e-12)
     np.testing.assert_allclose(rep.upper, rep.l1 + np.log([2.0, 4.0]), rtol=1e-12)
 
@@ -301,3 +302,91 @@ def test_reports_serialize_and_write_csv(tmp_path):
     npath = str(tmp_path / "nu.csv")
     nu.to_csv(npath)
     assert "emp" in open(npath).read()
+
+
+def _reference_csv(meta, columns) -> str:
+    """The report CSV format, spelled out: the sorted-JSON config line, the
+    column names, then one line of .17g cells per row."""
+    names = list(columns)
+    lines = ["# config: " + json.dumps(meta, sort_keys=True), ",".join(names)]
+    lines += [",".join(f"{float(columns[c][i]):.17g}" for c in names)
+              for i in range(len(columns[names[0]]))]
+    return "\n".join(lines) + "\n"
+
+
+ENV_D1 = GrowthEnvelope(K=1.0, alpha=2.0, beta=2.0, D=1.0, d=0.0)
+REPORT_CSVS = {
+    "centered": lambda: verify_centered(
+        StandardGaussian(n=2), linear(np.array([1.0, 0.0])), SPEC2, ENV22,
+        np.array([2.0, 4.0, 80.0]), 5000, 12),
+    "comparison": lambda: comparison_check(
+        StandardGaussian(n=2), PhiSpec(s=1.5), euclidean_norm(), np.array([2.0, 4.0]), 5000, 3),
+    "nu_logp": lambda: verify_nu_logp(np.array([2.0, 4.0, 16.0]), 5000, 13),
+    "enlargement": lambda: enlargement_mc(StandardGaussian(n=2), 0.0, SPEC2,
+                                          np.array([0.25, 1.0, 4.0]), 5000, 14,
+                                          env=ENV_D1, C_impl=0.2),
+    "enlargement_no_env": lambda: enlargement_mc(StandardGaussian(n=2), 0.0, SPEC2,
+                                                 np.array([0.25, 1.0]), 5000, 14),
+    "mlsi": lambda: mlsi_report(StandardGaussian(n=2), exp_tilt(np.array([0.5, 0.0])),
+                                SPEC2, 2.0, 5000, 15),
+    "mlsi_infinite": lambda: mlsi_report(StandardGaussian(n=2), exp_tilt(np.array([1.0, 0.0])),
+                                         BobkovLedouxCap(dim=2, threshold=0.1), 2.0, 2000, 11),
+}
+
+
+def _report_columns(rep):
+    """Each report's CSV columns, named as the files name them."""
+    if hasattr(rep, "lhs"):
+        return {"p": rep.p_grid, "lhs": rep.lhs, "lhs_se": rep.lhs_se, "rhs": rep.rhs,
+                "bound": rep.bound, "ratio": rep.ratio}
+    if hasattr(rep, "passed_lower"):
+        return {"p": rep.p_grid, "emp": rep.emp, "emp_se": rep.emp_se, "lower": rep.lower,
+                "upper": rep.upper, "passed_lower": rep.passed_lower,
+                "passed_upper": rep.passed_upper}
+    if hasattr(rep, "u_grid"):
+        return {"u": rep.u_grid, "radius": rep.radius, "emp": rep.emp, "se": rep.se,
+                "bound": rep.bound}
+    return {"residual": [rep.residual], "se": [rep.se], "rhs_mean": [rep.rhs_mean],
+            "entropy": [rep.entropy], "infinite": [rep.infinite]}
+
+
+@pytest.mark.parametrize("name", REPORT_CSVS)
+def test_report_csv_bytes(tmp_path, name):
+    rep = REPORT_CSVS[name]()
+    path = tmp_path / "rep.csv"
+    rep.to_csv(str(path))
+    assert path.read_bytes() == _reference_csv(rep.meta, _report_columns(rep)).encode()
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: verify_centered(s, linear(np.array([1.0, 0.0])), SPEC2, ENV22,
+                              np.array([2.0]), 5000, 0),
+    lambda s: comparison_check(s, PhiSpec(s=2.0), linear(np.array([1.0, 0.0])),
+                               np.array([2.0]), 5000, 0),
+    lambda s: enlargement_mc(s, 0.0, SPEC2, np.array([1.0]), 5000, 0),
+    lambda s: mlsi_report(s, exp_tilt(np.array([0.5, 0.0])), SPEC2, 2.0, 5000, 0),
+], ids=["centered", "comparison", "enlargement", "mlsi"])
+def test_verification_refuses_a_sampler_spec(make):
+    # a SamplerSpec carries its own seed and count, which the verification
+    # call's N and seed would silently override
+    with pytest.raises(InputError):
+        make(SamplerSpec(StandardGaussian(n=2), seed=5, count=100))
+
+
+def test_a_new_sampler_family_needs_only_its_class():
+    @dataclass(frozen=True)
+    class Uniform(Family):
+        n: int
+
+        def _draw(self, rng):
+            return rng.random((CHUNK, self.n))
+
+    fam = Uniform(n=2)
+    X = sample(SamplerSpec(fam, seed=3, count=CHUNK + 7))
+    assert X.shape == (CHUNK + 7, 2) and np.all((X >= 0.0) & (X < 1.0))
+    rep = verify_centered(fam, linear(np.array([1.0, 0.0])), SPEC2, ENV22,
+                          np.array([2.0]), 5000, 3)
+    assert rep.meta["sampler"] == {"family": "Uniform", "n": 2} and rep.passed
+    with pytest.raises(InputError):
+        Uniform(n=0)
+

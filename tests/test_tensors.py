@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orlicz_conc.tensors as tn
-from orlicz_conc import (InputError, MultiIndexMatrix, NumericalError, PowerNorm,
-                         SeparableTwoLevel, chaos_deterministic_term,
+from orlicz_conc import (BobkovLedouxCap, InputError, MultiIndexMatrix, NumericalError,
+                         PhiSpec, PowerNorm, SeparableFromPhi, SeparableTwoLevel,
+                         chaos_deterministic_term,
                          eval_form, form_gradient, load_matrix,
                          partition_norms, save_matrix, support_function,
                          symmetrize)
@@ -192,6 +193,18 @@ def test_chaos_term_k1_is_the_two_sided_support():
     want = max(support_function(spec, 3.0, theta),
                support_function(spec, 3.0, -theta))
     assert chaos_deterministic_term(A, spec, 3.0) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec", [
+    PowerNorm(dim=4, norm=2.0, a=2.0), SeparableTwoLevel(dim=4, r=3.0),
+    SeparableFromPhi(dim=4, phi=PhiSpec(s=1.5)), BobkovLedouxCap(dim=4, threshold=0.5),
+], ids=lambda s: type(s).__name__)
+def test_support_function_is_even_bit_for_bit(spec):
+    # Psi is even, so one support solve gives the k = 1 chaos term
+    theta = np.array([1.0, -2.0, 0.5, 0.0])
+    assert support_function(spec, 3.0, theta) == support_function(spec, 3.0, -theta)
+    A = MultiIndexMatrix(1, 4, theta)
+    assert chaos_deterministic_term(A, spec, 3.0) == support_function(spec, 3.0, theta)
 
 
 def test_chaos_term_k2_identity_closed_form():
