@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .psi import PsiSpec, _as_vector, _bracket_sup, eval_psi
+from .psi import PsiSpec, _as_vector, _bracket_sup
 
 GRID_LO = 1e-6
 GRID_HI = 1e6
@@ -32,6 +32,8 @@ GRID_POINTS = 2048
 _ROWS = 16  # t values per grid block, bounding the (rows, points) temporaries
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ARGMAX_GOLDEN_MAX = 120  # golden steps of a coordinate argmax
+_MULTIPLIER_GOLDEN_MAX = 200  # golden steps of the support dual's multiplier
 
 
 def _golden_search(a: float, b: float, iters: int):
@@ -295,10 +297,7 @@ def support_argmax(spec: PsiSpec, p: float, theta) -> tuple:
         return closed
 
     # separable: multiplier from the dual, then exact per-coordinate argmax
-    lam_star = _support_multiplier(spec, p, theta)[0]
-    y = np.empty(spec.dim)
-    for j, tj in enumerate(theta):
-        y[j] = _coordinate_argmax(spec, tj, lam_star, p)
+    y = _coordinate_argmax(spec, theta, _support_multiplier(spec, p, theta)[0])
     # pull back onto the feasible set (guards multiplier round-off)
     if psi_star(spec, y) > p:
         c = _bracket_sup(lambda d, cs: np.sum(_conjugate_1d(spec, cs[:, None] * y), axis=1) - d,
@@ -309,62 +308,77 @@ def support_argmax(spec: PsiSpec, p: float, theta) -> tuple:
 
 def _support_multiplier(spec: PsiSpec, p: float, theta) -> tuple:
     """(lam*, value) of the dual min_{lam>0} lam (p + Psi(theta/lam)): a log
-    grid, then golden section on log lam.  The value is the least objective
-    over the grid point and the final bracket ends, which stay finite where
-    the bracket midpoint lam* may not (a capped Psi is +inf just below the
-    minimizer)."""
-    lams = np.geomspace(1e-9, 1e9, 512)
-
-    def obj(lam_):
+    grid, then golden section on log lam, one row-batched objective call per
+    step.  The value is the least objective over the grid point and the final
+    bracket ends, which stay finite where the bracket midpoint lam* may not (a
+    capped Psi is +inf just below the minimizer)."""
+    def obj(lams):
         with np.errstate(over="ignore"):
-            return lam_ * (p + eval_psi(spec, theta / lam_))
+            return lams * (p + spec._eval_rows(theta / lams[:, None]))
 
-    with np.errstate(over="ignore"):
-        vals = lams * (p + spec._eval_rows(theta / lams[:, None]))
+    lams = np.geomspace(1e-9, 1e9, 512)
+    vals = obj(lams)
     i = int(np.argmin(vals))
     lo = math.log(lams[max(i - 1, 0)])
     hi = math.log(lams[min(i + 1, len(lams) - 1)])
-    for _ in range(200):
+    for _ in range(_MULTIPLIER_GOLDEN_MAX):
         m1 = lo + (hi - lo) * (1 - _GOLDEN)
         m2 = lo + (hi - lo) * _GOLDEN
-        if obj(math.exp(m1)) <= obj(math.exp(m2)):
+        f1, f2 = obj(np.array([math.exp(m1), math.exp(m2)]))
+        if f1 <= f2:
             hi = m2
         else:
             lo = m1
         if hi - lo < 1e-12:
             break
-    return math.exp(0.5 * (lo + hi)), min(float(vals[i]), obj(math.exp(lo)), obj(math.exp(hi)))
+    else:
+        raise NumericalError("support multiplier golden search did not converge")
+    ends = obj(np.array([math.exp(lo), math.exp(hi)])).tolist()
+    return math.exp(0.5 * (lo + hi)), min(float(vals[i]), *ends)
 
 
-def _coordinate_argmax(spec: PsiSpec, tj: float, lam_star: float, p: float) -> float:
-    """argmax_y (tj * y - lam_star * h*(y)) over y >= 0 (signed by tj)."""
-    if tj == 0.0 or lam_star <= 0.0:
-        return 0.0
-    mag = abs(tj)
+def _coordinate_argmax(spec: PsiSpec, theta: np.ndarray, lam_star: float) -> np.ndarray:
+    """Per coordinate, argmax_y (|theta_j| y - lam_star h*(y)) over y >= 0,
+    signed by theta_j (0 where theta_j is 0): a doubling walk to a bracket,
+    then golden section on [0, 2 hi], each coordinate stopping on its own.
+    Each step makes one h* call for every coordinate still running."""
+    y = np.zeros(theta.size)
+    nz = np.flatnonzero(theta)
+    if lam_star <= 0.0:
+        return y
+    mag = np.abs(theta[nz])
 
-    def val(y):
-        hstar = float(_conjugate_1d(spec, np.asarray([y]))[0])
-        return mag * y - lam_star * hstar
+    def val(m, ys):
+        h = _conjugate_1d(spec, ys)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return m * ys - lam_star * h
 
-    # bracket: walk out until the objective is decreasing
-    hi = 1.0
+    # bracket: walk out until the objective is decreasing; every coordinate
+    # still walking sits at the same hi, so h* is taken at hi * 2 and hi once
+    b, run, hi = np.empty(nz.size), np.arange(nz.size), 1.0
     for _ in range(200):
-        if val(hi * 2.0) <= val(hi):
+        done = np.less_equal(*val(mag[run, None], np.array([hi * 2.0, hi])).T)
+        b[run[done]] = hi * 2.0
+        run, hi = run[~done], hi * 2.0
+        if run.size == 0:
             break
-        hi *= 2.0
     else:
         raise NumericalError("coordinate argmax bracket failed")
-    a, b = 0.0, hi * 2.0
-    for _ in range(120):
-        m1 = b - _GOLDEN * (b - a)
-        m2 = a + _GOLDEN * (b - a)
-        if val(m1) < val(m2):
-            a = m1
-        else:
-            b = m2
-        if b - a <= 1e-12 * max(1.0, b):
+    a, run = np.zeros(nz.size), np.arange(nz.size)
+    for _ in range(_ARGMAX_GOLDEN_MAX):
+        ar, br = a[run], b[run]
+        m1 = br - _GOLDEN * (br - ar)
+        m2 = ar + _GOLDEN * (br - ar)
+        f1, f2 = val(mag[run], np.stack((m1, m2)))
+        left = f1 < f2
+        a[run] = np.where(left, m1, ar)
+        b[run] = np.where(left, br, m2)
+        run = run[~(b[run] - a[run] <= 1e-12 * np.maximum(1.0, b[run]))]
+        if run.size == 0:
             break
-    y = 0.5 * (a + b)
-    if val(y) <= 0.0:
-        y = 0.0
-    return math.copysign(y, tj)
+    else:
+        raise NumericalError("coordinate argmax golden search did not converge")
+    ys = 0.5 * (a + b)
+    ys[val(mag, ys) <= 0.0] = 0.0
+    y[nz] = np.copysign(ys, theta[nz])
+    return y

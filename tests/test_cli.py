@@ -237,6 +237,16 @@ def test_chaos_iteration_cap_exits_three(capsys, monkeypatch, matrix_file):
     assert json.loads(err)["error"] == "numerical"
 
 
+@pytest.mark.parametrize("cap", ["_ARGMAX_GOLDEN_MAX", "_MULTIPLIER_GOLDEN_MAX"])
+def test_chaos_support_golden_cap_exits_three(capsys, monkeypatch, matrix_file, cap):
+    monkeypatch.setattr(cli.cj, cap, 1)
+    rc, out, err = run(capsys, "tensor", "--matrix", matrix_file, "--op", "chaos",
+                       "--psi", '{"family":"SeparableTwoLevel","params":{"r":3},"dim":2}',
+                       "--p", "2", "--restarts", "1")
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "numerical"
+
+
 def test_norm_x_file_equals_per_row_x(capsys, tmp_path):
     spec = '{"family":"SeparableTwoLevel","params":{"r":3},"dim":3}'
     X = np.random.default_rng(3).standard_normal((12, 3)) * 4.0

@@ -365,3 +365,100 @@ def test_support_argmax_unchanged_by_the_array_dual_and_transform(monkeypatch):
         want_value, want_y = support_argmax(spec, p, theta)
         assert value == want_value
         assert np.array_equal(y, want_y)
+
+
+def _coordinate_argmax_oracle(spec, theta, lam_star):
+    def one(tj):
+        if tj == 0.0 or lam_star <= 0.0:
+            return 0.0
+        mag = abs(tj)
+
+        def val(y):
+            hstar = float(cj._conjugate_1d(spec, np.asarray([y]))[0])
+            return mag * y - lam_star * hstar
+
+        hi = 1.0
+        for _ in range(200):
+            if val(hi * 2.0) <= val(hi):
+                break
+            hi *= 2.0
+        else:
+            raise NumericalError("coordinate argmax bracket failed")
+        a, b = 0.0, hi * 2.0
+        for _ in range(120):
+            m1 = b - cj._GOLDEN * (b - a)
+            m2 = a + cj._GOLDEN * (b - a)
+            if val(m1) < val(m2):
+                a = m1
+            else:
+                b = m2
+            if b - a <= 1e-12 * max(1.0, b):
+                break
+        y = 0.5 * (a + b)
+        if val(y) <= 0.0:
+            y = 0.0
+        return math.copysign(y, tj)
+
+    return np.array([one(float(tj)) for tj in theta])
+
+
+def _support_outcomes(spec, p, theta):
+    """(support_argmax, support_function), each a NumericalError's message
+    where it raises one."""
+    out = []
+    for call in (support_argmax, support_function):
+        try:
+            out.append(call(spec, p, theta))
+        except NumericalError as exc:
+            out.append(str(exc))
+    return out
+
+
+FULL = ((1, 0.5), (4, 4.0), (16, 16.0))
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (lambda n: SeparableTwoLevel(dim=n, r=2.0), FULL),
+    (lambda n: SeparableTwoLevel(dim=n, r=3.0), FULL),
+    (lambda n: SeparableTwoLevel(dim=n, r=5.0), FULL),
+    (lambda n: SeparableFromPhi(dim=n, phi=PhiSpec(s=1.0)), FULL),
+    (lambda n: SeparableFromPhi(dim=n, phi=PhiSpec(s=1.5)), FULL),
+    (lambda n: SeparableFromPhi(dim=n, phi=PhiSpec(s=3.0)), FULL),
+    (lambda n: BobkovLedouxCap(dim=n, threshold=0.5), FULL),
+    (lambda n: BobkovLedouxCap(dim=n, threshold=2.0), FULL),
+    # a user-supplied Phi nests two numeric transforms, so the scalar searches
+    # take about 3 s per coordinate; its batched path is sfp15's
+    (lambda n: SeparableFromPhi(dim=n, phi=PhiSpec(fn=lambda t: np.abs(t) ** 3)), FULL[:1]),
+], ids=["two_level2", "two_level3", "two_level5", "sfp1", "sfp15", "sfp3",
+        "blcap05", "blcap2", "user_cube"])
+def test_support_argmax_equals_the_scalar_searches_bit_for_bit(monkeypatch, make, sizes):
+    rng = np.random.default_rng(41)
+    cases = []
+    for n, p in sizes:
+        theta = rng.standard_normal(n)
+        cases.append((make(n), p, theta))
+        theta = theta.copy()
+        theta[::4], theta[1::4], theta[2::4] = 0.0, -0.0, -1e-300  # the last argmax is -0.0
+        cases.append((make(n), p, theta))
+    got = [_support_outcomes(*case) for case in cases]
+    monkeypatch.setattr(cj, "_coordinate_argmax", _coordinate_argmax_oracle)
+    monkeypatch.setattr(cj, "_support_multiplier", _support_multiplier_oracle)
+    for case, (argmax, value) in zip(cases, got):
+        want_argmax, want_value = _support_outcomes(*case)
+        assert value == want_value
+        if isinstance(want_argmax, str):
+            assert argmax == want_argmax
+            continue
+        assert argmax[0] == want_argmax[0]
+        assert np.array_equal(argmax[1], want_argmax[1])
+        assert np.array_equal(np.signbit(argmax[1]), np.signbit(want_argmax[1]))
+
+
+@pytest.mark.parametrize("cap, what", [("_ARGMAX_GOLDEN_MAX", "coordinate argmax"),
+                                       ("_MULTIPLIER_GOLDEN_MAX", "support multiplier")])
+def test_support_searches_raise_at_their_golden_cap(monkeypatch, cap, what):
+    theta = np.array([1.5, -0.4, 0.0, 2.0])
+    assert support_argmax(TWOLEVEL3, 4.0, theta)[0] > 0.0
+    monkeypatch.setattr(cj, cap, 1)
+    with pytest.raises(NumericalError, match=f"^{what} golden search did not converge"):
+        support_argmax(TWOLEVEL3, 4.0, theta)

@@ -111,7 +111,7 @@ def test_chebyshev_level_matches_log_bisection(G, feasible_ends):
 
 def test_support_pull_back_matches_log_bisection(monkeypatch, feasible_ends):
     # an infeasible coordinate argmax forces the pull-back onto {Psi* <= p}
-    monkeypatch.setattr(cj, "_coordinate_argmax", lambda spec, tj, lam_, p: 3.0 * tj)
+    monkeypatch.setattr(cj, "_coordinate_argmax", lambda spec, theta, lam_: 3.0 * theta)
     spec, p = SeparableTwoLevel(dim=4, r=3.0), 2.0
     theta = np.array([1.5, -0.4, 0.0, 2.0])
     c = monotone_sup(lambda c_: psi_star(spec, c_ * 3.0 * theta) <= p)
@@ -167,7 +167,7 @@ def test_each_caller_raises_at_the_iteration_cap(monkeypatch, what, call):
 
 def test_support_pull_back_raises_at_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(psi_mod, "_SOLVE_MAX", 1)
-    monkeypatch.setattr(cj, "_coordinate_argmax", lambda spec, tj, lam_, p: 3.0 * tj)
+    monkeypatch.setattr(cj, "_coordinate_argmax", lambda spec, theta, lam_: 3.0 * theta)
     with pytest.raises(NumericalError, match="^support_argmax solve did not converge"):
         support_argmax(SeparableTwoLevel(dim=2, r=3.0), 2.0, np.array([1.0, -0.5]))
 
