@@ -49,11 +49,29 @@ def _read_arg_text(raw: str) -> str:
     return raw
 
 
+def _finite(raw) -> float:
+    """float(raw) for a finite number: the type of every float flag, and the
+    rule for vector entries and bound parameters."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value {raw!r}")
+    return value
+
+
 def _parse_vector(raw: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in raw.split(",") if tok != ""])
-    except ValueError as exc:
+        return np.array([_finite(tok) for tok in raw.split(",") if tok != ""])
+    except argparse.ArgumentTypeError as exc:
         raise InputError(f"malformed vector {raw!r}: {exc}") from exc
+
+
+def _psi(ns, what: str):
+    if ns.psi is None:
+        raise InputError(f"{what} requires --psi")
+    return psi_from_json(_read_arg_text(ns.psi))
 
 
 def _parse_grid(raw: str) -> np.ndarray:
@@ -92,26 +110,18 @@ def _emit_result(config: dict, payload, out_path, fmt: str):
 # ---------------------------------------------------------------------------
 # bound command (the bounds themselves are described in bounds._BOUNDS)
 
-_ENV_KEYS = ("K", "alpha", "beta", "D", "d")  # the first three are required
+_ENV_KEYS = ("K", "alpha", "beta", "D", "d")
 
 
 def _env_from(params: dict) -> GrowthEnvelope:
-    missing = [k for k in _ENV_KEYS[:3] if k not in params]
-    if missing:
-        raise InputError(f"growth envelope needs {missing}")
     return env_from_dict({k: params[k] for k in _ENV_KEYS if k in params})
 
 
 def _parse_extra_params(tokens) -> dict:
-    params = {}
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if not tok.startswith("--") or i + 1 >= len(tokens):
-            raise InputError(f"expected '--key value' pairs, got {tokens[i:]!r}")
-        params[tok[2:]] = tokens[i + 1]
-        i += 2
-    return params
+    keys, values = tokens[::2], tokens[1::2]
+    if len(keys) != len(values) or not all(k.startswith("--") for k in keys):
+        raise InputError(f"expected '--key value' pairs, got {tokens!r}")
+    return {k[2:]: v for k, v in zip(keys, values)}
 
 
 def _load_params(ns, extra_tokens, name: str, allowed, required, structured=()) -> dict:
@@ -131,15 +141,13 @@ def _load_params(ns, extra_tokens, name: str, allowed, required, structured=()) 
     missing = [k for k in required if k not in raw]
     if missing:
         raise InputError(f"{name} missing parameter(s): {missing}")
-    try:
-        params = {k: v if k in structured else float(v) for k, v in raw.items()}
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"non-numeric parameter: {exc}") from exc
-    non_finite = sorted(k for k, v in params.items()
-                        if k not in structured and not math.isfinite(v))
-    if non_finite:
-        raise InputError(f"non-finite parameter(s) for {name}: {non_finite}")
-    return params
+    for k, v in raw.items():
+        if k not in structured:
+            try:
+                raw[k] = _finite(v)
+            except argparse.ArgumentTypeError as exc:
+                raise InputError(f"parameter {k} of {name}: {exc}") from exc
+    return raw
 
 
 def _cmd_bound(ns, extra_tokens) -> int:
@@ -160,9 +168,7 @@ def _cmd_bound(ns, extra_tokens) -> int:
     params = {**bound.optional,
               **_load_params(ns, extra_tokens, name, allowed, bound.required)}
     env = _env_from(params) if bound.needs_env else None
-    spec = psi_from_json(_read_arg_text(ns.psi)) if bound.needs_psi and ns.psi else None
-    if bound.needs_psi and spec is None:
-        raise InputError(f"{name} requires --psi")
+    spec = _psi(ns, name) if bound.needs_psi else None
     config = {"bound": name, "params": params}
     if env is not None:
         config["env"] = env_to_dict(env)
@@ -204,8 +210,8 @@ def _cmd_bound_bcg_chain(ns, extra_tokens) -> int:
     try:
         if isinstance(higher, str):
             higher = json.loads(higher)
-        higher = [(int(m), float(v)) for m, v in higher]
-    except (TypeError, ValueError) as exc:
+        higher = [(int(_finite(m)), _finite(v)) for m, v in higher]
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         raise InputError(f"higher must be a list of [m, value] pairs: {exc}") from exc
     L, p, dk, hop = raw["L"], raw["p"], raw["dk_norm"], raw["hess_op_mp"]
     config = {"bound": "bcg_moment_bound", "L": L, "p": p, "dk_norm": dk,
@@ -217,8 +223,8 @@ def _cmd_bound_bcg_chain(ns, extra_tokens) -> int:
 # ---------------------------------------------------------------------------
 # other subcommands
 
-def _cmd_norm(ns) -> int:
-    spec = psi_from_json(_read_arg_text(ns.psi))
+def _cmd_norm(ns, _extra) -> int:
+    spec = _psi(ns, "norm")
     if (ns.x is None) == (ns.x_file is None):
         raise InputError("provide exactly one of --x or --x-file")
     if ns.x is not None:
@@ -235,92 +241,73 @@ def _cmd_norm(ns) -> int:
     return 0
 
 
-def _cmd_conjugate(ns) -> int:
-    spec = psi_from_json(_read_arg_text(ns.psi))
-    modes = [ns.grid is not None, ns.y is not None, ns.support]
-    if sum(modes) != 1:
+def _cmd_conjugate(ns, _extra) -> int:
+    spec = _psi(ns, "conjugate")
+    if sum([ns.grid is not None, ns.y is not None, ns.support]) != 1:
         raise InputError("choose exactly one of --grid, --y, --support")
     config = {"command": "conjugate", "psi": psi_to_dict(spec)}
     if ns.grid is not None:
         ts = _parse_grid(ns.grid)
         config["grid"] = [float(ts[0]), float(ts[-1]), int(len(ts))]
         table = cj.profile_table(spec, ts)
-        _emit_result(config, {"t": table[:, 0], "omega": table[:, 1],
-                              "omega_inv": table[:, 2], "omega_star": table[:, 3],
-                              "lambda": table[:, 4]}, ns.out, ns.format)
-        return 0
-    if ns.y is not None:
+        result = dict(zip(("t", "omega", "omega_inv", "omega_star", "lambda"), table.T))
+    elif ns.y is not None:
         y = _parse_vector(ns.y)
         config["y"] = y.tolist()
-        _emit_result(config, cj.psi_star(spec, y), ns.out, ns.format)
-        return 0
-    if ns.theta is None or ns.p is None:
-        raise InputError("--support requires --p and --theta")
-    theta = _parse_vector(ns.theta)
-    config.update({"p": ns.p, "theta": theta.tolist()})
-    _emit_result(config, cj.support_function(spec, ns.p, theta), ns.out, ns.format)
+        result = cj.psi_star(spec, y)
+    else:
+        if ns.theta is None or ns.p is None:
+            raise InputError("--support requires --p and --theta")
+        theta = _parse_vector(ns.theta)
+        config.update({"p": ns.p, "theta": theta.tolist()})
+        result = cj.support_function(spec, ns.p, theta)
+    _emit_result(config, result, ns.out, ns.format)
     return 0
 
 
-def _cmd_tensor(ns) -> int:
+def _cmd_tensor(ns, _extra) -> int:
     A = tn.load_matrix(ns.matrix)
     config = {"command": "tensor", "op": ns.op, "matrix": ns.matrix,
               "k": A.k, "n": A.n}
-    if ns.op == "eval":
-        if ns.x is None:
-            raise InputError("eval requires --x")
-        x = _parse_vector(ns.x)
-        config["x"] = x.tolist()
-        _emit_result(config, tn.eval_form(A, x), ns.out, ns.format)
-        return 0
-    if ns.op == "gradient":
-        if ns.x is None:
-            raise InputError("gradient requires --x")
-        x = _parse_vector(ns.x)
-        config["x"] = x.tolist()
-        _emit_result(config, tn.form_gradient(A, x), ns.out, ns.format)
-        return 0
     if ns.op == "symmetrize":
         if not ns.out:
             raise InputError("symmetrize requires --out for the result matrix")
         tn.save_matrix(tn.symmetrize(A), ns.out)
         return 0
-    if ns.op == "partition":
+    if ns.op in ("eval", "gradient"):
+        if ns.x is None:
+            raise InputError(f"{ns.op} requires --x")
+        x = _parse_vector(ns.x)
+        config["x"] = x.tolist()
+        result = (tn.eval_form if ns.op == "eval" else tn.form_gradient)(A, x)
+    elif ns.op == "partition":
         if ns.r is None:
             raise InputError("partition requires --r")
         config.update({"r": ns.r, "restarts": ns.restarts, "seed": ns.seed})
         norms = tn.partition_norms(A, ns.r, restarts=ns.restarts, seed=ns.seed)
-        _emit_result(config, {"hs": [norms.hs], "op": [norms.op],
-                              "entry_lr": [norms.entry_lr],
-                              "mixed_2_rstar": [norms.mixed_2_rstar],
-                              "rstar_rstar": [norms.rstar_rstar]},
-                     ns.out, ns.format)
-        return 0
-    if ns.op == "chaos":
-        if ns.psi is None or ns.p is None:
-            raise InputError("chaos requires --psi and --p")
-        spec = psi_from_json(_read_arg_text(ns.psi))
+        result = {key: [getattr(norms, key)]
+                  for key in ("hs", "op", "entry_lr", "mixed_2_rstar", "rstar_rstar")}
+    else:
+        spec = _psi(ns, "chaos")
+        if ns.p is None:
+            raise InputError("chaos requires --p")
         config.update({"psi": psi_to_dict(spec), "p": ns.p,
                        "restarts": ns.restarts, "seed": ns.seed})
-        val = tn.chaos_deterministic_term(A, spec, ns.p,
-                                          restarts=ns.restarts, seed=ns.seed)
-        _emit_result(config, val, ns.out, ns.format)
-        return 0
-    raise InputError(f"unknown tensor op {ns.op!r}")
+        result = tn.chaos_deterministic_term(A, spec, ns.p, restarts=ns.restarts, seed=ns.seed)
+    _emit_result(config, result, ns.out, ns.format)
+    return 0
 
 
-def _family_from_flags(family: str, n: int, phi_s: float):
-    if family == "gaussian":
-        return ms.StandardGaussian(n=n)
-    if family == "phi_tail":
-        return ms.ProductPhiTail(PhiSpec(s=phi_s), n=n)
-    if family == "nu":
-        return ms.NuMeasure()
-    raise InputError(f"unknown family {family!r} (gaussian, phi_tail, nu)")
+# the --family choices: name -> constructor from (n, phi_s)
+_FAMILIES = {
+    "gaussian": lambda n, phi_s: ms.StandardGaussian(n=n),
+    "phi_tail": lambda n, phi_s: ms.ProductPhiTail(PhiSpec(s=phi_s), n=n),
+    "nu": lambda n, phi_s: ms.NuMeasure(),
+}
 
 
-def _cmd_sample(ns) -> int:
-    family = _family_from_flags(ns.family, ns.n, ns.phi_s)
+def _cmd_sample(ns, _extra) -> int:
+    family = _FAMILIES[ns.family](ns.n, ns.phi_s)
     X = ms.sample(ms.SamplerSpec(family=family, seed=ns.seed, count=ns.count))
     config = {"command": "sample", "seed": ns.seed, "count": ns.count, **family.meta()}
     if ns.format == "bin" and not ns.out:
@@ -355,34 +342,25 @@ def _build_function(ns, dim: int) -> em.TestFunction:
     raise InputError(f"unknown function {kind!r}")
 
 
-def _cmd_verify(ns) -> int:
-    if ns.scenario == "nu-logp":
+def _cmd_verify(ns, _extra) -> int:
+    scenario = ns.scenario
+    family = None if scenario == "nu-logp" else _FAMILIES[ns.family](ns.n, ns.phi_s)
+    spec = (_psi(ns, f"verify {scenario}")
+            if scenario in ("centered", "enlargement", "mlsi") else None)
+    env = _env_from(vars(ns)) if scenario in ("centered", "enlargement") else None
+    if scenario == "nu-logp":
         rep = em.verify_nu_logp(_parse_vector(ns.p_grid), ns.N, ns.seed)
-    elif ns.scenario == "mlsi":
-        family = _family_from_flags(ns.family, ns.n, ns.phi_s)
-        spec = psi_from_json(_read_arg_text(ns.psi))
-        g = _build_function(ns, spec.dim)
-        rep = em.mlsi_report(family, g, spec, ns.D, ns.N, ns.seed)
-    elif ns.scenario == "centered":
-        family = _family_from_flags(ns.family, ns.n, ns.phi_s)
-        spec = psi_from_json(_read_arg_text(ns.psi))
-        env = _env_from({k: getattr(ns, k) for k in _ENV_KEYS})
-        f = _build_function(ns, spec.dim)
-        rep = em.verify_centered(family, f, spec, env, _parse_vector(ns.p_grid),
-                                 ns.N, ns.seed, C=ns.C)
-    elif ns.scenario == "comparison":
-        family = _family_from_flags(ns.family, ns.n, ns.phi_s)
-        f = _build_function(ns, family.n)
-        rep = em.comparison_check(family, PhiSpec(s=ns.phi_s), f,
+    elif scenario == "comparison":
+        rep = em.comparison_check(family, PhiSpec(s=ns.phi_s), _build_function(ns, family.n),
                                   _parse_vector(ns.p_grid), ns.N, ns.seed)
-    elif ns.scenario == "enlargement":
-        family = _family_from_flags(ns.family, ns.n, ns.phi_s)
-        spec = psi_from_json(_read_arg_text(ns.psi))
-        env = _env_from({k: getattr(ns, k) for k in _ENV_KEYS})
+    elif scenario == "mlsi":
+        rep = em.mlsi_report(family, _build_function(ns, spec.dim), spec, ns.D, ns.N, ns.seed)
+    elif scenario == "centered":
+        rep = em.verify_centered(family, _build_function(ns, spec.dim), spec, env,
+                                 _parse_vector(ns.p_grid), ns.N, ns.seed, C=ns.C)
+    else:
         rep = em.enlargement_mc(family, ns.m, spec, _parse_vector(ns.u_grid),
                                 ns.N, ns.seed, env=env, C_impl=ns.C)
-    else:
-        raise InputError(f"unknown scenario {ns.scenario!r}")
     if ns.format == "csv" and ns.out:
         rep.to_csv(ns.out)
     else:
@@ -403,23 +381,26 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("norm", description="Luxemburg-type gauge |x|_{Psi_p}")
+    p.set_defaults(run=_cmd_norm)
     p.add_argument("--psi", required=True, help="PsiSpec JSON (or @file)")
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite, required=True)
     p.add_argument("--x", help="comma-separated coordinates")
     p.add_argument("--x-file", help="CSV of row vectors")
     common(p)
 
     p = sub.add_parser("conjugate", description="omega/omega*/lambda tables and Psi*")
+    p.set_defaults(run=_cmd_conjugate)
     p.add_argument("--psi", required=True)
     p.add_argument("--grid", help="lo,hi,count log-spaced t grid for the profile table")
     p.add_argument("--y", help="evaluate Psi* at this vector")
     p.add_argument("--support", action="store_true",
                    help="support function of {Psi* <= p} (needs --p, --theta)")
-    p.add_argument("--p", type=float)
+    p.add_argument("--p", type=_finite)
     p.add_argument("--theta")
     common(p)
 
     p = sub.add_parser("bound", description="closed-form bound evaluators")
+    p.set_defaults(run=_cmd_bound)
     p.add_argument("name")
     p.add_argument("--params", help="JSON object of parameters (or @file)")
     p.add_argument("--psi", help="PsiSpec JSON for psi-dependent bounds")
@@ -427,45 +408,48 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("tensor", description="multi-index form operations")
+    p.set_defaults(run=_cmd_tensor)
     p.add_argument("--matrix", required=True, help="matrix path (text or .json)")
     p.add_argument("--op", required=True,
                    choices=("eval", "gradient", "symmetrize", "partition", "chaos"))
     p.add_argument("--x")
-    p.add_argument("--r", type=float)
-    p.add_argument("--p", type=float)
+    p.add_argument("--r", type=_finite)
+    p.add_argument("--p", type=_finite)
     p.add_argument("--psi")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     common(p)
 
     p = sub.add_parser("sample", description="reference-measure sampling")
-    p.add_argument("--family", required=True)
+    p.set_defaults(run=_cmd_sample)
+    p.add_argument("--family", required=True, choices=_FAMILIES)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--phi-s", type=float, default=2.0)
+    p.add_argument("--phi-s", type=_finite, default=2.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--format", choices=("bin", "csv"), default="csv")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", description="MC verification scenarios")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("scenario",
                    choices=("centered", "nu-logp", "comparison", "enlargement", "mlsi"))
     p.add_argument("--psi")
-    p.add_argument("--family", default="gaussian")
+    p.add_argument("--family", default="gaussian", choices=_FAMILIES)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--phi-s", type=float, default=2.0)
+    p.add_argument("--phi-s", type=_finite, default=2.0)
     p.add_argument("--function", default="linear")
     p.add_argument("--theta")
     p.add_argument("--matrix")
     p.add_argument("--p-grid", default="2,4,8,16")
     p.add_argument("--u-grid", default="0.25,1,4")
-    p.add_argument("--m", type=float, default=0.0)
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--D", type=float, default=2.0)
-    p.add_argument("--d", type=float, default=0.0)
-    p.add_argument("--C", type=float, default=1.0)
+    p.add_argument("--m", type=_finite, default=0.0)
+    p.add_argument("--K", type=_finite, default=1.0)
+    p.add_argument("--alpha", type=_finite, default=2.0)
+    p.add_argument("--beta", type=_finite, default=2.0)
+    p.add_argument("--D", type=_finite, default=2.0)
+    p.add_argument("--d", type=_finite, default=0.0)
+    p.add_argument("--C", type=_finite, default=1.0)
     p.add_argument("--N", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     common(p)
@@ -479,21 +463,9 @@ def main(argv=None) -> int:
         if argv is None:
             argv = sys.argv[1:]
         ns, extra = parser.parse_known_args(argv)
-        if ns.command == "bound":
-            return _cmd_bound(ns, extra)
-        if extra:
+        if extra and ns.run is not _cmd_bound:  # bound reads '--key value' pairs
             raise InputError(f"unrecognized arguments: {extra}")
-        if ns.command == "norm":
-            return _cmd_norm(ns)
-        if ns.command == "conjugate":
-            return _cmd_conjugate(ns)
-        if ns.command == "tensor":
-            return _cmd_tensor(ns)
-        if ns.command == "sample":
-            return _cmd_sample(ns)
-        if ns.command == "verify":
-            return _cmd_verify(ns)
-        raise InputError(f"unknown command {ns.command!r}")
+        return ns.run(ns, extra)
     except InputError as exc:
         sys.stderr.write(json.dumps({"error": "input", "message": str(exc)}) + "\n")
         return 2

@@ -40,7 +40,8 @@ def _golden_search(a: float, b: float, iters: int):
     """Golden-section search for the maximum of a unimodal function on
     [a, b], as a generator: it yields each point, is sent that point's value,
     and returns the larger interior value once the bracket is at most
-    1e-12 * max(|b|, 1) wide or after `iters` steps."""
+    1e-12 * max(|b|, 1) wide; raises NumericalError if `iters` steps do not
+    get it there."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1 = yield x1
@@ -55,8 +56,8 @@ def _golden_search(a: float, b: float, iters: int):
             x1 = b - _GOLDEN * (b - a)
             f1 = yield x1
         if b - a <= 1e-12 * max(abs(b), 1.0):
-            break
-    return max(f1, f2)
+            return max(f1, f2)
+    raise NumericalError(f"golden-section search did not converge in {iters} steps")
 
 
 def _golden_max(fn: Callable, data: np.ndarray, a: np.ndarray, b: np.ndarray,

@@ -393,6 +393,27 @@ class BobkovLedouxCap(PsiSpec):
         thr = self.threshold
         return np.where(c <= 2.0 * thr, 0.25 * c * c, thr * c - thr * thr)
 
+    def _closed_support(self, p, theta):
+        return self._closed_support_argmax(p, theta)[0]
+
+    def _closed_support_argmax(self, p, theta):
+        # Psi(theta/lam) = |theta|^2/lam^2 on lam >= max|theta|/thr, so the dual
+        # min_lam lam (p + Psi(theta/lam)) sits at lam*; off the cap the
+        # maximizer is y = grad Psi(theta/lam*) = 2 theta/lam*
+        thr, mags = self.threshold, np.abs(theta)
+        top = float(np.max(mags))
+        lam_star = max(float(np.linalg.norm(theta)) / math.sqrt(p), top / thr)
+        y = 2.0 * theta / lam_star
+        # where the cap binds, the subdifferential of h at thr is the ray
+        # [2 thr, inf): the tied top coordinates share what the others leave of
+        # the budget p on h*'s linear piece (complementary slackness)
+        ties = mags == top
+        rest = 0.25 * float(np.sum(np.square(y[~ties])))
+        c = ((p - rest) / np.count_nonzero(ties) + thr * thr) / thr
+        if c > 2.0 * thr:
+            y[ties] = np.copysign(c, theta[ties])
+        return float(np.dot(theta, y)), y
+
     def _params(self):
         return {"threshold": self.threshold}
 

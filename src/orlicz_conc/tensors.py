@@ -229,6 +229,8 @@ def chaos_deterministic_term(A: MultiIndexMatrix, spec: PsiSpec, p: float,
         raise InputError(f"supported for k <= 2 only, got k = {A.k}")
     if A.n != spec.dim:
         raise InputError(f"dimension mismatch: matrix n = {A.n}, spec dim = {spec.dim}")
+    if not (isinstance(restarts, int) and restarts >= 1):
+        raise InputError(f"restarts must be an integer >= 1, got {restarts!r}")
     if A.k == 1:
         return support_function(spec, p, A.data)
     if not A.symmetric:

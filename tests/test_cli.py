@@ -190,6 +190,8 @@ NON_FINITE = {
     "inf_grid_bound_param": ("bound", "lipschitz_profile", "--psi", PSI2, *ENV_FLAGS,
                              "--a", "1", "--b", "Infinity", "--grid", "1,2,3"),
     "gk_inf_s": ("bound", "gk_moment", "--x", "1,2", "--s", "inf", "--p", "4"),
+    "bcg_chain_inf_order": ("bound", "bcg_moment_bound", "--L", "1", "--p", "4", "--dk_norm", "1",
+                            "--hess_op_mp", "1", "--higher", "[[Infinity,0.5]]"),
     "bcg_chain_nan_L": ("bound", "bcg_moment_bound", "--L", "nan", "--p", "4", "--dk_norm", "1",
                         "--hess_op_mp", "1", "--higher", "[[1,0.5]]"),
 }
@@ -201,6 +203,37 @@ def test_non_finite_bound_parameters_exit_two(capsys, argv):
     assert rc == 2 and out == ""
     obj = json.loads(err)
     assert obj["error"] == "input" and "non-finite" in obj["message"]
+
+
+EXIT_TWO = {
+    "verify_centered_without_psi": ("verify", "centered", "--n", "2", "--theta", "1,0"),
+    "verify_mlsi_without_psi": ("verify", "mlsi", "--n", "2", "--function", "tilt",
+                                "--theta", "0.5,0"),
+    "verify_enlargement_without_psi": ("verify", "enlargement", "--n", "2"),
+    "conjugate_nan_y": ("conjugate", "--psi", PSI2, "--y", "nan,1"),
+    "conjugate_inf_theta": ("conjugate", "--psi", PSI2, "--support", "--p", "4",
+                            "--theta", "inf,0"),
+    "conjugate_inf_p": ("conjugate", "--psi", PSI2, "--support", "--p", "inf",
+                        "--theta", "1,0"),
+    "norm_inf_p": ("norm", "--psi", PSI2, "--p", "inf", "--x", "3,4"),
+    "verify_centered_inf_C": ("verify", "centered", "--n", "2", "--theta", "1,0",
+                              "--psi", PSI2, "--N", "2000", "--C", "inf"),
+    "verify_enlargement_inf_m": ("verify", "enlargement", "--n", "2", "--psi", PSI2,
+                                 "--N", "2000", "--m", "inf"),
+    "tensor_partition_inf_r": ("tensor", "--matrix", "MATRIX", "--op", "partition",
+                               "--r", "inf"),
+    "tensor_chaos_zero_restarts": ("tensor", "--matrix", "MATRIX", "--op", "chaos",
+                                   "--psi", PSI2, "--p", "2", "--restarts", "0"),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning on the way fails the case
+@pytest.mark.parametrize("argv", EXIT_TWO.values(), ids=EXIT_TWO.keys())
+def test_missing_psi_and_non_finite_numbers_exit_two(capsys, matrix_file, argv):
+    rc, out, err = run(capsys, *(matrix_file if a == "MATRIX" else a for a in argv))
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 def test_chebyshev_level_with_overflowing_moment_growth(capsys):
@@ -245,6 +278,20 @@ def test_chaos_support_golden_cap_exits_three(capsys, monkeypatch, matrix_file, 
                        "--p", "2", "--restarts", "1")
     assert rc == 3 and out == ""
     assert json.loads(err)["error"] == "numerical"
+
+
+def test_chaos_term_of_the_capped_family_exits_zero(capsys, tmp_path):
+    # the capped conjugate is linear beyond 2*threshold, where the numeric
+    # coordinate argmax never brackets; the family's closed form covers it
+    a = np.random.default_rng(0).standard_normal((4, 4))
+    path = tmp_path / "sym4.txt"
+    np.savetxt(path, a + a.T)
+    rc, out, err = run(capsys, "tensor", "--matrix", str(path), "--op", "chaos", "--p", "4",
+                       "--restarts", "2", "--psi",
+                       '{"family":"BobkovLedouxCap","params":{"threshold":0.5},"dim":4}')
+    assert rc == 0 and err == ""
+    value = float(value_lines(out)[0])
+    assert math.isfinite(value) and value > 0.0
 
 
 def test_norm_x_file_equals_per_row_x(capsys, tmp_path):

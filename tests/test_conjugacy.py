@@ -218,6 +218,44 @@ def test_support_function_of_capped_component_matches_closed_form():
         assert support_function(spec, p, theta) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("thr", [0.5, 2.0])
+def test_capped_support_closed_form_matches_the_numeric_dual(thr):
+    # the numeric dual min_lam lam (p + Psi(theta/lam)) is the oracle
+    rng = np.random.default_rng(17)
+    for n in (1, 4, 16):
+        spec = BobkovLedouxCap(dim=n, threshold=thr)
+        for p in (0.5, 4.0, 16.0):
+            for scale in (0.1, 1.0, 10.0):
+                theta = scale * rng.standard_normal(n)
+                theta[1::3] = -theta[0]  # ties of the top magnitude
+                value, y = support_argmax(spec, p, theta)
+                assert value == support_function(spec, p, theta) == float(np.dot(theta, y))
+                want = cj._support_multiplier(spec, p, theta)[1]
+                assert value == pytest.approx(want, rel=1e-11)
+                assert psi_star(spec, y) <= p * (1.0 + 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("theta, p, binding", [
+    ([1.0] * 16, 0.5, False),
+    ([1.0, 0.1, -0.1, 0.1], 4.0, True),
+    ([1.0, -1.0, 0.2, 0.0], 4.0, True),
+], ids=["off_cap", "cap_binds", "tied_cap"])
+def test_capped_support_argmax_is_feasible_and_tight(theta, p, binding):
+    theta = np.array(theta)
+    spec = BobkovLedouxCap(dim=theta.size, threshold=0.5)
+    value, y = support_argmax(spec, p, theta)
+    # complementary slackness: the maximizer sits on the boundary Psi*(y) = p
+    assert psi_star(spec, y) == pytest.approx(p, rel=1e-14)
+    assert psi_star(spec, y) <= p * (1.0 + 4 * np.finfo(float).eps)
+    top = np.abs(theta) == np.max(np.abs(theta))
+    # on the cap the top coordinates lie on h*'s linear piece, beyond 2 thr
+    assert np.all(np.abs(y[top]) > 1.0) == binding
+    assert np.array_equal(np.sign(y), np.sign(theta))
+    norm2 = float(np.linalg.norm(theta))
+    lam_ = max(norm2 / math.sqrt(p), float(np.max(np.abs(theta))) / spec.threshold)
+    assert value == pytest.approx(lam_ * p + norm2 ** 2 / lam_, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # the array-valued suprema against the per-point routines they replaced
 
@@ -294,6 +332,12 @@ def test_golden_max_rows_equal_the_scalar_search():
     for k in range(c.size):
         want = _golden_max_oracle(lambda x: -(x - c[k]) * (x - c[k]), a[k], b[k])
         assert got[k] == want
+
+
+def test_golden_max_raises_at_its_step_cap():
+    c = np.array([0.3])
+    with pytest.raises(NumericalError, match="golden-section search did not converge"):
+        cj._golden_max(lambda cc, x: -(x - cc) * (x - cc), c, c - 100.0, c + 100.0, 1)
 
 
 @pytest.mark.parametrize("spec", [TWOLEVEL3, SFP1, SFP3, SFP15, BL1, CUBE],
@@ -424,6 +468,8 @@ FULL = ((1, 0.5), (4, 4.0), (16, 16.0))
     (lambda n: SeparableFromPhi(dim=n, phi=PhiSpec(s=1.0)), FULL),
     (lambda n: SeparableFromPhi(dim=n, phi=PhiSpec(s=1.5)), FULL),
     (lambda n: SeparableFromPhi(dim=n, phi=PhiSpec(s=3.0)), FULL),
+    # the capped family takes its closed form on both sides; sfp1 keeps a
+    # conjugate with a linear piece on the numeric path
     (lambda n: BobkovLedouxCap(dim=n, threshold=0.5), FULL),
     (lambda n: BobkovLedouxCap(dim=n, threshold=2.0), FULL),
     # a user-supplied Phi nests two numeric transforms, so the scalar searches

@@ -226,6 +226,14 @@ def test_chaos_term_raises_at_its_iteration_cap(monkeypatch):
         chaos_deterministic_term(A, spec, 2.0, restarts=2)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_chaos_term_refuses_fewer_than_one_restart(k):
+    spec = PowerNorm(dim=4, norm=2.0, a=2.0)
+    A = _sym(k, 4, 21)
+    with pytest.raises(InputError, match="restarts must be an integer >= 1"):
+        chaos_deterministic_term(A, spec, 2.0, restarts=0)
+
+
 def test_chaos_term_dimension_mismatch():
     spec = PowerNorm(dim=3, norm=2.0, a=2.0)
     A = MultiIndexMatrix(2, 4, np.eye(4), symmetric=True)
