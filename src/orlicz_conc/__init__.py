@@ -23,9 +23,8 @@ from .empirics import (EnlargementCurve, MlsiReport, MomentReport,
                        NuLogPReport, TestFunction, batch_se, comparison_check,
                        empirical_entropy, empirical_moment, enlargement_mc,
                        euclidean_norm, exp_tilt, halfspace_distance, linear,
-                       max_coordinate, mlsi_report, mlsi_residual,
-                       quadratic_form, top_mass_fraction, verify_centered,
-                       verify_nu_logp)
+                       max_coordinate, mlsi_report, quadratic_form,
+                       top_mass_fraction, verify_centered, verify_nu_logp)
 from .errors import InputError, NumericalError
 from .measures import (CHUNK, Family, NuMeasure, ProductPhiTail, SamplerSpec,
                        StandardGaussian, isoperimetric_profile_nu, nu_cdf,
@@ -35,7 +34,7 @@ from .psi import (BobkovLedouxCap, CheckReport, GrowthEnvelope, PhiSpec,
                   PowerNorm, PsiSpec, SeparableFromPhi, SeparableTwoLevel,
                   UserSeparable, check_condition_C, check_growth,
                   empirical_triangle_constant, env_from_dict, env_to_dict,
-                  eval_psi, eval_psi_p, eval_psi_rows, psi_from_dict,
+                  eval_psi, eval_psi_rows, psi_from_dict,
                   psi_from_json, psi_p_norm, psi_p_norm_rows, psi_to_dict,
                   psi_to_json, rearranged_two_level_norm,
                   two_level_equiv_norm)

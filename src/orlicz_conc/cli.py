@@ -61,6 +61,14 @@ def _finite(raw) -> float:
     return value
 
 
+def _order(raw) -> int:
+    """A derivative order: an integral number, which a JSON boolean is not."""
+    value = _finite(raw)
+    if isinstance(raw, bool) or not value.is_integer():
+        raise argparse.ArgumentTypeError(f"derivative order must be an integer, got {raw!r}")
+    return int(value)
+
+
 def _parse_vector(raw: str) -> np.ndarray:
     try:
         return np.array([_finite(tok) for tok in raw.split(",") if tok != ""])
@@ -210,7 +218,7 @@ def _cmd_bound_bcg_chain(ns, extra_tokens) -> int:
     try:
         if isinstance(higher, str):
             higher = json.loads(higher)
-        higher = [(int(_finite(m)), _finite(v)) for m, v in higher]
+        higher = [(_order(m), _finite(v)) for m, v in higher]
     except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         raise InputError(f"higher must be a list of [m, value] pairs: {exc}") from exc
     L, p, dk, hop = raw["L"], raw["p"], raw["dk_norm"], raw["hess_op_mp"]

@@ -1,6 +1,7 @@
-"""Convex conjugation machinery: 1-D Legendre transforms, the ray growth
-function omega and its inverse/conjugate profiles, and Psi* with the level
-sets {Psi* <= p} used by the chaos and enlargement bounds.
+"""Convex conjugation machinery: the ray growth function omega and its
+inverse/conjugate profiles, and Psi* with the level sets {Psi* <= p} used by
+the chaos and enlargement bounds.  The numeric Legendre transform
+`legendre_1d` they use lives in psi, beside the other solvers.
 
 Each PsiSpec family supplies its closed forms (`_closed_omega`,
 `_closed_conjugate`, `_closed_support`, ...); this module holds only the
@@ -19,124 +20,15 @@ sup_y(t y - omega(y)) and lambda(2t).
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .psi import PsiSpec, _as_vector, _bracket_sup
+from .psi import (_GOLDEN, GRID_HI, GRID_LO, GRID_POINTS, PsiSpec, _as_vector,
+                  _bracket_sup, _grid_sup, _shaped, legendre_1d)
 
-GRID_LO = 1e-6
-GRID_HI = 1e6
-GRID_POINTS = 2048
-_ROWS = 16  # t values per grid block, bounding the (rows, points) temporaries
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ARGMAX_GOLDEN_MAX = 120  # golden steps of a coordinate argmax
 _MULTIPLIER_GOLDEN_MAX = 200  # golden steps of the support dual's multiplier
-
-
-def _golden_search(a: float, b: float, iters: int):
-    """Golden-section search for the maximum of a unimodal function on
-    [a, b], as a generator: it yields each point, is sent that point's value,
-    and returns the larger interior value once the bracket is at most
-    1e-12 * max(|b|, 1) wide; raises NumericalError if `iters` steps do not
-    get it there."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = yield x1
-    f2 = yield x2
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = yield x2
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = yield x1
-        if b - a <= 1e-12 * max(abs(b), 1.0):
-            return max(f1, f2)
-    raise NumericalError(f"golden-section search did not converge in {iters} steps")
-
-
-def _golden_max(fn: Callable, data: np.ndarray, a: np.ndarray, b: np.ndarray,
-                iters: int) -> np.ndarray:
-    """Per row, the golden-section maximum of the unimodal x -> fn(data, x)
-    on [a, b]: one fn call per step, on the data and next point of every row
-    still running, each row stopping on its own.  A row's bracket moves in
-    Python floats, since numpy calls on the one or few rows most searches
-    have cost several times the arithmetic."""
-    searches = [_golden_search(lo, hi, iters) for lo, hi in zip(a.tolist(), b.tolist())]
-    out, run = np.empty(len(searches)), list(range(len(searches)))
-    xs, rows = [s.send(None) for s in searches], data
-    while run:
-        running, xs_next = [], []
-        for k, value in zip(run, fn(rows, np.array(xs)).tolist()):
-            try:
-                xs_next.append(searches[k].send(value))
-                running.append(k)
-            except StopIteration as stop:
-                out[k] = stop.value
-        if len(running) < len(run):
-            rows = data[running]
-        run, xs = running, xs_next
-    return out
-
-
-def _grid_sup(ts: np.ndarray, xs: np.ndarray, on_grid: Callable, unbounded: Callable,
-              fn: Callable, iters: int) -> np.ndarray:
-    """Per t, sup_x fn(t, x): the grid maximum of on_grid(t), the (rows, xs)
-    values taken _ROWS t at a time, or the golden refinement in the cell
-    around it if larger; +inf for the t that unbounded(values) flags."""
-    i, top = np.empty(ts.size, dtype=np.intp), np.empty(ts.size)
-    inf = np.empty(ts.size, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for s in range(0, ts.size, _ROWS):
-            vals = on_grid(ts[s:s + _ROWS, None])
-            i[s:s + _ROWS], top[s:s + _ROWS] = np.argmax(vals, axis=1), np.max(vals, axis=1)
-            inf[s:s + _ROWS] = unbounded(vals)
-        rows = np.flatnonzero(~inf)
-        best = _golden_max(fn, ts[rows], xs[np.maximum(i[rows] - 1, 0)],
-                           xs[np.minimum(i[rows] + 1, xs.size - 1)], iters)
-    out = np.full(ts.size, np.inf)
-    out[rows] = np.where(best > top[rows], best, top[rows])
-    return out
-
-
-def _shaped(out: np.ndarray, t: np.ndarray):
-    """A float for a scalar t, else out in t's shape."""
-    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
-
-
-def legendre_1d(phi: Callable, t):
-    """sup_{y > 0} (t y - phi(y)) for a vectorized phi, elementwise over t:
-    one log grid of GRID_POINTS points on [GRID_LO, GRID_HI], then
-    golden-section refinement in each t's winning cell.
-
-    Reports +inf when the objective is still climbing at the top grid edge.
-    The result is clamped at 0, the supremum attained as y -> 0+ whenever
-    phi vanishes at the origin (all uses here).
-    """
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise InputError(f"legendre_1d requires t >= 0, got {t[~(t >= 0)].ravel()[0]}")
-    ys = np.geomspace(GRID_LO, GRID_HI, GRID_POINTS)
-    phi_ys = np.asarray(phi(ys), dtype=float)
-    per_decade = max(2, int(GRID_POINTS / math.log10(GRID_HI / GRID_LO)))
-
-    def on_grid(tb):
-        obj = tb * ys - phi_ys
-        obj[np.isnan(obj)] = -np.inf
-        return obj
-
-    def climbing(obj):
-        return (np.argmax(obj, axis=1) == GRID_POINTS - 1) & (
-            obj[:, -1] > obj[:, -per_decade] + 1e-12 * np.maximum(1.0, np.abs(obj[:, -1])))
-
-    sup = _grid_sup(t.ravel(), ys, on_grid, climbing,
-                    lambda tt, y: tt * y - np.asarray(phi(y), dtype=float), 80)
-    return _shaped(np.maximum(sup, 0.0), t)
 
 
 # ---------------------------------------------------------------------------

@@ -536,8 +536,3 @@ def mlsi_report(sampler, g: TestFunction, spec: PsiSpec, D: float, N: int,
     return MlsiReport(residual=residual, se=se,
                       rhs_mean=float(np.mean(terms)), entropy=ent,
                       infinite=False, meta=meta)
-
-
-def mlsi_residual(sampler, g: TestFunction, spec: PsiSpec, D: float, N: int,
-                  seed: int) -> float:
-    return mlsi_report(sampler, g, spec, D, N, seed).residual

@@ -15,6 +15,8 @@ which is non-decreasing in p and is the gradient norm appearing in the
 moment bounds of `bounds`.  PowerNorm and BobkovLedouxCap gauges are closed
 forms; for the other families the predicate Psi(px/a) <= p, monotone in a, is
 bracketed geometrically and the bracket narrowed by Chandrupatla's method.
+The golden-section maximiser and the numeric Legendre transform at the end
+serve conjugacy's profiles and a custom Phi's component alike.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ _SOLVE_MAX = 100    # Chandrupatla steps; bisection needs 35 (tol 1e-10) to 52 (
 _NUDGE_MAX = 16     # doubling steps, at most 2^16 ulps, that repair a rounded closed form
 _BLOCK = 8192       # rows per iterative solve, bounding its per-row temporaries
 _SUP_TOL = 1e-13    # relative width of the profile, radius and level solves
+
+GRID_LO = 1e-6      # log grid of the numeric Legendre transform and ray supremum
+GRID_HI = 1e6
+GRID_POINTS = 2048
+_ROWS = 16          # values per grid block, bounding the (rows, points) temporaries
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -79,17 +87,17 @@ class PhiSpec:
 
     The built-in family is the power Phi(t) = t^s with s >= 1, normalized so
     Phi(0) = 0 and Phi(1) = 1.  A custom non-negative convex `fn` may be
-    supplied instead; it must be vectorized over numpy arrays and must come
-    with a finite `domain_bound` if it takes the value +inf.
+    supplied instead; it must be vectorized over numpy arrays, and it may
+    take the value +inf outside a bounded domain.
 
     Derived objects: `tilde` is quadratic below 1 and Phi above 1; its
     Legendre transform `tilde_star` is the per-coordinate component of the
-    separable Orlicz function in the Gluskin-Kwapien moment equivalence.
+    separable Orlicz function in the Gluskin-Kwapien moment equivalence; for
+    a custom Phi it is the numeric transform `legendre_1d`.
     """
 
     s: float = 2.0
     fn: Optional[Callable] = None
-    domain_bound: float = math.inf
 
     def __post_init__(self):
         if self.fn is None:
@@ -119,25 +127,7 @@ class PhiSpec:
         v = np.abs(np.asarray(v, dtype=float))
         if self.fn is None:
             return two_level_component_conjugate(v, self.s)
-        quad = _sup_linear_minus_quad(v)
-        tail = _sup_linear_minus_custom(self, v.ravel()).reshape(v.shape)
-        return np.maximum(np.maximum(quad, tail), 0.0)
-
-
-def _sup_linear_minus_custom(phi: PhiSpec, v):
-    # numeric sup_{u >= 1} (u v - Phi(u)) for a custom Phi, vectorized over v
-    hi = min(phi.domain_bound, 1e6)
-    us = np.geomspace(1.0, max(hi, 1.0 + 1e-9), 1024)
-    pu = phi.phi(us)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    vals = us[None, :] * v[:, None] - pu[None, :]
-    out = np.max(vals, axis=1)
-    if math.isinf(phi.domain_bound):
-        # objective still climbing at the top edge means the sup is +inf
-        unbounded = (np.argmax(vals, axis=1) == len(us) - 1) & \
-                    (vals[:, -1] >= vals[:, -32] + 1e-12)
-        out = np.where(unbounded, np.inf, out)
-    return out
+        return legendre_1d(self.tilde, v)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +416,9 @@ class BobkovLedouxCap(PsiSpec):
 @dataclass(frozen=True)
 class UserSeparable(PsiSpec):
     """Psi(x) = sum_i h(x_i) for a user component h (vectorized, even in its
-    argument, h(0) = 0).  `domain_bound` must be finite if h takes +inf."""
+    argument, h(0) = 0, possibly +inf outside a bounded domain)."""
 
     fn: Callable = None
-    domain_bound: float = math.inf
     name: str = "user"
 
     def __post_init__(self):
@@ -595,14 +584,6 @@ def eval_psi_rows(spec: PsiSpec, X) -> np.ndarray:
     return spec._eval_rows(X)
 
 
-def eval_psi_p(spec: PsiSpec, p: float, x) -> float:
-    """Psi_p(x) = Psi(p x)/p."""
-    if not p > 0:
-        raise InputError(f"p must be positive, got {p}")
-    x = _as_vector(spec, x)
-    return float(spec._eval_rows(p * x[None, :])[0]) / p
-
-
 def psi_p_norm(spec: PsiSpec, p: float, x, tol: float = DEFAULT_TOL) -> float:
     """Luxemburg-type gauge |x|_{Psi_p} = inf{a > 0 : Psi(px/a) <= p}.
 
@@ -704,6 +685,100 @@ def _bracket_sup(resid, data, start, what: str):
     _bracket_solve on the decreasing a -> resid(data, 1/a) from a = 1/start,
     returned as the 1/a at which the feasible end was evaluated."""
     return 1.0 / _bracket_solve(lambda d, a: resid(d, 1.0 / a), data, 1.0 / start, _SUP_TOL, what)
+
+
+# ---------------------------------------------------------------------------
+# the golden-section maximiser and the numeric Legendre transform
+
+def _golden_max(fn: Callable, data: np.ndarray, a: np.ndarray, b: np.ndarray,
+                iters: int) -> np.ndarray:
+    """Per row, the golden-section maximum of the unimodal x -> fn(data, x)
+    on [a, b]: each step narrows every running row's bracket, reusing the
+    interior point it keeps, with one fn call on the data and new point of
+    those rows.  A row stops, with its larger interior value, once its
+    bracket is at most 1e-12 * max(|b|, 1) wide; NumericalError if `iters`
+    steps leave a row running."""
+    out = np.empty(a.size)
+    if a.size == 0:
+        return out
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = fn(data, x1), fn(data, x2)
+    idx = np.arange(a.size)
+    for _ in range(iters):
+        left = f1 < f2  # keep [x1, b] and its point x2, else [a, x2] and x1
+        a, b = np.where(left, x1, a), np.where(left, b, x2)
+        width = b - a
+        step = _GOLDEN * width
+        x = np.where(left, a + step, b - step)
+        f = fn(data, x)
+        x1, x2 = np.where(left, x2, x), np.where(left, x, x1)
+        f1, f2 = np.where(left, f2, f), np.where(left, f, f1)
+        done = width <= 1e-12 * np.maximum(np.abs(b), 1.0)
+        if np.any(done):
+            out[idx[done]] = np.where(f2 > f1, f2, f1)[done]
+            if np.all(done):
+                return out
+            idx, data, a, b, x1, x2, f1, f2 = (
+                v[~done] for v in (idx, data, a, b, x1, x2, f1, f2))
+    raise NumericalError(f"golden-section search did not converge in {iters} steps")
+
+
+def _grid_sup(ts: np.ndarray, xs: np.ndarray, on_grid: Callable, unbounded: Callable,
+              fn: Callable, iters: int) -> np.ndarray:
+    """Per t, sup_x fn(t, x): the grid maximum of on_grid(t), the (rows, xs)
+    values taken _ROWS t at a time, or the golden refinement in the cell
+    around it if larger; +inf for the t that unbounded(values) flags."""
+    i, top = np.empty(ts.size, dtype=np.intp), np.empty(ts.size)
+    inf = np.empty(ts.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for s in range(0, ts.size, _ROWS):
+            vals = on_grid(ts[s:s + _ROWS, None])
+            i[s:s + _ROWS], top[s:s + _ROWS] = np.argmax(vals, axis=1), np.max(vals, axis=1)
+            inf[s:s + _ROWS] = unbounded(vals)
+        rows = np.flatnonzero(~inf)
+        best = _golden_max(fn, ts[rows], xs[np.maximum(i[rows] - 1, 0)],
+                           xs[np.minimum(i[rows] + 1, xs.size - 1)], iters)
+    out = np.full(ts.size, np.inf)
+    out[rows] = np.where(best > top[rows], best, top[rows])
+    return out
+
+
+def _shaped(out: np.ndarray, t: np.ndarray):
+    """A float for a scalar t, else out in t's shape."""
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+
+
+def legendre_1d(phi: Callable, t):
+    """sup_{y > 0} (t y - phi(y)) for a vectorized phi, elementwise over t:
+    one log grid of GRID_POINTS points on [GRID_LO, GRID_HI], then
+    golden-section refinement in each t's winning cell.
+
+    A phi that is +inf outside a bounded domain makes the objective -inf
+    there, so the domain needs no separate bound.  Reports +inf when the
+    objective is still climbing at the top grid edge.  The result is clamped
+    at 0, the supremum attained as y -> 0+ whenever phi vanishes at the
+    origin (all uses here).
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
+        raise InputError(f"legendre_1d requires t >= 0, got {t[~(t >= 0)].ravel()[0]}")
+    ys = np.geomspace(GRID_LO, GRID_HI, GRID_POINTS)
+    phi_ys = np.asarray(phi(ys), dtype=float)
+    per_decade = max(2, int(GRID_POINTS / math.log10(GRID_HI / GRID_LO)))
+
+    def on_grid(tb):
+        obj = tb * ys - phi_ys
+        obj[np.isnan(obj)] = -np.inf
+        return obj
+
+    def climbing(obj):
+        return (np.argmax(obj, axis=1) == GRID_POINTS - 1) & (
+            obj[:, -1] > obj[:, -per_decade] + 1e-12 * np.maximum(1.0, np.abs(obj[:, -1])))
+
+    sup = _grid_sup(t.ravel(), ys, on_grid, climbing,
+                    lambda tt, y: tt * y - np.asarray(phi(y), dtype=float), 80)
+    return _shaped(np.maximum(sup, 0.0), t)
 
 
 def two_level_equiv_norm(x, p: float, r: float) -> float:

@@ -87,6 +87,17 @@ def test_gk_moment_quadratic_component():
     assert got == pytest.approx(5.0, rel=1e-8)
 
 
+def test_gk_moment_of_a_custom_phi_equals_the_built_in():
+    # a custom Phi's component is the numeric Legendre transform, exact to
+    # the gauge's own tolerance
+    x = np.array([3.0, -0.2, 1.5, 0.0, 40.0])
+    for s in (1.5, 3.0):
+        custom = PhiSpec(fn=lambda t, s=s: np.abs(t) ** s)
+        for p in (2.0, 9.0):
+            assert gk_moment(x, custom, p) == pytest.approx(
+                gk_moment(x, PhiSpec(s=s), p), rel=1e-10, abs=0.0)
+
+
 def test_quadratic_chaos_moment_identity_shape():
     norms = PartitionNorms(hs=4.0, op=1.0, entry_lr=2.0, mixed_2_rstar=1.0,
                            rstar_rstar=1.0, r=4.0)

@@ -224,6 +224,12 @@ EXIT_TWO = {
                                "--r", "inf"),
     "tensor_chaos_zero_restarts": ("tensor", "--matrix", "MATRIX", "--op", "chaos",
                                    "--psi", PSI2, "--p", "2", "--restarts", "0"),
+    "bcg_chain_fractional_order": ("bound", "bcg_moment_bound", "--L", "1", "--p", "4",
+                                   "--dk_norm", "1", "--hess_op_mp", "1", "--higher",
+                                   "[[1.5,0.5]]"),
+    "bcg_chain_boolean_order": ("bound", "bcg_moment_bound", "--L", "1", "--p", "4",
+                                "--dk_norm", "1", "--hess_op_mp", "1", "--higher",
+                                "[[true,0.5]]"),
 }
 
 
@@ -457,6 +463,11 @@ def test_gk_and_chain_bounds(capsys):
     chain = 1.0 + math.sqrt(2.0) * 2.0 * 0.5
     want = 2.0 * 3.0 * chain + 4.0 * 9.0 * 0.5
     assert float(value_lines(out)[0]) == pytest.approx(want, rel=1e-12)
+    # an integral float is an order; 1.5 and true are not (EXIT_TWO)
+    rc, out_float, _ = run(capsys, "bound", "bcg_moment_bound", "--L", "2", "--p", "9",
+                           "--dk_norm", "0.5", "--hess_op_mp", "0.5", "--higher",
+                           "[[1.0, 1.0]]")
+    assert rc == 0 and out_float == out
 
 
 # ---------------------------------------------------------------------------

@@ -324,11 +324,13 @@ def _omega_ray_sup_oracle(spec, t, points=cj.GRID_POINTS):
 CUBE = UserSeparable(dim=2, fn=lambda u: np.abs(u) ** 3, name="cube")
 
 
-def test_golden_max_rows_equal_the_scalar_search():
+@pytest.mark.parametrize("rows", [40, 5000, 0])
+def test_golden_max_rows_equal_the_scalar_search(rows):
     rng = np.random.default_rng(21)
-    c = rng.uniform(-3.0, 3.0, size=40)
-    a, b = c - rng.uniform(0.01, 2.0, size=40), c + rng.uniform(0.01, 2.0, size=40)
-    got = cj._golden_max(lambda cc, x: -(x - cc) * (x - cc), c, a, b, 80)
+    c = rng.uniform(-3.0, 3.0, size=rows)
+    a, b = c - rng.uniform(0.01, 2.0, size=rows), c + rng.uniform(0.01, 2.0, size=rows)
+    got = psi_mod._golden_max(lambda cc, x: -(x - cc) * (x - cc), c, a, b, 80)
+    assert got.shape == (rows,)
     for k in range(c.size):
         want = _golden_max_oracle(lambda x: -(x - c[k]) * (x - c[k]), a[k], b[k])
         assert got[k] == want
@@ -337,7 +339,40 @@ def test_golden_max_rows_equal_the_scalar_search():
 def test_golden_max_raises_at_its_step_cap():
     c = np.array([0.3])
     with pytest.raises(NumericalError, match="golden-section search did not converge"):
-        cj._golden_max(lambda cc, x: -(x - cc) * (x - cc), c, c - 100.0, c + 100.0, 1)
+        psi_mod._golden_max(lambda cc, x: -(x - cc) * (x - cc), c, c - 100.0, c + 100.0, 1)
+
+
+def test_suprema_of_no_values_are_empty():
+    empty = np.array([])
+    assert legendre_1d(np.square, empty).shape == (0,)
+    assert cj.omega_ray_sup(CUBE, empty).shape == (0,)
+
+
+def test_suprema_of_only_unbounded_values_are_all_infinite():
+    # phi(y) = y is outgrown by every t > 1; the capped component jumps to
+    # +inf, so every ray ratio at t > 1 is unbounded
+    assert np.all(np.isposinf(legendre_1d(lambda y: y, np.array([2.0, 5.0, 1e3]))))
+    assert np.all(np.isposinf(cj.omega_ray_sup(BL1, np.array([1.5, 2.0, 40.0]))))
+
+
+# the transform's grid starts at GRID_LO, so below v = 2 GRID_LO it returns
+# 0 where the closed form is v^2/4 < 1e-12: hence the absolute tolerance
+V_UP_TO_1E3 = np.concatenate(([0.0], np.geomspace(1e-9, 1e3, 300), np.linspace(0.0, 1e3, 301)))
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+def test_custom_power_tilde_star_equals_the_closed_form(s):
+    custom = PhiSpec(fn=lambda t: np.abs(t) ** s)
+    np.testing.assert_allclose(custom.tilde_star(V_UP_TO_1E3),
+                               PhiSpec(s=s).tilde_star(V_UP_TO_1E3), rtol=1e-12, atol=1e-12)
+
+
+def test_custom_phi_with_a_bounded_domain_needs_no_domain_bound():
+    # Phi = t^2 on [0, 2], +inf beyond: tilde-Phi* is v^2/4 up to v = 4, then 2v - 4
+    capped = PhiSpec(fn=lambda t: np.where(np.abs(t) <= 2.0, np.square(t), np.inf))
+    v = V_UP_TO_1E3
+    want = np.where(v <= 4.0, 0.25 * v * v, 2.0 * v - 4.0)
+    np.testing.assert_allclose(capped.tilde_star(v), want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", [TWOLEVEL3, SFP1, SFP3, SFP15, BL1, CUBE],

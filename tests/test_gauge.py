@@ -61,7 +61,7 @@ GAUGE_SPECS = (
     + [BobkovLedouxCap(dim=6, threshold=0.5), BobkovLedouxCap(dim=6, threshold=2.0),
        SeparableTwoLevel(dim=6, r=1.5), SeparableTwoLevel(dim=6, r=3.0),
        SeparableFromPhi(dim=6, phi=PhiSpec(s=1.5)), SeparableFromPhi(dim=6, phi=PhiSpec(s=3.0)),
-       UserSeparable(dim=6, fn=_capped_square, domain_bound=2.0, name="capped")])
+       UserSeparable(dim=6, fn=_capped_square, name="capped")])
 
 
 def _rows(seed, m=400, dim=6):

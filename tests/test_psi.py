@@ -11,7 +11,7 @@ from orlicz_conc import (BobkovLedouxCap, GrowthEnvelope, InputError, PhiSpec,
                          PowerNorm, SeparableFromPhi, SeparableTwoLevel,
                          UserSeparable, check_condition_C, check_growth,
                          empirical_triangle_constant, env_from_dict,
-                         env_to_dict, eval_psi, eval_psi_p, eval_psi_rows,
+                         env_to_dict, eval_psi, eval_psi_rows,
                          psi_from_dict, psi_from_json, psi_p_norm,
                          psi_p_norm_rows, psi_to_dict, psi_to_json,
                          rearranged_two_level_norm, two_level_equiv_norm)
@@ -175,12 +175,14 @@ def test_psi_p_norm_rows_matches_scalar_loop():
             assert rows[i] == psi_p_norm(spec, 9.0, X[i])
 
 
-def test_eval_psi_p_is_the_normalized_dilation():
-    # Psi_p(x) = Psi(p x) / p, the integrand of the gauge constraint
+def test_psi_p_is_the_normalized_dilation():
+    # Psi_p(x) = Psi(p x) / p, the integrand of the gauge constraint: p |x|_2^2
+    # for |.|_2^2, and Psi_p(x / |x|_{Psi_p}) = 1 at the gauge
     spec = _power(2.0, dim=3)
     x = np.array([1.0, 2.0, -2.0])
-    assert eval_psi_p(spec, 5.0, x) == pytest.approx(
-        eval_psi(spec, 5.0 * x) / 5.0, rel=1e-12)
+    assert eval_psi(spec, 5.0 * x) / 5.0 == pytest.approx(5.0 * 9.0, rel=1e-12)
+    a = psi_p_norm(spec, 5.0, x)
+    assert eval_psi(spec, 5.0 * x / a) / 5.0 == pytest.approx(1.0, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
