@@ -8,9 +8,9 @@ tail bound evaluators, multi-index form norms, exact samplers for the
 reference measures, and a Monte Carlo verification harness.
 """
 
-from .bounds import (MomentBoundInputs, PartitionNorms, alpha1_moment_bound,
-                     bcg_derivative_chain, bcg_first_line, bcg_moment_bound,
-                     bcg_tail, centered_moment_bound, chebyshev_level,
+from .bounds import (PartitionNorms, alpha1_moment_bound, bcg_derivative_chain,
+                     bcg_first_line, bcg_moment_bound, bcg_tail,
+                     centered_moment_bound, chebyshev_level,
                      defective_moment_bound, defective_moment_bound_q,
                      enlargement_bound, enlargement_rate, gk_moment,
                      hanson_wright_tail, l_constant, lipschitz_profile,
@@ -22,22 +22,19 @@ from .conjugacy import (conjugate_ray_radius, lam, legendre_1d, omega,
 from .empirics import (EnlargementCurve, MlsiReport, MomentReport,
                        NuLogPReport, TestFunction, batch_se, comparison_check,
                        empirical_entropy, empirical_moment, enlargement_mc,
-                       euclidean_norm, exp_tilt, halfspace_distance, linear,
-                       max_coordinate, mlsi_report, quadratic_form,
-                       top_mass_fraction, verify_centered, verify_nu_logp)
+                       euclidean_norm, exp_tilt, linear, max_coordinate,
+                       mlsi_report, quadratic_form, top_mass_fraction,
+                       verify_centered, verify_nu_logp)
 from .errors import InputError, NumericalError
 from .measures import (CHUNK, Family, NuMeasure, ProductPhiTail, SamplerSpec,
                        StandardGaussian, isoperimetric_profile_nu, nu_cdf,
                        nu_pdf, nu_quantile, sample, sample_chunk,
                        save_samples, write_table)
-from .psi import (BobkovLedouxCap, CheckReport, GrowthEnvelope, PhiSpec,
-                  PowerNorm, PsiSpec, SeparableFromPhi, SeparableTwoLevel,
-                  UserSeparable, check_condition_C, check_growth,
-                  empirical_triangle_constant, env_from_dict, env_to_dict,
-                  eval_psi, eval_psi_rows, psi_from_dict,
-                  psi_from_json, psi_p_norm, psi_p_norm_rows, psi_to_dict,
-                  psi_to_json, rearranged_two_level_norm,
-                  two_level_equiv_norm)
+from .psi import (BobkovLedouxCap, GrowthEnvelope, PhiSpec, PowerNorm,
+                  PsiSpec, SeparableFromPhi, SeparableTwoLevel, UserSeparable,
+                  env_from_dict, env_to_dict, eval_psi, eval_psi_rows,
+                  psi_from_dict, psi_from_json, psi_p_norm, psi_p_norm_rows,
+                  psi_to_dict, psi_to_json)
 from .tensors import (MultiIndexMatrix, chaos_deterministic_term, eval_form,
                       form_gradient, load_matrix, partition_norms,
                       save_matrix, symmetrize)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .conjugacy import omega_star
 from .errors import InputError
-from .psi import GrowthEnvelope, PhiSpec, PsiSpec, SeparableFromPhi, _bracket_sup, psi_p_norm
+from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, SeparableFromPhi, _bracket_sup, _shaped,
+                  psi_p_norm)
 
 _E = math.e
 
@@ -33,25 +34,6 @@ def _check_nonneg(**kwargs):
     for name, v in kwargs.items():
         if not (isinstance(v, (int, float)) and v >= 0 and math.isfinite(v)):
             raise InputError(f"{name} must be a finite real >= 0, got {v!r}")
-
-
-@dataclass(frozen=True)
-class MomentBoundInputs:
-    """Inputs shared by the defective moment bounds.
-
-    lower_moment is ||f||_beta (or ||f||_q for the small-moment variant);
-    grad_moment is G(p) = || |grad f|_{Psi_p} ||_p.
-    """
-
-    p: float
-    lower_moment: float
-    grad_moment: float
-    env: GrowthEnvelope
-
-    def __post_init__(self):
-        _check_nonneg(lower_moment=self.lower_moment, grad_moment=self.grad_moment)
-        if not (isinstance(self.p, (int, float)) and self.p > 0):
-            raise InputError(f"p must be > 0, got {self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -84,33 +66,42 @@ def l_constant(env: GrowthEnvelope) -> float:
     return ia * kd ** (1.0 / env.beta) + (ia + env.beta ** (1.0 / env.alpha)) * kd ** (1.0 / env.alpha)
 
 
-def defective_moment_bound(inputs: MomentBoundInputs) -> float:
-    """e^{2d/beta} ||f||_beta + (2e/(alpha-1)) ((KD)^{1/alpha} v (KD)^{1/beta}) G(p),
-    valid for p >= beta."""
-    env = inputs.env
-    if inputs.p < env.beta:
-        raise InputError(f"requires p >= beta, got p={inputs.p} beta={env.beta}")
+def _check_p_beta(p, env: GrowthEnvelope):
+    if not p >= env.beta:  # NaN fails too
+        raise InputError(f"requires p >= beta, got p={p} beta={env.beta}")
+
+
+def _defective_grad_factor(env: GrowthEnvelope) -> float:
+    """(2e/(alpha-1)) ((KD)^{1/alpha} v (KD)^{1/beta}), the factor of G(p)."""
     kd = env.K * env.D
-    lead = math.exp(2.0 * env.d / env.beta) * inputs.lower_moment
-    grad = (2.0 * _E / (env.alpha - 1.0)) * max(kd ** (1.0 / env.alpha), kd ** (1.0 / env.beta))
-    return lead + grad * inputs.grad_moment
+    return (2.0 * _E / (env.alpha - 1.0)) * max(kd ** (1.0 / env.alpha), kd ** (1.0 / env.beta))
 
 
-def defective_moment_bound_q(inputs: MomentBoundInputs, q: float) -> float:
-    """Variant of defective_moment_bound anchored at ||f||_q for 0 < q < beta < p.
+def defective_moment_bound(env: GrowthEnvelope, p: float, lower_moment: float,
+                           grad_moment: float) -> float:
+    """e^{2d/beta} ||f||_beta + (2e/(alpha-1)) ((KD)^{1/alpha} v (KD)^{1/beta}) G(p),
+    valid for p >= beta; lower_moment is ||f||_beta and grad_moment is
+    G(p) = || |grad f|_{Psi_p} ||_p."""
+    _check_nonneg(lower_moment=lower_moment, grad_moment=grad_moment)
+    _check_p_beta(p, env)
+    lead = math.exp(2.0 * env.d / env.beta) * lower_moment
+    return lead + _defective_grad_factor(env) * grad_moment
+
+
+def defective_moment_bound_q(env: GrowthEnvelope, p: float, lower_moment: float,
+                             grad_moment: float, q: float) -> float:
+    """Variant of defective_moment_bound anchored at lower_moment = ||f||_q
+    for 0 < q < beta < p.
 
     The prefactor 2^{(p-q)beta/((p-beta)q)} e^{2d(p-q)/((p-beta)q)} blows up as
     p -> beta+ or q -> 0+, by design.
     """
-    env = inputs.env
-    p = inputs.p
+    _check_nonneg(lower_moment=lower_moment, grad_moment=grad_moment)
     if not (0.0 < q < env.beta < p):
         raise InputError(f"requires 0 < q < beta < p, got q={q} beta={env.beta} p={p}")
     expo = (p - q) / ((p - env.beta) * q)
     pref = 2.0 ** (expo * env.beta) * math.exp(2.0 * env.d * expo)
-    kd = env.K * env.D
-    grad = (2.0 * _E / (env.alpha - 1.0)) * max(kd ** (1.0 / env.alpha), kd ** (1.0 / env.beta))
-    return pref * inputs.lower_moment + grad * inputs.grad_moment
+    return pref * lower_moment + _defective_grad_factor(env) * grad_moment
 
 
 def alpha1_moment_bound(norm_beta: float, grad_moment: float,
@@ -119,8 +110,7 @@ def alpha1_moment_bound(norm_beta: float, grad_moment: float,
     e^{2d/beta} ||f||_beta + 6 log(p) (D v (KD)^{1/beta}) G(p). The alpha
     field of env is not used here."""
     _check_nonneg(norm_beta=norm_beta, grad_moment=grad_moment)
-    if p < env.beta:
-        raise InputError(f"requires p >= beta, got p={p} beta={env.beta}")
+    _check_p_beta(p, env)
     lead = math.exp(2.0 * env.d / env.beta) * norm_beta
     return lead + 6.0 * math.log(p) * max(env.D, (env.K * env.D) ** (1.0 / env.beta)) * grad_moment
 
@@ -129,8 +119,7 @@ def centered_moment_bound(grad_moment: float, env: GrowthEnvelope, p: float,
                           C: float = 1.0) -> float:
     """||f - E f||_p <= C L(K,D,alpha,beta) G(p) for p >= beta."""
     _check_nonneg(grad_moment=grad_moment)
-    if p < env.beta:
-        raise InputError(f"requires p >= beta, got p={p} beta={env.beta}")
+    _check_p_beta(p, env)
     if not C > 0:
         raise InputError(f"C must be > 0, got {C}")
     return C * l_constant(env) * grad_moment
@@ -194,11 +183,6 @@ def _column(t, ok, requirement: str) -> np.ndarray:
     return ts
 
 
-def _like(t, values: np.ndarray):
-    """A float for a scalar t, else the array."""
-    return float(values) if np.ndim(t) == 0 else values
-
-
 def chebyshev_level(grad_moment_fn: Callable, env: GrowthEnvelope, C: float, t):
     """Exceedance level e^{-p*} where p* is the largest p >= beta with
     C L G(p) <= t; returns 1 when even p = beta fails, and floors at
@@ -215,7 +199,7 @@ def chebyshev_level(grad_moment_fn: Callable, env: GrowthEnvelope, C: float, t):
         p_star = _bracket_sup(lambda d, ps: np.array([L * grad_moment_fn(float(p)) for p in ps]) - d,
                               ts[mid], np.full_like(ts[mid], env.beta), "chebyshev_level")
         out[mid] = np.exp(-p_star)
-    return _like(t, out)
+    return _shaped(out, t)
 
 
 def lipschitz_profile(a: float, b: float, env: GrowthEnvelope, spec: PsiSpec, C: float, t):
@@ -227,7 +211,7 @@ def lipschitz_profile(a: float, b: float, env: GrowthEnvelope, spec: PsiSpec, C:
     out, pos = np.ones(ts.shape), ts > 0
     s = _column(ts[pos] / (C * l_constant(env) * b), lambda v: v > 0, "omega_star requires t > 0")
     out[pos] = np.exp(np.minimum(env.beta - a * omega_star(spec, s), 0.0))
-    return _like(t, out)
+    return _shaped(out, t)
 
 
 def enlargement_rate(env: GrowthEnvelope, C_impl: float = 1.0) -> float:
@@ -245,7 +229,7 @@ def enlargement_bound(u, env: GrowthEnvelope, C_impl: float = 1.0):
     conjugate-ball enlargement of a median-mass set."""
     us = _column(u, lambda v: v > 0, "requires u > 0")
     arg = env.beta - us * enlargement_rate(env, C_impl)
-    return _like(u, np.maximum(0.0, 1.0 - 2.0 * np.exp(np.minimum(arg, 0.0))))
+    return _shaped(np.maximum(0.0, 1.0 - 2.0 * np.exp(np.minimum(arg, 0.0))), u)
 
 
 def _two_rate_tail(c: float, t, x: float, e: float, y: float, f: float):
@@ -257,7 +241,7 @@ def _two_rate_tail(c: float, t, x: float, e: float, y: float, f: float):
     ts = _column(t, lambda v: np.isfinite(v) & (v >= 0), "t must be a finite real >= 0")
     with np.errstate(over="ignore"):
         expo = c * np.minimum(np.float_power(ts / x, e), np.float_power(ts / y, f))
-    return _like(t, np.minimum(1.0, 2.0 * np.exp(-np.minimum(expo, _EXP_CAP))))
+    return _shaped(np.minimum(1.0, 2.0 * np.exp(-np.minimum(expo, _EXP_CAP))), t)
 
 
 def two_level_tail(a: float, b: float, r: float, c: float, t):
@@ -292,7 +276,7 @@ def bcg_tail(L: float, hess_hs_m2: float, mean_grad: float, hess_op_sup: float, 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         expo = np.minimum(ts * ts / a2, ts / b)  # a zero a2 or b drops its term
     out = np.where(expo >= _EXP_CAP, 0.0, np.minimum(1.0, _E * _E * np.exp(-expo)))
-    return _like(t, np.where(ts == 0.0, 1.0, out))
+    return _shaped(np.where(ts == 0.0, 1.0, out), t)
 
 
 def bcg_first_line(L: float, p: float, mean_grad_norm: float,
@@ -371,14 +355,11 @@ class _Bound(NamedTuple):
 
 _BOUNDS = {
     "l_constant": _Bound("l_constant", (), {}, needs_env=True),
-    "defective_moment_bound": _Bound(
-        lambda env, p, lower_moment, grad_moment: defective_moment_bound(
-            MomentBoundInputs(p, lower_moment, grad_moment, env)),
-        ("p", "lower_moment", "grad_moment"), {}, needs_env=True),
-    "defective_moment_bound_q": _Bound(
-        lambda env, p, lower_moment, grad_moment, q: defective_moment_bound_q(
-            MomentBoundInputs(p, lower_moment, grad_moment, env), q),
-        ("p", "lower_moment", "grad_moment", "q"), {}, needs_env=True),
+    "defective_moment_bound": _Bound("defective_moment_bound",
+                                     ("p", "lower_moment", "grad_moment"), {}, needs_env=True),
+    "defective_moment_bound_q": _Bound("defective_moment_bound_q",
+                                       ("p", "lower_moment", "grad_moment", "q"), {},
+                                       needs_env=True),
     "alpha1_moment_bound": _Bound("alpha1_moment_bound", ("norm_beta", "grad_moment", "p"), {},
                                   needs_env=True),
     "centered_moment_bound": _Bound("centered_moment_bound", ("grad_moment", "p"), {"C": 1.0},

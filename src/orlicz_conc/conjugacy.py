@@ -143,16 +143,16 @@ def psi_star(spec: PsiSpec, y) -> float:
     return float(spec._closed_conjugate(spec._dual_norm(y)))
 
 
-def conjugate_ray_radius(spec: PsiSpec, u: float, axis: int = 0) -> float:
-    """s(u) = sup{c > 0 : Psi*(c e_axis) <= u}, the reach of the enlargement
-    body {Psi* < u} along a coordinate axis.  Psi*(c e_axis) is the 1-D
-    conjugate at c, the same for every axis."""
-    if not u > 0:
-        raise InputError(f"requires u > 0, got {u}")
-    if not (0 <= axis < spec.dim):
-        raise InputError(f"axis {axis} out of range for dim {spec.dim}")
-    return float(_bracket_sup(lambda d, c: _conjugate_1d(spec, c) - d, np.array([float(u)]),
-                              np.ones(1), "conjugate_ray_radius")[0])
+def conjugate_ray_radius(spec: PsiSpec, u):
+    """s(u) = sup{c > 0 : Psi*(c e_j) <= u}, elementwise over u > 0: the reach
+    of the enlargement body {Psi* < u} along a coordinate axis.  Psi*(c e_j)
+    is the 1-D conjugate at c, the same for every axis."""
+    u = np.asarray(u, dtype=float)
+    if not np.all(u > 0):
+        raise InputError(f"requires u > 0, got {u[~(u > 0)].ravel()[0]}")
+    us = u.ravel()
+    return _shaped(_bracket_sup(lambda d, c: _conjugate_1d(spec, c) - d, us, np.ones_like(us),
+                                "conjugate_ray_radius"), u)
 
 
 def support_function(spec: PsiSpec, p: float, theta) -> float:

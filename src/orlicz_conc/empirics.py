@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .bounds import centered_moment_bound, enlargement_bound, l_constant
-from .conjugacy import _conjugate_1d, conjugate_ray_radius
+from .conjugacy import conjugate_ray_radius
 from .errors import InputError
 from .measures import (CHUNK, Family, NuMeasure, ProductPhiTail, SamplerSpec,
                        _chunk_plan, sample_chunk, write_table)
@@ -160,30 +160,6 @@ def exp_tilt(theta) -> TestFunction:
         grad=lambda X: f(X)[:, None] * theta,
         meta={"theta": theta.tolist()},
     )
-
-
-def halfspace_distance(m: float, spec: PsiSpec) -> TestFunction:
-    """Gauge distance to the halfspace {x_1 <= m} measured by the conjugate
-    ball: f(x) = Psi*((x_1 - m)_+ e_1), so {f < u} is exactly the
-    u-enlargement of the halfspace; Psi*(c e_1) is the spec's 1-D conjugate
-    at c."""
-    m = float(m)
-
-    def f(X):
-        c = np.maximum(X[:, 0] - m, 0.0)
-        return _conjugate_1d(spec, c)
-
-    def grad(X):
-        c = np.maximum(X[:, 0] - m, 0.0)
-        h = 1e-6 * np.maximum(1.0, c)
-        lo = np.maximum(c - h, 0.0)
-        d = (_conjugate_1d(spec, c + h) - _conjugate_1d(spec, lo)) / (c + h - lo)
-        out = np.zeros_like(X)
-        out[:, 0] = np.where(X[:, 0] > m, d, 0.0)
-        return out
-
-    return TestFunction(name="halfspace_distance", f=f, grad=grad,
-                        meta={"m": m, "psi": _psi_meta(spec)})
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +455,7 @@ def enlargement_mc(sampler, m: float, spec: PsiSpec, u_grid, N: int,
     if base_mass < 0.5 - 3.0 * base_se:
         raise InputError(
             f"halfspace mass {base_mass:.4f} is below 1/2 - 3 SE; raise m")
-    radius = np.array([conjugate_ray_radius(spec, u) for u in u_grid])
+    radius = conjugate_ray_radius(spec, u_grid)
     emp = np.empty(u_grid.size)
     se = np.empty(u_grid.size)
     for i, s_u in enumerate(radius):

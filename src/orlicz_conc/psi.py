@@ -12,9 +12,10 @@ gauge
     |x|_{Psi_p} = inf{a > 0 : Psi(p x / a) <= p},
 
 which is non-decreasing in p and is the gradient norm appearing in the
-moment bounds of `bounds`.  PowerNorm and BobkovLedouxCap gauges are closed
-forms; for the other families the predicate Psi(px/a) <= p, monotone in a, is
-bracketed geometrically and the bracket narrowed by Chandrupatla's method.
+moment bounds of `bounds`.  PowerNorm and BobkovLedouxCap gauges, and that of
+SeparableFromPhi s=1, a rescaled cap, are closed forms; for the other families
+the predicate Psi(px/a) <= p, monotone in a, is bracketed geometrically and
+the bracket narrowed by Chandrupatla's method.
 The golden-section maximiser and the numeric Legendre transform at the end
 serve conjugacy's profiles and a custom Phi's component alike.
 """
@@ -330,18 +331,43 @@ class SeparableFromPhi(PsiSpec):
     def _component(self, u):
         return self.phi.tilde_star(u)
 
+    def _cap(self) -> Optional["BobkovLedouxCap"]:
+        # Phi(t) = t makes the component v^2/4 on |v| <= 1 and +inf beyond, so
+        # Psi(x) is BobkovLedouxCap(threshold=1/2) at x/2: its gauge and
+        # support halve, and its conjugate is taken at 2c
+        if self.phi.fn is None and self.phi.s == 1.0:
+            return BobkovLedouxCap(dim=self.dim, threshold=0.5)
+        return None
+
+    def _closed_gauge(self, p, X):
+        cap = self._cap()
+        return None if cap is None else 0.5 * cap._closed_gauge(p, X)
+
     def _closed_omega(self, t):
-        s = self.phi.s
-        if self.phi.fn is None and s == 1.0:
-            return np.where(t <= 1.0, t * t, np.inf)
+        cap, s = self._cap(), self.phi.s
+        if cap is not None:
+            return cap._closed_omega(t)
         if self.phi.fn is None:
             return np.maximum(t * t, np.power(t, s / (s - 1.0)))
 
     def _closed_conjugate(self, c):
+        cap = self._cap()
+        if cap is not None:
+            return cap._closed_conjugate(2.0 * c)
         # tilde-Phi is convex for a power Phi with s >= 2, so the biconjugate
         # is tilde-Phi itself; otherwise only the numeric transform applies
         if self.phi.fn is None and self.phi.s >= 2.0:
             return self.phi.tilde(c)
+
+    def _closed_support(self, p, theta):
+        cap = self._cap()
+        return None if cap is None else 0.5 * cap._closed_support(p, theta)
+
+    def _closed_support_argmax(self, p, theta):
+        cap = self._cap()
+        if cap is not None:
+            value, y = cap._closed_support_argmax(p, theta)
+            return 0.5 * value, 0.5 * y
 
     def _params(self):
         if self.phi.fn is not None:
@@ -744,9 +770,10 @@ def _grid_sup(ts: np.ndarray, xs: np.ndarray, on_grid: Callable, unbounded: Call
     return out
 
 
-def _shaped(out: np.ndarray, t: np.ndarray):
-    """A float for a scalar t, else out in t's shape."""
-    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+def _shaped(out: np.ndarray, t):
+    """out in t's shape: a float for a scalar t."""
+    out = np.reshape(out, np.shape(t))
+    return float(out) if out.ndim == 0 else out
 
 
 def legendre_1d(phi: Callable, t):
@@ -779,148 +806,3 @@ def legendre_1d(phi: Callable, t):
     sup = _grid_sup(t.ravel(), ys, on_grid, climbing,
                     lambda tt, y: tt * y - np.asarray(phi(y), dtype=float), 80)
     return _shaped(np.maximum(sup, 0.0), t)
-
-
-def two_level_equiv_norm(x, p: float, r: float) -> float:
-    """sqrt(p) |x|_2 + p^{1/r*} |x|_r, the closed-form equivalent of the
-    two-level gauge for r >= 2."""
-    if not r >= 2.0:
-        raise InputError(f"r must be >= 2, got {r}")
-    if not p >= 1.0:
-        raise InputError(f"p must be >= 1, got {p}")
-    x = np.asarray(x, dtype=float)
-    lr = np.linalg.norm(x, ord=r) if x.size else 0.0
-    return math.sqrt(p) * float(np.linalg.norm(x)) + p ** (1.0 - 1.0 / r) * float(lr)
-
-
-def rearranged_two_level_norm(x, p: float, r: float) -> float:
-    """Rearranged two-level equivalent for r in [1, 2]: the top floor(p)
-    magnitudes carry the l_r block, the rest the sqrt(p) l_2 block."""
-    if not (1.0 <= r <= 2.0):
-        raise InputError(f"r must lie in [1, 2], got {r}")
-    if not p >= 1.0:
-        raise InputError(f"p must be >= 1, got {p}")
-    mags = np.sort(np.abs(np.asarray(x, dtype=float)))[::-1]
-    k = int(math.floor(p))
-    head, tail = mags[:k], mags[k:]
-    head_r = float(np.sum(head ** r) ** (1.0 / r)) if head.size else 0.0
-    tail_2 = float(np.linalg.norm(tail)) if tail.size else 0.0
-    return p ** (1.0 - 1.0 / r) * head_r + math.sqrt(p) * tail_2
-
-
-# ---------------------------------------------------------------------------
-# structural diagnostics
-
-@dataclass
-class CheckReport:
-    passed: bool
-    violations: list
-    worst: dict
-
-
-_T_GRID = np.geomspace(1e-3, 1e3, 61)
-
-
-def _sample_rays(spec: PsiSpec, ray_samples: int, seed) -> np.ndarray:
-    if ray_samples < 1:
-        raise InputError("ray_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    rays = rng.standard_normal((ray_samples, spec.dim))
-    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-    return rays
-
-
-def check_condition_C(spec: PsiSpec, ray_samples: int = 16, seed=0) -> CheckReport:
-    """Sample rays and a log t-grid; test (C1)-(C3), (C5), (C6) pointwise.
-
-    Left-continuity (C4) is not observable at grid resolution and is only
-    exercised implicitly through the monotone ratio grid.
-    """
-    violations = []
-    worst = {"ratio_drop": 0.0}
-    at_zero = eval_psi(spec, np.zeros(spec.dim))
-    if at_zero != 0.0:
-        violations.append(f"C1: Psi(0) = {at_zero}, expected 0")
-    ts = _T_GRID
-    for i, u in enumerate(_sample_rays(spec, ray_samples, seed)):
-        vals = eval_psi_rows(spec, ts[:, None] * u[None, :])
-        neg = eval_psi_rows(spec, -ts[:, None] * u[None, :])
-        if np.any(vals <= 0.0):
-            t_bad = ts[np.argmax(vals <= 0.0)]
-            violations.append(f"C2: ray {i}, Psi({t_bad:.3g}x) <= 0")
-        v1 = vals[len(ts) // 2]  # grid midpoint is t = 1
-        if vals[0] > 0.1 * v1 + 1e-12:
-            violations.append(f"C1: ray {i}, Psi does not vanish toward 0 "
-                              f"(Psi at t=1e-3 is {vals[0]:.3g})")
-        if not vals[-1] >= 1e2 * min(v1, 1e300):
-            violations.append(f"C3: ray {i}, Psi(tx) fails to grow (value {vals[-1]:.3g} at t=1e3)")
-        ratios = vals / ts
-        finite = np.isfinite(ratios)
-        drop = np.where(ratios[1:] < ratios[:-1] * (1 - 1e-9))[0]
-        drop = [j for j in drop if finite[j] and finite[j + 1]]
-        if drop:
-            j = drop[0]
-            rel = float(1 - ratios[j + 1] / ratios[j])
-            worst["ratio_drop"] = max(worst["ratio_drop"], rel)
-            violations.append(
-                f"C5: ray {i}, Psi(tx)/t decreases by {rel:.3g} at t={ts[j]:.3g}")
-        with np.errstate(invalid="ignore"):
-            mism = np.abs(vals - neg) > 1e-12 * np.maximum(1.0, np.abs(vals))
-        mism &= ~(np.isinf(vals) & np.isinf(neg))
-        if np.any(mism):
-            violations.append(f"C6: ray {i}, Psi(x) != Psi(-x)")
-    return CheckReport(passed=not violations, violations=violations, worst=worst)
-
-
-def check_growth(spec: PsiSpec, env: GrowthEnvelope, ray_samples: int = 16,
-                 seed=0) -> CheckReport:
-    """Test K^{-1} t^alpha <= Psi(tx)/Psi(x) <= K t^beta on sampled rays and
-    t >= 1, plus the derived comparison Psi(x) <= K(|x|_Psi^alpha + |x|_Psi^beta)."""
-    violations = []
-    lower_margin = math.inf
-    upper_margin = math.inf
-    ts = np.geomspace(1.0, 1e3, 31)
-    slack = 1 + 1e-9
-    for i, u in enumerate(_sample_rays(spec, ray_samples, seed)):
-        x = u.copy()
-        for _ in range(100):  # pull inside the finiteness domain if needed
-            if math.isfinite(eval_psi(spec, x)):
-                break
-            x *= 0.5
-        base = eval_psi(spec, x)
-        if not (0.0 < base < math.inf):
-            continue
-        ratio = eval_psi_rows(spec, ts[:, None] * x[None, :]) / base
-        lo_bound = ts ** env.alpha / env.K
-        hi_bound = env.K * ts ** env.beta
-        with np.errstate(invalid="ignore"):
-            lm = float(np.min(ratio / lo_bound))
-            um = float(np.min(np.where(np.isinf(ratio), 0.0, hi_bound / np.maximum(ratio, 1e-300))))
-        lower_margin = min(lower_margin, lm)
-        upper_margin = min(upper_margin, um)
-        if lm * slack < 1.0:
-            t_bad = ts[int(np.argmin(ratio / lo_bound))]
-            violations.append(f"lower: ray {i}, Psi(tx)/Psi(x) < t^alpha/K at t={t_bad:.3g}")
-        if um * slack < 1.0:
-            violations.append(f"upper: ray {i}, Psi(tx)/Psi(x) > K t^beta")
-        nrm = psi_p_norm(spec, 1.0, x)
-        cap = env.K * (nrm ** env.alpha + nrm ** env.beta)
-        if base > cap * slack:
-            violations.append(f"norm comparison: ray {i}, Psi(x)={base:.3g} exceeds "
-                              f"K(|x|^alpha + |x|^beta)={cap:.3g}")
-    worst = {"lower_margin": lower_margin, "upper_margin": upper_margin}
-    return CheckReport(passed=not violations, violations=violations, worst=worst)
-
-
-def empirical_triangle_constant(spec: PsiSpec, p: float, pairs: int = 256,
-                                seed=0) -> float:
-    """Largest observed |x+y| / (|x| + |y|) in the Psi_p gauge over random
-    Gaussian pairs.  The theoretical quasi-norm constant is not explicit in
-    the underlying inequalities, so it is only reported empirically."""
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((pairs, spec.dim))
-    Y = rng.standard_normal((pairs, spec.dim))
-    nx = psi_p_norm_rows(spec, p, X)
-    ny = psi_p_norm_rows(spec, p, Y)
-    ns = psi_p_norm_rows(spec, p, X + Y)
-    return float(np.max(ns / (nx + ny)))

@@ -49,7 +49,8 @@ def test_criterion_02_two_level_equivalence_band():
         n = int(rng.integers(2, 30))
         x = rng.standard_normal(n) * float(np.exp(rng.uniform(-2.0, 2.0)))
         spec = oc.SeparableTwoLevel(dim=n, r=r)
-        ratio = oc.psi_p_norm(spec, p, x) / oc.two_level_equiv_norm(x, p, r)
+        equiv = math.sqrt(p) * np.linalg.norm(x) + p ** (1.0 - 1.0 / r) * np.linalg.norm(x, ord=r)
+        ratio = oc.psi_p_norm(spec, p, x) / equiv
         lo, hi = min(lo, ratio), max(hi, ratio)
     assert 0.25 <= lo and hi <= 4.0
     _report(2, f"1000 random gauge/equivalent ratios in [{lo:.3f}, {hi:.3f}] "

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orlicz_conc import (GrowthEnvelope, InputError, MomentBoundInputs,
-                         PartitionNorms, PhiSpec, PowerNorm,
+from orlicz_conc import (GrowthEnvelope, InputError, PartitionNorms,
+                         PhiSpec, PowerNorm,
                          alpha1_moment_bound, bcg_derivative_chain,
                          bcg_first_line, bcg_moment_bound, bcg_tail,
                          centered_moment_bound, chebyshev_level,
@@ -37,23 +37,23 @@ def test_l_constant_values():
 
 
 def test_defective_moment_bound_unit_case():
-    inp = MomentBoundInputs(p=2.0, lower_moment=1.0, grad_moment=1.0, env=ENV22)
-    assert defective_moment_bound(inp) == pytest.approx(1.0 + 2.0 * E, rel=1e-12)
+    got = defective_moment_bound(env=ENV22, p=2.0, lower_moment=1.0, grad_moment=1.0)
+    assert got == pytest.approx(1.0 + 2.0 * E, rel=1e-12)
 
 
 def test_defective_moment_bound_defect_prefactor():
     env = GrowthEnvelope(K=1.0, alpha=2.0, beta=2.0, D=1.0, d=1.0)
-    inp = MomentBoundInputs(p=2.0, lower_moment=1.0, grad_moment=0.0, env=env)
-    assert defective_moment_bound(inp) == pytest.approx(E, rel=1e-12)
+    got = defective_moment_bound(env=env, p=2.0, lower_moment=1.0, grad_moment=0.0)
+    assert got == pytest.approx(E, rel=1e-12)
 
 
 def test_defective_moment_bound_q_prefactor():
     env = GrowthEnvelope(K=1.0, alpha=2.0, beta=3.0, D=1.0, d=0.0)
-    inp = MomentBoundInputs(p=6.0, lower_moment=1.0, grad_moment=0.0, env=env)
+    inp = dict(env=env, p=6.0, lower_moment=1.0, grad_moment=0.0)
     # 2^{(p-q) beta / ((p-beta) q)} = 2^2
-    assert defective_moment_bound_q(inp, 2.0) == pytest.approx(4.0, rel=1e-12)
+    assert defective_moment_bound_q(**inp, q=2.0) == pytest.approx(4.0, rel=1e-12)
     with pytest.raises(InputError):
-        defective_moment_bound_q(inp, 3.5)
+        defective_moment_bound_q(**inp, q=3.5)
 
 
 def test_alpha1_moment_bound_log_factor():
@@ -107,14 +107,28 @@ def test_quadratic_chaos_moment_identity_shape():
 
 
 def test_moment_inputs_validate():
+    for bound in (defective_moment_bound, lambda **kw: defective_moment_bound_q(**kw, q=1.0)):
+        with pytest.raises(InputError):
+            bound(env=ENV22, p=-1.0, lower_moment=1.0, grad_moment=1.0)
+        with pytest.raises(InputError):
+            bound(env=ENV22, p=3.0, lower_moment=-1.0, grad_moment=1.0)
+        with pytest.raises(InputError):
+            bound(env=ENV22, p=3.0, lower_moment=1.0, grad_moment=math.inf)
+        with pytest.raises(InputError):
+            bound(env=ENV22, p=1.5, lower_moment=1.0, grad_moment=1.0)
+
+
+@pytest.mark.parametrize("bound", [
+    lambda p: defective_moment_bound(env=ENV22, p=p, lower_moment=1.0, grad_moment=1.0),
+    lambda p: defective_moment_bound_q(env=ENV22, p=p, lower_moment=1.0, grad_moment=1.0,
+                                       q=1.0),
+    lambda p: alpha1_moment_bound(1.0, 1.0, ENV22, p),
+    lambda p: centered_moment_bound(1.0, ENV22, p),
+], ids=["defective", "defective_q", "alpha1", "centered"])
+def test_moment_bounds_refuse_nan_p(bound):
+    assert math.isfinite(bound(4.0))
     with pytest.raises(InputError):
-        MomentBoundInputs(p=-1.0, lower_moment=1.0, grad_moment=1.0, env=ENV22)
-    with pytest.raises(InputError):
-        MomentBoundInputs(p=3.0, lower_moment=-1.0, grad_moment=1.0, env=ENV22)
-    # the p >= beta window is enforced by the evaluator, not the container
-    low_p = MomentBoundInputs(p=1.5, lower_moment=1.0, grad_moment=1.0, env=ENV22)
-    with pytest.raises(InputError):
-        defective_moment_bound(low_p)
+        bound(math.nan)
 
 
 # ---------------------------------------------------------------------------

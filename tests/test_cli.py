@@ -300,6 +300,22 @@ def test_chaos_term_of_the_capped_family_exits_zero(capsys, tmp_path):
     assert math.isfinite(value) and value > 0.0
 
 
+def test_chaos_term_of_separable_from_phi_s1_is_a_quarter_of_the_cap(capsys, tmp_path):
+    # Phi(t) = t gives Psi(x) = BobkovLedouxCap(1/2) at x/2, so both factors of
+    # the chaos term halve
+    a = np.random.default_rng(0).standard_normal((4, 4))
+    path = tmp_path / "sym4.txt"
+    np.savetxt(path, a + a.T)
+    values = []
+    for psi in ('{"family":"SeparableFromPhi","params":{"s":1},"dim":4}',
+                '{"family":"BobkovLedouxCap","params":{"threshold":0.5},"dim":4}'):
+        rc, out, err = run(capsys, "tensor", "--matrix", str(path), "--op", "chaos",
+                           "--p", "4", "--restarts", "1", "--psi", psi)
+        assert rc == 0 and err == ""
+        values.append(float(value_lines(out)[0]))
+    assert values[0] == pytest.approx(0.25 * values[1], rel=1e-12, abs=0.0)
+
+
 def test_norm_x_file_equals_per_row_x(capsys, tmp_path):
     spec = '{"family":"SeparableTwoLevel","params":{"r":3},"dim":3}'
     X = np.random.default_rng(3).standard_normal((12, 3)) * 4.0
@@ -410,11 +426,12 @@ UNSWEPT = {
     "l_constant": ((), lambda: oc.l_constant(ENV23)),
     "defective_moment_bound": (("--p", "4", "--lower_moment", "1", "--grad_moment", "2"),
                                lambda: oc.defective_moment_bound(
-                                   oc.MomentBoundInputs(4.0, 1.0, 2.0, ENV23))),
+                                   env=ENV23, p=4.0, lower_moment=1.0, grad_moment=2.0)),
     "defective_moment_bound_q": (("--p", "6", "--lower_moment", "1", "--grad_moment", "2",
                                   "--q", "2"),
                                  lambda: oc.defective_moment_bound_q(
-                                     oc.MomentBoundInputs(6.0, 1.0, 2.0, ENV23), 2.0)),
+                                     env=ENV23, p=6.0, lower_moment=1.0, grad_moment=2.0,
+                                     q=2.0)),
     "alpha1_moment_bound": (("--norm_beta", "1", "--grad_moment", "2", "--p", "4"),
                             lambda: oc.alpha1_moment_bound(1.0, 2.0, ENV23, 4.0)),
     "centered_moment_bound": (("--grad_moment", "2", "--p", "4", "--C", "3"),

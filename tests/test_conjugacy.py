@@ -158,6 +158,50 @@ def test_conjugate_ray_radius_is_monotone_in_u():
     assert all(a < b for a, b in zip(rads, rads[1:]))
 
 
+@pytest.mark.parametrize("spec", [
+    *(PowerNorm(dim=3, norm=q, a=a) for q in (1.0, 2.0, 3.0, math.inf) for a in (1.0, 1.5, 3.0)),
+    SeparableTwoLevel(dim=3, r=1.5), SeparableTwoLevel(dim=3, r=3.0),
+    *(SeparableFromPhi(dim=3, phi=PhiSpec(s=s)) for s in (1.0, 1.5, 3.0)),
+    BobkovLedouxCap(dim=3, threshold=0.5),
+    UserSeparable(dim=3, fn=lambda u: np.abs(u) ** 3, name="cube"),
+], ids=lambda s: s.name if isinstance(s, UserSeparable) else repr(s))
+def test_conjugate_1d_is_psi_star_along_each_axis(spec):
+    # the premise of conjugate_ray_radius: Psi*(c e_j) is the 1-D conjugate at c
+    cs = np.array([0.0, 0.1, 0.7, 1.0, 1.0 + 5e-13, 1.3, 2.0, 4.5])
+    got = cj._conjugate_1d(spec, cs)
+    for j in range(spec.dim):
+        for c, g in zip(cs, got):
+            want = psi_star(spec, c * np.eye(spec.dim)[j])
+            assert g == pytest.approx(want, rel=1e-12, abs=0.0), (j, c)
+
+
+def test_conjugate_ray_radius_array_equals_per_u_solves():
+    # one bracketing solve over a u grid, each row stopping on its own
+    us = np.array([0.05, 0.3, 1.0, 2.5, 7.0, 40.0])
+    for spec in (PowerNorm(dim=4, norm=2.0, a=1.0), POWER2, TWOLEVEL3, SFP1, SFP15, BL1):
+        got = conjugate_ray_radius(spec, us.reshape(2, 3))
+        want = [conjugate_ray_radius(spec, float(u)) for u in us]
+        assert np.array_equal(got, np.reshape(want, (2, 3)))
+    with pytest.raises(InputError):
+        conjugate_ray_radius(POWER2, np.array([1.0, 0.0]))
+
+
+def test_separable_from_phi_s1_support_matches_the_numeric_dual():
+    # s = 1 takes half of BobkovLedouxCap(1/2)'s closed support; the Lagrange
+    # dual min_lam lam (p + Psi(theta/lam)) is the independent oracle
+    rng = np.random.default_rng(14)
+    cases = [(4.0, np.array([1.0, -0.5, 0.3, 2.0]))]
+    cases += [(float(rng.uniform(0.2, 60.0)), rng.standard_normal(4) * math.exp(rng.uniform(-3, 3)))
+              for _ in range(60)]
+    for p, theta in cases:
+        value, y = support_argmax(SFP1, p, theta)
+        assert value == pytest.approx(cj._support_multiplier(SFP1, p, theta)[1],
+                                      rel=1e-9, abs=0.0)
+        assert psi_star(SFP1, y) <= p * (1.0 + 1e-12)
+        assert value == pytest.approx(float(np.dot(theta, y)), rel=1e-12)
+        assert support_function(SFP1, p, theta) == value
+
+
 # ---------------------------------------------------------------------------
 # support functions of the conjugate ball
 
@@ -503,8 +547,8 @@ FULL = ((1, 0.5), (4, 4.0), (16, 16.0))
     (lambda n: SeparableFromPhi(dim=n, phi=PhiSpec(s=1.0)), FULL),
     (lambda n: SeparableFromPhi(dim=n, phi=PhiSpec(s=1.5)), FULL),
     (lambda n: SeparableFromPhi(dim=n, phi=PhiSpec(s=3.0)), FULL),
-    # the capped family takes its closed form on both sides; sfp1 keeps a
-    # conjugate with a linear piece on the numeric path
+    # the capped family and sfp1, a rescaled cap, take their closed forms on
+    # both sides
     (lambda n: BobkovLedouxCap(dim=n, threshold=0.5), FULL),
     (lambda n: BobkovLedouxCap(dim=n, threshold=2.0), FULL),
     # a user-supplied Phi nests two numeric transforms, so the scalar searches

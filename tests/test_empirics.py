@@ -9,15 +9,13 @@ import pytest
 
 import orlicz_conc.empirics as em
 from orlicz_conc import (CHUNK, BobkovLedouxCap, Family, GrowthEnvelope,
-                         InputError, MultiIndexMatrix, NuMeasure, PhiSpec,
-                         PowerNorm, SamplerSpec, SeparableFromPhi, SeparableTwoLevel,
-                         StandardGaussian, UserSeparable, batch_se,
-                         comparison_check, empirical_entropy,
-                         empirical_moment, enlargement_mc, euclidean_norm,
-                         exp_tilt, halfspace_distance, linear, max_coordinate,
-                         mlsi_report, psi_star, quadratic_form,
-                         sample, top_mass_fraction, verify_centered,
-                         verify_nu_logp)
+                         InputError, MultiIndexMatrix, PhiSpec,
+                         PowerNorm, SamplerSpec, StandardGaussian,
+                         UserSeparable, batch_se, comparison_check,
+                         empirical_entropy, empirical_moment, enlargement_mc,
+                         euclidean_norm, exp_tilt, linear, max_coordinate,
+                         mlsi_report, quadratic_form, sample,
+                         top_mass_fraction, verify_centered, verify_nu_logp)
 
 ENV22 = GrowthEnvelope(K=1.0, alpha=2.0, beta=2.0, D=2.0, d=0.0)
 SPEC2 = PowerNorm(dim=2, norm=2.0, a=2.0)
@@ -135,37 +133,6 @@ def test_exp_tilt_values_and_gradient():
     X = np.array([[2.0, 7.0]])
     assert g.f(X)[0] == pytest.approx(math.e, rel=1e-12)
     np.testing.assert_allclose(g.grad(X)[0], theta * math.e, rtol=1e-12)
-
-
-def test_halfspace_distance_gauge_values():
-    f = halfspace_distance(0.0, SPEC2)
-    X = np.array([[1.5, 0.3], [-2.0, 5.0]])
-    # Psi*((x1)_+ e1) = x1^2/4 on the positive side, 0 otherwise
-    np.testing.assert_allclose(f.f(X), [0.5625, 0.0], rtol=1e-9)
-    g = f.grad(X)
-    assert g[0, 0] == pytest.approx(0.75, rel=1e-4)
-    assert abs(g[0, 1]) <= 1e-8
-    np.testing.assert_allclose(g[1], [0.0, 0.0], atol=1e-8)
-
-
-@pytest.mark.parametrize("spec", [
-    *(PowerNorm(dim=3, norm=q, a=a) for q in (1.0, 2.0, 3.0, math.inf) for a in (1.0, 1.5, 3.0)),
-    SeparableTwoLevel(dim=3, r=1.5), SeparableTwoLevel(dim=3, r=3.0),
-    *(SeparableFromPhi(dim=3, phi=PhiSpec(s=s)) for s in (1.0, 1.5, 3.0)),
-    BobkovLedouxCap(dim=3, threshold=0.5),
-    UserSeparable(dim=3, fn=lambda u: np.abs(u) ** 3, name="cube"),
-], ids=lambda s: s.name if isinstance(s, UserSeparable) else repr(s))
-def test_halfspace_distance_is_psi_star_on_the_first_axis(spec):
-    # the 1-D conjugate behind f against Psi* of the full vector c e_1
-    m = -0.25
-    cs = np.array([0.0, 0.1, 0.7, 1.0, 1.0 + 5e-13, 1.3, 2.0, 4.5])
-    X = np.zeros((cs.size, 3))
-    X[:, 0] = m + cs
-    X[:, 1] = 9.0  # other coordinates do not enter f
-    got = halfspace_distance(m, spec).f(X)
-    for c, g in zip(cs, got):
-        want = psi_star(spec, np.array([c, 0.0, 0.0]))
-        assert g == pytest.approx(want, rel=1e-12, abs=0.0), c
 
 
 def test_verification_reports_accept_specs_without_json_form():
