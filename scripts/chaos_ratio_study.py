@@ -38,9 +38,8 @@ def main():
         M = oc.MultiIndexMatrix(k=2, n=args.n, data=A, symmetric=True)
         norms = oc.partition_norms(M, args.r, restarts=16, seed=args.seed)
         # all N rows of the stream, one chunk in memory at a time
-        chunks = (oc.sample_chunk(family, args.seed + 1, j, min(oc.CHUNK, args.N - j * oc.CHUNK))
-                  for j in range(-(-args.N // oc.CHUNK)))
-        vals = np.concatenate([np.einsum("ij,jk,ik->i", X, A, X) for X in chunks]) - np.trace(A)
+        vals = oc.map_streams(args.N, [(family, args.seed + 1)],
+                              lambda X: np.einsum("ij,jk,ik->i", X, A, X)) - np.trace(A)
         ratios = [oc.empirical_moment(vals, p)
                   / oc.quadratic_chaos_moment(norms, p) for p in p_grid]
         print(f"{name:>10s} " + " ".join(f"{r:7.3f}" for r in ratios))

@@ -27,8 +27,8 @@ from .empirics import (EnlargementCurve, MlsiReport, MomentReport,
                        verify_centered, verify_nu_logp)
 from .errors import InputError, NumericalError
 from .measures import (CHUNK, Family, NuMeasure, ProductPhiTail, SamplerSpec,
-                       StandardGaussian, isoperimetric_profile_nu, nu_cdf,
-                       nu_pdf, nu_quantile, sample, sample_chunk,
+                       StandardGaussian, isoperimetric_profile_nu, map_streams,
+                       nu_cdf, nu_pdf, nu_quantile, sample, sample_chunk,
                        save_samples, write_table)
 from .psi import (BobkovLedouxCap, GrowthEnvelope, PhiSpec, PowerNorm,
                   PsiSpec, SeparableFromPhi, SeparableTwoLevel, UserSeparable,

@@ -350,19 +350,28 @@ def _build_function(ns, dim: int) -> em.TestFunction:
     raise InputError(f"unknown function {kind!r}")
 
 
+# verify's envelope keys a flag leaves unset; `enlargement` checks a bound
+# only when at least one envelope flag is given
+_VERIFY_ENV = {"K": 1.0, "alpha": 2.0, "beta": 2.0, "D": 2.0, "d": 0.0}
+
+
 def _cmd_verify(ns, _extra) -> int:
     scenario = ns.scenario
     family = None if scenario == "nu-logp" else _FAMILIES[ns.family](ns.n, ns.phi_s)
     spec = (_psi(ns, f"verify {scenario}")
             if scenario in ("centered", "enlargement", "mlsi") else None)
-    env = _env_from(vars(ns)) if scenario in ("centered", "enlargement") else None
+    given = {k: getattr(ns, k) for k in _ENV_KEYS if getattr(ns, k) is not None}
+    params = {**_VERIFY_ENV, **given}
+    env = (_env_from(params)
+           if scenario == "centered" or (scenario == "enlargement" and given) else None)
     if scenario == "nu-logp":
         rep = em.verify_nu_logp(_parse_vector(ns.p_grid), ns.N, ns.seed)
     elif scenario == "comparison":
         rep = em.comparison_check(family, PhiSpec(s=ns.phi_s), _build_function(ns, family.n),
                                   _parse_vector(ns.p_grid), ns.N, ns.seed)
     elif scenario == "mlsi":
-        rep = em.mlsi_report(family, _build_function(ns, spec.dim), spec, ns.D, ns.N, ns.seed)
+        rep = em.mlsi_report(family, _build_function(ns, spec.dim), spec, params["D"], ns.N,
+                             ns.seed)
     elif scenario == "centered":
         rep = em.verify_centered(family, _build_function(ns, spec.dim), spec, env,
                                  _parse_vector(ns.p_grid), ns.N, ns.seed, C=ns.C)
@@ -452,11 +461,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--p-grid", default="2,4,8,16")
     p.add_argument("--u-grid", default="0.25,1,4")
     p.add_argument("--m", type=_finite, default=0.0)
-    p.add_argument("--K", type=_finite, default=1.0)
-    p.add_argument("--alpha", type=_finite, default=2.0)
-    p.add_argument("--beta", type=_finite, default=2.0)
-    p.add_argument("--D", type=_finite, default=2.0)
-    p.add_argument("--d", type=_finite, default=0.0)
+    for key in _ENV_KEYS:  # defaults in _VERIFY_ENV
+        p.add_argument(f"--{key}", type=_finite)
     p.add_argument("--C", type=_finite, default=1.0)
     p.add_argument("--N", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)

@@ -5,14 +5,13 @@ bound evaluators.
 All estimators are chunked over the counter-based sample streams from
 measures; the chunk partition and reduction order are fixed, so results are
 bit-identical for a given (family, seed, N) regardless of the worker count
-(ORLICZ_CONC_THREADS affects speed only). Standard errors use 32-fold
+(ORLICZ_CONC_THREADS affects speed only). Standard errors use BATCHES = 32
 contiguous batch means; verification bands are set at 3 SE.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional
 
@@ -21,42 +20,18 @@ import numpy as np
 from .bounds import centered_moment_bound, enlargement_bound, l_constant
 from .conjugacy import conjugate_ray_radius
 from .errors import InputError
-from .measures import (CHUNK, Family, NuMeasure, ProductPhiTail, SamplerSpec,
-                       _chunk_plan, sample_chunk, write_table)
+from .measures import (Family, NuMeasure, ProductPhiTail, SamplerSpec, map_streams,
+                       write_table)
 from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, env_to_dict, eval_psi_rows,
                   psi_p_norm_rows, psi_to_dict)
 from .tensors import MultiIndexMatrix
 
-THREADS_ENV = "ORLICZ_CONC_THREADS"
 BATCHES = 32
+TOP_K = 10  # magnitudes in top_mass_fraction's numerator
 P_CAP = 128.0
 HIGH_P_FLAG = 64.0
 _ENT_SHIFT = 1e-6
 _SEED_OFFSET = 0x9E3779B97F4A7C15  # decorrelates the auxiliary Z stream
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-
-
-def _map_chunks(count: int, job: Callable) -> np.ndarray:
-    """Evaluate job(j, rows) over the fixed chunk plan and concatenate in
-    chunk order; parallelism changes scheduling only, never the result."""
-    plan = _chunk_plan(count)
-    workers = _worker_count()
-    if workers == 1 or len(plan) == 1:
-        parts = [job(j, rows) for j, rows in plan]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda jr: job(*jr), plan))
-    return np.concatenate(parts, axis=0)
 
 
 def _family_of(family: Family, seed: int, N: int) -> Family:
@@ -91,7 +66,6 @@ class TestFunction:
     grad: Callable = field(repr=False)     # (N, n) -> (N, n)
     hess_hs: Optional[float] = None
     hess_op: Optional[float] = None
-    meta: Dict = field(default_factory=dict)
 
 
 def linear(theta) -> TestFunction:
@@ -103,7 +77,6 @@ def linear(theta) -> TestFunction:
         f=lambda X: X @ theta,
         grad=lambda X: np.broadcast_to(theta, X.shape).copy(),
         hess_hs=0.0, hess_op=0.0,
-        meta={"theta": theta.tolist()},
     )
 
 
@@ -120,7 +93,6 @@ def quadratic_form(A: MultiIndexMatrix) -> TestFunction:
         grad=lambda X: 2.0 * (X @ M),
         hess_hs=2.0 * float(np.linalg.norm(M)),
         hess_op=2.0 * float(svals[0]) if svals.size else 0.0,
-        meta={"n": A.n},
     )
 
 
@@ -154,12 +126,7 @@ def exp_tilt(theta) -> TestFunction:
     def f(X):
         return np.exp(X @ theta)
 
-    return TestFunction(
-        name="exp_tilt",
-        f=f,
-        grad=lambda X: f(X)[:, None] * theta,
-        meta={"theta": theta.tolist()},
-    )
+    return TestFunction(name="exp_tilt", f=f, grad=lambda X: f(X)[:, None] * theta)
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +180,18 @@ def empirical_entropy(values) -> float:
     return float(np.mean(vlogv)) - mean * math.log(mean)
 
 
-def batch_se(values, stat: Callable, batches: int = BATCHES) -> float:
-    """Batch-means standard error of stat over contiguous batches."""
+def batch_se(values, stat: Callable) -> float:
+    """Batch-means standard error of stat over BATCHES contiguous batches."""
     values = np.asarray(values)
-    n_batches = min(batches, values.shape[0])
+    n_batches = min(BATCHES, values.shape[0])
     if n_batches < 2:
         return math.inf
     stats = np.array([stat(chunk) for chunk in np.array_split(values, n_batches)])
     return float(np.std(stats, ddof=1) / math.sqrt(n_batches))
 
 
-def top_mass_fraction(values, p: float, k: int = 10) -> float:
-    """Fraction of sum |v|^p carried by the k largest magnitudes; the
+def top_mass_fraction(values, p: float) -> float:
+    """Fraction of sum |v|^p carried by the TOP_K largest magnitudes; the
     effective-sample-size diagnostic attached to high-p estimates."""
     values = np.asarray(values, dtype=float).ravel()
     mags = np.abs(values)
@@ -233,8 +200,13 @@ def top_mass_fraction(values, p: float, k: int = 10) -> float:
     with np.errstate(divide="ignore"):
         logs = p * np.log(mags)
     total = _logsumexp(logs)
-    top = _logsumexp(np.sort(logs)[-k:])
+    top = _logsumexp(np.sort(logs)[-TOP_K:])
     return float(math.exp(top - total))
+
+
+def _estimate(values, stat: Callable) -> tuple:
+    """stat(values) and its batch-means SE."""
+    return stat(values), batch_se(values, stat)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +251,12 @@ class MomentReport(_Report):
 
     @property
     def passed(self) -> bool:
-        """Every moment and ratio is finite."""
-        return bool(np.all(np.isfinite(self.lhs)) and np.all(np.isfinite(self.ratio)))
+        """Every moment and ratio is finite and, when the meta carries the
+        bound's constant C (`centered`), every moment is at most its bound
+        plus 3 SE; `comparison`'s bound is a moment, not a bound to judge."""
+        finite = np.all(np.isfinite(self.lhs)) and np.all(np.isfinite(self.ratio))
+        return bool(finite and ("C" not in self.meta
+                                or np.all(self.lhs <= self.bound + 3.0 * self.lhs_se)))
 
 
 @dataclass
@@ -357,9 +333,8 @@ def _moment_report(p_grid, f_values, rhs_columns, bound_of, meta) -> MomentRepor
     """Per p: ||f - mean f||_p and its batch SE against the p-th moment of the
     p's rhs column, the bound bound_of(rhs, p) and, above HIGH_P_FLAG, a flag."""
     centered = f_values - float(np.mean(f_values))
-    lhs = np.array([empirical_moment(centered, p) for p in p_grid])
-    lhs_se = np.array([batch_se(centered, lambda b, p=p: empirical_moment(b, p))
-                       for p in p_grid])
+    lhs, lhs_se = np.array([_estimate(centered, lambda b, p=p: empirical_moment(b, p))
+                            for p in p_grid]).T
     rhs = np.array([empirical_moment(col, p) for col, p in zip(rhs_columns, p_grid)])
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(rhs > 0.0, lhs / rhs, 0.0)
@@ -381,14 +356,13 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
     if family.n != spec.dim:
         raise InputError(f"sampler dim {family.n} != spec dim {spec.dim}")
 
-    def job(j, rows):
-        X = sample_chunk(family, seed, j, rows)
+    def job(X):
         gr = f.grad(X)
         cols = [f.f(X)]
         cols.extend(psi_p_norm_rows(spec, p, gr) for p in p_grid)
         return np.column_stack(cols)
 
-    data = _map_chunks(N, job)
+    data = map_streams(N, [(family, seed)], job)
     meta = {"scenario": "centered", "function": f.name, "psi": _psi_meta(spec),
             "env": env_to_dict(env), "sampler": family.meta(),
             "seed": seed, "N": N, "C": C, "l_constant": l_constant(env)}
@@ -401,12 +375,10 @@ def verify_nu_logp(p_grid, N: int, seed: int) -> NuLogPReport:
     checked inside 3 SE bands."""
     p_grid = _validate_p_grid(p_grid, 2.0)
     family = _family_of(NuMeasure(), seed, N)
-    x = _map_chunks(N, lambda j, rows: sample_chunk(family, seed, j, rows)[:, 0])
-    l1 = empirical_moment(x, 1.0)
-    l1_se = batch_se(x, lambda b: empirical_moment(b, 1.0))
-    emp = np.array([empirical_moment(x, p) for p in p_grid])
-    emp_se = np.array([batch_se(x, lambda b, p=p: empirical_moment(b, p))
-                       for p in p_grid])
+    x = map_streams(N, [(family, seed)], lambda X: X[:, 0])
+    l1, l1_se = _estimate(x, lambda b: empirical_moment(b, 1.0))
+    emp, emp_se = np.array([_estimate(x, lambda b, p=p: empirical_moment(b, p))
+                            for p in p_grid]).T
     lower = np.log(p_grid) / (2.0 * math.e)
     upper = l1 + np.log(p_grid)
     passed_lower = emp >= lower - 3.0 * emp_se
@@ -428,12 +400,10 @@ def comparison_check(samplerX, phi: PhiSpec, f: TestFunction, p_grid,
     famZ = ProductPhiTail(phi, famX.n)
     seed_z = (seed + _SEED_OFFSET) % 2 ** 64
 
-    def job(j, rows):
-        X = sample_chunk(famX, seed, j, rows)
-        Z = sample_chunk(famZ, seed_z, j, rows)
+    def job(X, Z):
         return np.column_stack([f.f(X), np.sum(f.grad(X) * Z, axis=1)])
 
-    data = _map_chunks(N, job)
+    data = map_streams(N, [(famX, seed), (famZ, seed_z)], job)
     meta = {"scenario": "comparison", "function": f.name, "phi": famZ.meta()["phi"],
             "sampler": famX.meta(), "seed": seed, "N": N}
     return _moment_report(p_grid, data[:, 0], [data[:, 1]] * p_grid.size,
@@ -449,19 +419,14 @@ def enlargement_mc(sampler, m: float, spec: PsiSpec, u_grid, N: int,
     u_grid = np.asarray(sorted(float(u) for u in u_grid))
     if u_grid.size == 0 or u_grid[0] <= 0.0:
         raise InputError("u grid must be non-empty with positive entries")
-    x1 = _map_chunks(N, lambda j, rows: sample_chunk(family, seed, j, rows)[:, 0])
-    base_mass = float(np.mean(x1 <= m))
-    base_se = batch_se(x1, lambda b: float(np.mean(b <= m)))
+    x1 = map_streams(N, [(family, seed)], lambda X: X[:, 0])
+    base_mass, base_se = _estimate(x1, lambda b: float(np.mean(b <= m)))
     if base_mass < 0.5 - 3.0 * base_se:
         raise InputError(
             f"halfspace mass {base_mass:.4f} is below 1/2 - 3 SE; raise m")
     radius = conjugate_ray_radius(spec, u_grid)
-    emp = np.empty(u_grid.size)
-    se = np.empty(u_grid.size)
-    for i, s_u in enumerate(radius):
-        thresh = m + s_u
-        emp[i] = float(np.mean(x1 < thresh))
-        se[i] = batch_se(x1, lambda b, th=thresh: float(np.mean(b < th)))
+    emp, se = np.array([_estimate(x1, lambda b, th=m + s_u: float(np.mean(b < th)))
+                        for s_u in radius]).T
     bound = (enlargement_bound(u_grid, env, C_impl) if env is not None
              else np.full(u_grid.size, math.nan))
     meta = {"scenario": "enlargement", "m": m, "psi": _psi_meta(spec),
@@ -484,8 +449,7 @@ def mlsi_report(sampler, g: TestFunction, spec: PsiSpec, D: float, N: int,
     if family.n != spec.dim:
         raise InputError(f"sampler dim {family.n} != spec dim {spec.dim}")
 
-    def job(j, rows):
-        X = sample_chunk(family, seed, j, rows)
+    def job(X):
         gv = np.asarray(g.f(X), dtype=float)
         if np.any(gv < 0.0):
             raise InputError("mlsi residual requires a nonnegative g")
@@ -493,7 +457,7 @@ def mlsi_report(sampler, g: TestFunction, spec: PsiSpec, D: float, N: int,
         ratios = g.grad(X) / (2.0 * gv[:, None])
         return np.column_stack([gv, eval_psi_rows(spec, ratios) * gv])
 
-    data = _map_chunks(N, job)
+    data = map_streams(N, [(family, seed)], job)
     gv, terms = data[:, 0], data[:, 1]
     infinite = bool(np.any(np.isinf(terms)))
     ent = empirical_entropy(gv)

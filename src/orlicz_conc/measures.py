@@ -10,8 +10,10 @@ bit-identical however generation is scheduled across workers.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .errors import InputError
 from .psi import PhiSpec, _bracket_solve
 
 CHUNK = 65536
+THREADS_ENV = "ORLICZ_CONC_THREADS"
 
 
 class Family:
@@ -128,17 +131,42 @@ def sample_chunk(family: Family, seed: int, j: int, rows: int) -> np.ndarray:
     return family._draw(_chunk_rng(seed, j))[:rows]
 
 
-def _chunk_plan(count: int) -> list:
-    """(chunk index, rows) pairs covering the first `count` rows of a stream."""
-    return [(j, min(CHUNK, count - j * CHUNK)) for j in range(-(-count // CHUNK))]
+def map_streams(count: int, streams, fn: Callable) -> np.ndarray:
+    """fn(*chunks) over the chunks of the first `count` rows of each
+    (family, seed) stream in `streams`: chunk j of every stream goes in
+    together, and each result lands at chunk j's rows of one array. Every
+    chunk is keyed by (seed, j), so the ORLICZ_CONC_THREADS worker threads
+    (default 1) change the schedule only, never the result."""
+    specs = [SamplerSpec(family, seed, count) for family, seed in streams]
+    if not specs:
+        raise InputError("map_streams needs at least one (family, seed) stream")
+    raw = os.environ.get(THREADS_ENV, "1")
+    try:
+        workers = max(1, int(raw))
+    except ValueError:
+        raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+    n_chunks = -(-count // CHUNK)
+
+    def job(j):
+        rows = min(CHUNK, count - j * CHUNK)
+        return fn(*(sample_chunk(s.family, s.seed, j, rows) for s in specs))
+
+    pool, mapper = nullcontext(), map
+    if workers > 1 and n_chunks > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=workers)
+        mapper = pool.map
+    with pool:  # closed on an error too
+        for j, part in enumerate(mapper(job, range(n_chunks))):
+            if j == 0:
+                out = np.empty((count, *part.shape[1:]), dtype=part.dtype)
+            out[j * CHUNK:j * CHUNK + len(part)] = part
+    return out
 
 
 def sample(spec: SamplerSpec) -> np.ndarray:
     """Full (count x n) sample matrix, filled chunk by chunk."""
-    out = np.empty((spec.count, spec.family.n))
-    for j, rows in _chunk_plan(spec.count):
-        out[j * CHUNK:j * CHUNK + rows] = sample_chunk(spec.family, spec.seed, j, rows)
-    return out
+    return map_streams(spec.count, [(spec.family, spec.seed)], lambda X: X)
 
 
 # ---------------------------------------------------------------------------

@@ -572,14 +572,16 @@ MLSI = ("verify", "mlsi", "--n", "2", "--psi", PSI2, "--function", "tilt",
 VERIFY_EXIT = {
     "centered": (("verify", "centered", "--n", "2", "--theta", "1,0", "--psi", PSI2,
                   "--N", "5000"), 0),
+    "centered_band_fails": (("verify", "centered", "--n", "2", "--theta", "1,0", "--psi", PSI2,
+                             "--N", "5000", "--C", "1e-6"), 1),
     "centered_high_p": (("verify", "centered", "--n", "2", "--theta", "1,0", "--psi", PSI2,
                          "--N", "5000", "--p-grid", "2,80"), 0),
     "nu_logp": (("verify", "nu-logp", "--N", "5000", "--p-grid", "2,4"), 0),
     "comparison": (("verify", "comparison", "--n", "3", "--function", "max",
                     "--N", "5000"), 0),
     "enlargement": ((*ENL, "--K", "1", "--D", "1", "--C", "0.2"), 0),
-    # --K defaults to 1, so the band is checked against that envelope's bound
-    "enlargement_without_K": (ENL, 0),
+    # no envelope flag, so no bound to check
+    "enlargement_without_env": (ENL, 0),
     "enlargement_band_fails": ((*ENL, "--D", "1", "--C", "0.01"), 1),
     "mlsi": (MLSI, 0),
     "mlsi_band_fails": ((*MLSI, "--D", "0.01"), 1),
@@ -602,11 +604,19 @@ def test_verify_exit_code_per_scenario(capsys, tmp_path, name):
     assert path.read_text().startswith("# config: ")
 
 
-def test_enlargement_without_K_checks_the_default_envelope(capsys):
+def test_enlargement_without_envelope_flags_checks_no_bound(capsys):
     rc, out, _ = run(capsys, *ENL)
     assert rc == 0
     rep = json.loads(out)
-    assert rep["meta"]["env"]["K"] == 1.0 and not any(math.isnan(b) for b in rep["bound"])
+    assert rep["meta"]["env"] is None and all(math.isnan(b) for b in rep["bound"])
+
+
+def test_enlargement_with_only_K_fills_in_the_envelope(capsys):
+    rc, out, _ = run(capsys, *ENL, "--K", "1.5")
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["meta"]["env"] == {"K": 1.5, "alpha": 2.0, "beta": 2.0, "D": 2.0, "d": 0.0}
+    assert not any(math.isnan(b) for b in rep["bound"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import orlicz_conc.empirics as em
+import orlicz_conc.measures as ms
 from orlicz_conc import (CHUNK, BobkovLedouxCap, Family, GrowthEnvelope,
                          InputError, MultiIndexMatrix, PhiSpec,
                          PowerNorm, SamplerSpec, StandardGaussian,
@@ -66,7 +67,7 @@ def test_top_mass_fraction_range():
     v = rng.standard_normal(1000)
     f = top_mass_fraction(v, 32.0)
     assert 0.0 < f <= 1.0
-    assert top_mass_fraction(v[:5], 8.0, k=10) == pytest.approx(1.0, rel=1e-12)
+    assert top_mass_fraction(v[:5], 8.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def _logsumexp_cases():
@@ -160,6 +161,16 @@ def test_verify_centered_report_identities():
     assert rep.meta["env"]["beta"] == 2.0
 
 
+def test_centered_verdict_fails_when_the_moments_exceed_the_bound():
+    args = (StandardGaussian(n=2), linear(np.array([1.0, 0.0])), SPEC2, ENV22,
+            np.array([2.0, 4.0, 8.0]), 5000, 0)
+    rep = verify_centered(*args)
+    assert rep.passed and np.all(rep.lhs <= rep.bound)
+    tight = verify_centered(*args, C=1e-6)
+    np.testing.assert_array_equal(tight.lhs, rep.lhs)
+    assert np.all(tight.lhs > tight.bound + 3.0 * tight.lhs_se) and not tight.passed
+
+
 def test_verify_centered_flags_heavy_tail_estimates():
     fam = StandardGaussian(n=2)
     rep = verify_centered(fam, linear(np.array([1.0, 0.0])), SPEC2, ENV22,
@@ -171,9 +182,9 @@ def test_verify_centered_deterministic_and_thread_invariant(monkeypatch):
     fam = StandardGaussian(n=2)
     args = (fam, linear(np.array([0.0, 1.0])), SPEC2, ENV22,
             np.array([2.0, 4.0]), 30000, 5)
-    monkeypatch.setenv(em.THREADS_ENV, "1")
+    monkeypatch.setenv(ms.THREADS_ENV, "1")
     one = verify_centered(*args)
-    monkeypatch.setenv(em.THREADS_ENV, "4")
+    monkeypatch.setenv(ms.THREADS_ENV, "4")
     four = verify_centered(*args)
     np.testing.assert_array_equal(one.lhs, four.lhs)
     np.testing.assert_array_equal(one.lhs_se, four.lhs_se)
@@ -182,12 +193,23 @@ def test_verify_centered_deterministic_and_thread_invariant(monkeypatch):
 
 def test_threaded_chunk_map_matches_one_worker(monkeypatch):
     # more rows than one chunk, so four workers really run the thread pool
-    N = 2 * em.CHUNK + 17
-    monkeypatch.setenv(em.THREADS_ENV, "1")
+    N = 2 * CHUNK + 17
+    monkeypatch.setenv(ms.THREADS_ENV, "1")
     one = verify_nu_logp(np.array([2.0, 8.0]), N, 6)
-    monkeypatch.setenv(em.THREADS_ENV, "4")
+    monkeypatch.setenv(ms.THREADS_ENV, "4")
     four = verify_nu_logp(np.array([2.0, 8.0]), N, 6)
     assert one.to_json_dict() == four.to_json_dict()
+
+
+def test_two_stream_comparison_matches_one_worker(monkeypatch):
+    # X and Z come from two streams, chunk by chunk, over three chunks
+    args = (StandardGaussian(n=3), PhiSpec(s=1.5), max_coordinate(),
+            np.array([2.0, 4.0]), 2 * CHUNK + 17, 8)
+    monkeypatch.setenv(ms.THREADS_ENV, "1")
+    one = comparison_check(*args)
+    monkeypatch.setenv(ms.THREADS_ENV, "4")
+    four = comparison_check(*args)
+    assert json.dumps(one.to_json_dict()) == json.dumps(four.to_json_dict())
 
 
 def test_verify_nu_logp_small_run_passes():

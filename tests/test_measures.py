@@ -39,6 +39,51 @@ def test_prefix_consistency_across_chunk_boundaries():
     np.testing.assert_array_equal(long[: ms.CHUNK + 100], short)
 
 
+def test_sample_over_three_chunks_matches_one_worker(monkeypatch):
+    spec = SamplerSpec(family=ProductPhiTail(PhiSpec(s=1.5), n=2), seed=3,
+                       count=2 * ms.CHUNK + 17)
+    monkeypatch.setenv(ms.THREADS_ENV, "1")
+    one = sample(spec)
+    monkeypatch.setenv(ms.THREADS_ENV, "4")
+    four = sample(spec)
+    assert one.tobytes() == four.tobytes()
+    np.testing.assert_array_equal(one[2 * ms.CHUNK:], sample_chunk(spec.family, 3, 2, 17))
+
+
+@pytest.mark.parametrize("count, family, seed, match", [
+    (0, StandardGaussian(n=1), 0, "count"),
+    (10, "gaussian", 0, "family"),
+    (10, StandardGaussian(n=1), -1, "seed"),
+    (10, StandardGaussian(n=1), 2 ** 64, "seed"),
+], ids=["zero_count", "not_a_family", "negative_seed", "seed_2_64"])
+def test_map_streams_refuses_bad_streams(count, family, seed, match):
+    with pytest.raises(InputError, match=match):
+        ms.map_streams(count, [(StandardGaussian(n=1), 0), (family, seed)], lambda X, Z: X)
+
+
+def test_map_streams_needs_a_stream():
+    with pytest.raises(InputError, match="stream"):
+        ms.map_streams(10, [], lambda: np.zeros(10))
+
+
+def test_map_streams_rejects_a_malformed_thread_count(monkeypatch):
+    monkeypatch.setenv(ms.THREADS_ENV, "two")
+    with pytest.raises(InputError, match=ms.THREADS_ENV):
+        ms.map_streams(10, [(StandardGaussian(n=1), 0)], lambda X: X)
+
+
+def test_map_streams_raises_a_worker_error(monkeypatch):
+    def fn(X):
+        if X[0, 0] == first:
+            raise InputError("chunk 1")
+        return X
+
+    first = sample_chunk(StandardGaussian(n=1), 0, 1, 1)[0, 0]
+    monkeypatch.setenv(ms.THREADS_ENV, "2")
+    with pytest.raises(InputError, match="chunk 1"):
+        ms.map_streams(2 * ms.CHUNK, [(StandardGaussian(n=1), 0)], fn)
+
+
 def test_chunks_depend_only_on_seed_and_index():
     one = sample_chunk(StandardGaussian(n=2), 9, 3, 100)
     two = sample_chunk(StandardGaussian(n=2), 9, 3, 100)
