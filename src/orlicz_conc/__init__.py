@@ -34,7 +34,7 @@ from .psi import (BobkovLedouxCap, GrowthEnvelope, PhiSpec, PowerNorm,
                   PsiSpec, SeparableFromPhi, SeparableTwoLevel, UserSeparable,
                   env_from_dict, env_to_dict, eval_psi, eval_psi_rows,
                   psi_from_dict, psi_from_json, psi_p_norm, psi_p_norm_rows,
-                  psi_to_dict, psi_to_json)
+                  psi_to_dict)
 from .tensors import (MultiIndexMatrix, chaos_deterministic_term, eval_form,
                       form_gradient, load_matrix, partition_norms,
                       save_matrix, symmetrize)

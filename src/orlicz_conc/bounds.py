@@ -19,8 +19,8 @@ import numpy as np
 
 from .conjugacy import omega_star
 from .errors import InputError
-from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, SeparableFromPhi, _bracket_sup, _shaped,
-                  psi_p_norm)
+from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, SeparableFromPhi, _bracket_sup, _column,
+                  _shaped, psi_p_norm)
 
 _E = math.e
 
@@ -39,7 +39,9 @@ def _check_nonneg(**kwargs):
 @dataclass(frozen=True)
 class PartitionNorms:
     """The five partition norms of a symmetric 2-index array entering the
-    quadratic chaos moment sum, at dual exponent parameter r >= 2."""
+    quadratic chaos moment sum, at dual exponent parameter r >= 2.
+    `capped` counts the alternating runs behind the two mixed norms that
+    stopped at their iteration cap unconverged."""
 
     hs: float
     op: float
@@ -47,6 +49,7 @@ class PartitionNorms:
     mixed_2_rstar: float
     rstar_rstar: float
     r: float
+    capped: int = 0
 
     def __post_init__(self):
         _check_nonneg(hs=self.hs, op=self.op, entry_lr=self.entry_lr,
@@ -174,15 +177,6 @@ def quadratic_chaos_moment(norms: PartitionNorms, p: float) -> float:
 # ---------------------------------------------------------------------------
 # tail profiles
 
-def _column(t, ok, requirement: str) -> np.ndarray:
-    """t as a float array; InputError names the first entry failing ok."""
-    ts = np.asarray(t, dtype=float)
-    bad = ~ok(ts)
-    if np.any(bad):
-        raise InputError(f"{requirement}, got {float(ts[bad][0])!r}")
-    return ts
-
-
 def chebyshev_level(grad_moment_fn: Callable, env: GrowthEnvelope, C: float, t):
     """Exceedance level e^{-p*} where p* is the largest p >= beta with
     C L G(p) <= t; returns 1 when even p = beta fails, and floors at
@@ -209,7 +203,7 @@ def lipschitz_profile(a: float, b: float, env: GrowthEnvelope, spec: PsiSpec, C:
         raise InputError(f"requires a, b, C > 0, got a={a} b={b} C={C}")
     ts = _column(t, lambda v: v >= 0, "requires t >= 0")
     out, pos = np.ones(ts.shape), ts > 0
-    s = _column(ts[pos] / (C * l_constant(env) * b), lambda v: v > 0, "omega_star requires t > 0")
+    s = ts[pos] / (C * l_constant(env) * b)
     out[pos] = np.exp(np.minimum(env.beta - a * omega_star(spec, s), 0.0))
     return _shaped(out, t)
 

@@ -2,10 +2,11 @@
 sample, verify.
 
 Exit codes: 0 success, 1 verification band failure, 2 input error,
-3 numerical error. Errors are emitted as JSON objects on stderr. Every run
-echoes its fully resolved configuration into the output header ('# config:'
-line for text/CSV, a "config" field for JSON), and output for a fixed
-configuration is byte-identical across runs.
+3 numerical error, which includes any RuntimeWarning such as an overflow
+(expected ones are silenced where they arise). Errors are emitted as JSON
+objects on stderr. Every run echoes its fully resolved configuration into
+the output header ('# config:' line for text/CSV, a "config" field for
+JSON), and output for a fixed configuration is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -479,11 +481,13 @@ def main(argv=None) -> int:
         ns, extra = parser.parse_known_args(argv)
         if extra and ns.run is not _cmd_bound:  # bound reads '--key value' pairs
             raise InputError(f"unrecognized arguments: {extra}")
-        return ns.run(ns, extra)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return ns.run(ns, extra)
     except InputError as exc:
         sys.stderr.write(json.dumps({"error": "input", "message": str(exc)}) + "\n")
         return 2
-    except NumericalError as exc:
+    except (NumericalError, RuntimeWarning) as exc:
         sys.stderr.write(json.dumps({"error": "numerical", "message": str(exc)}) + "\n")
         return 3
     except (json.JSONDecodeError, OSError) as exc:

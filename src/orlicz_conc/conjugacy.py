@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .psi import (_GOLDEN, GRID_HI, GRID_LO, GRID_POINTS, PsiSpec, _as_vector,
-                  _bracket_sup, _grid_sup, _shaped, legendre_1d)
+                  _bracket_sup, _column, _grid_sup, _shaped, legendre_1d)
 
 _ARGMAX_GOLDEN_MAX = 120  # golden steps of a coordinate argmax
 _MULTIPLIER_GOLDEN_MAX = 200  # golden steps of the support dual's multiplier
@@ -80,9 +80,7 @@ def omega_values(spec: PsiSpec, ts: np.ndarray) -> np.ndarray:
 
 def omega_inv(spec: PsiSpec, s):
     """Right-continuous inverse sup{t > 0 : omega(t) <= s}, elementwise."""
-    s = np.asarray(s, dtype=float)
-    if not np.all(s > 0):
-        raise InputError(f"omega_inv requires s > 0, got {s[~(s > 0)].ravel()[0]}")
+    s = _column(s, lambda v: v > 0, "omega_inv requires s > 0")
     ss = s.ravel()
     return _shaped(_bracket_sup(lambda d, t: omega_values(spec, t) - d, ss, np.ones_like(ss),
                                 "omega_inv"), s)
@@ -90,9 +88,7 @@ def omega_inv(spec: PsiSpec, s):
 
 def omega_star(spec: PsiSpec, t):
     """omega*(t) = t * sup{u > 0 : omega(u)/u <= t}, elementwise."""
-    t = np.asarray(t, dtype=float)
-    if not np.all(t > 0):
-        raise InputError(f"omega_star requires t > 0, got {t[~(t > 0)].ravel()[0]}")
+    t = _column(t, lambda v: v > 0, "omega_star requires t > 0")
     ts = t.ravel()
     return _shaped(ts * _bracket_sup(lambda d, u: omega_values(spec, u) / u - d, ts,
                                      np.ones_like(ts), "omega_star"), t)
@@ -107,9 +103,7 @@ def lam(spec: PsiSpec, t):
 
 def profile_table(spec: PsiSpec, ts) -> np.ndarray:
     """Columns (t, omega, omega_inv, omega*, lambda) for CSV export."""
-    ts = np.asarray(ts, dtype=float)
-    if not np.all(ts > 0):
-        raise InputError(f"profile_table requires t > 0, got {ts[~(ts > 0)][0]}")
+    ts = _column(ts, lambda v: v > 0, "profile_table requires t > 0")
     return np.column_stack((ts, omega_values(spec, ts), omega_inv(spec, ts),
                             omega_star(spec, ts), lam(spec, ts)))
 
@@ -147,9 +141,7 @@ def conjugate_ray_radius(spec: PsiSpec, u):
     """s(u) = sup{c > 0 : Psi*(c e_j) <= u}, elementwise over u > 0: the reach
     of the enlargement body {Psi* < u} along a coordinate axis.  Psi*(c e_j)
     is the 1-D conjugate at c, the same for every axis."""
-    u = np.asarray(u, dtype=float)
-    if not np.all(u > 0):
-        raise InputError(f"requires u > 0, got {u[~(u > 0)].ravel()[0]}")
+    u = _column(u, lambda v: v > 0, "requires u > 0")
     us = u.ravel()
     return _shaped(_bracket_sup(lambda d, c: _conjugate_1d(spec, c) - d, us, np.ones_like(us),
                                 "conjugate_ray_radius"), u)
@@ -161,7 +153,8 @@ def support_function(spec: PsiSpec, p: float, theta) -> float:
     A family's closed form is used where it has one (PowerNorm: radius(p) *
     ||theta||_q); separable convex families use Lagrange duality, sup =
     min_{lam>0} lam (p + Psi(theta/lam)), a 1-D convex minimization solved on
-    a log grid with golden refinement.
+    a log grid with golden refinement.  {Psi* <= p} is bounded for every
+    supported family, so a non-finite value is an overflow: NumericalError.
     """
     if not p > 0:
         raise InputError(f"requires p > 0, got {p}")
@@ -169,10 +162,12 @@ def support_function(spec: PsiSpec, p: float, theta) -> float:
     theta = _as_vector(spec, theta)
     if not np.any(theta):
         return 0.0
-    closed = spec._closed_support(p, theta)
-    if closed is not None:
-        return closed
-    return _support_multiplier(spec, p, theta)[1]
+    value = spec._closed_support(p, theta)
+    if value is None:
+        value = _support_multiplier(spec, p, theta)[1]
+    if not math.isfinite(value):
+        raise NumericalError(f"support function overflowed to {value}")
+    return value
 
 
 def support_argmax(spec: PsiSpec, p: float, theta) -> tuple:

@@ -59,13 +59,11 @@ def _psi_meta(spec: PsiSpec) -> dict:
 @dataclass
 class TestFunction:
     """A named observable with row-vectorized value and exact gradient
-    handles; optional constant-Hessian norms for second-order bounds."""
+    handles."""
 
     name: str
     f: Callable = field(repr=False)        # (N, n) -> (N,)
     grad: Callable = field(repr=False)     # (N, n) -> (N, n)
-    hess_hs: Optional[float] = None
-    hess_op: Optional[float] = None
 
 
 def linear(theta) -> TestFunction:
@@ -76,7 +74,6 @@ def linear(theta) -> TestFunction:
         name="linear",
         f=lambda X: X @ theta,
         grad=lambda X: np.broadcast_to(theta, X.shape).copy(),
-        hess_hs=0.0, hess_op=0.0,
     )
 
 
@@ -86,13 +83,10 @@ def quadratic_form(A: MultiIndexMatrix) -> TestFunction:
     if not A.symmetric:
         raise InputError("quadratic_form requires a symmetric matrix")
     M = A.data
-    svals = np.linalg.svd(M, compute_uv=False)
     return TestFunction(
         name="quadratic_form",
         f=lambda X: np.einsum("ni,ij,nj->n", X, M, X),
         grad=lambda X: 2.0 * (X @ M),
-        hess_hs=2.0 * float(np.linalg.norm(M)),
-        hess_op=2.0 * float(svals[0]) if svals.size else 0.0,
     )
 
 

@@ -177,8 +177,10 @@ class PsiSpec:
         return None
 
     def _closed_support(self, p: float, theta: np.ndarray) -> Optional[float]:
-        """sup{<theta, y> : Psi*(y) <= p}."""
-        return None
+        """sup{<theta, y> : Psi*(y) <= p}: the value of _closed_support_argmax,
+        unless the family has a value of its own."""
+        closed = self._closed_support_argmax(p, theta)
+        return None if closed is None else closed[0]
 
     def _closed_support_argmax(self, p: float, theta: np.ndarray) -> Optional[tuple]:
         """(value, maximizer y) of that supremum."""
@@ -224,16 +226,10 @@ class PowerNorm(PsiSpec):
     def _closed_gauge(self, p, X):
         return p ** (1.0 - 1.0 / self.a) * self._inner_norm(X)
 
-    def dual_exponent(self) -> float:
-        q = self.norm
-        if q == 1.0:
-            return math.inf
-        if math.isinf(q):
-            return 1.0
-        return q / (q - 1.0)
-
     def _dual_norm(self, y) -> float:
-        return float(np.linalg.norm(y, ord=self.dual_exponent()))
+        q = self.norm
+        q_dual = math.inf if q == 1.0 else (1.0 if math.isinf(q) else q / (q - 1.0))
+        return float(np.linalg.norm(y, ord=q_dual))
 
     def _closed_omega(self, t):
         return np.power(t, self.a)
@@ -257,6 +253,7 @@ class PowerNorm(PsiSpec):
         return (p / coef) ** (1.0 / a_conj)
 
     def _closed_support(self, p, theta):
+        # R ||theta||_q, which rounds differently from <theta, y> at the argmax
         return self._conjugate_radius(p) * float(np.linalg.norm(theta, ord=self.norm))
 
     def _closed_support_argmax(self, p, theta):
@@ -359,10 +356,6 @@ class SeparableFromPhi(PsiSpec):
         if self.phi.fn is None and self.phi.s >= 2.0:
             return self.phi.tilde(c)
 
-    def _closed_support(self, p, theta):
-        cap = self._cap()
-        return None if cap is None else 0.5 * cap._closed_support(p, theta)
-
     def _closed_support_argmax(self, p, theta):
         cap = self._cap()
         if cap is not None:
@@ -408,9 +401,6 @@ class BobkovLedouxCap(PsiSpec):
     def _closed_conjugate(self, c):
         thr = self.threshold
         return np.where(c <= 2.0 * thr, 0.25 * c * c, thr * c - thr * thr)
-
-    def _closed_support(self, p, theta):
-        return self._closed_support_argmax(p, theta)[0]
 
     def _closed_support_argmax(self, p, theta):
         # Psi(theta/lam) = |theta|^2/lam^2 on lam >= max|theta|/thr, so the dual
@@ -491,10 +481,6 @@ def _parse_norm_descriptor(v) -> float:
 
 def psi_to_dict(spec: PsiSpec) -> dict:
     return {"family": type(spec).__name__, "params": spec._params(), "dim": spec.dim}
-
-
-def psi_to_json(spec: PsiSpec) -> str:
-    return json.dumps(psi_to_dict(spec), separators=(",", ":"))
 
 
 def _expect_keys(d: dict, allowed, where: str):
@@ -610,21 +596,19 @@ def eval_psi_rows(spec: PsiSpec, X) -> np.ndarray:
     return spec._eval_rows(X)
 
 
-def psi_p_norm(spec: PsiSpec, p: float, x, tol: float = DEFAULT_TOL) -> float:
+def psi_p_norm(spec: PsiSpec, p: float, x) -> float:
     """Luxemburg-type gauge |x|_{Psi_p} = inf{a > 0 : Psi(px/a) <= p}.
 
-    Returns a feasible a* with Psi(px/a*) <= p and Psi(px/(a*(1-tol))) > p.
+    Returns a feasible a* with Psi(px/a*) <= p and Psi(px/(a*(1-DEFAULT_TOL))) > p.
     """
-    return float(psi_p_norm_rows(spec, p, _as_vector(spec, x)[None, :], tol)[0])
+    return float(psi_p_norm_rows(spec, p, _as_vector(spec, x)[None, :])[0])
 
 
-def psi_p_norm_rows(spec: PsiSpec, p: float, X, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psi_p_norm_rows(spec: PsiSpec, p: float, X) -> np.ndarray:
     """Vector of |row|_{Psi_p} over the rows of X.  Each value depends on its
     row alone, so it is bit-identical to psi_p_norm on that row."""
     if not p > 0:
         raise InputError(f"p must be positive, got {p}")
-    if not (0 < tol <= 1e-3):
-        raise InputError(f"tol must lie in (0, 1e-3], got {tol}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != spec.dim:
         raise InputError(f"expected (m, {spec.dim}) array, got {X.shape}")
@@ -637,7 +621,7 @@ def psi_p_norm_rows(spec: PsiSpec, p: float, X, tol: float = DEFAULT_TOL) -> np.
     a = spec._closed_gauge(p, X[act])
     if a is None:
         out[act] = _bracket_solve(lambda rows, b: spec._eval_rows(p * X[rows] / b[:, None]) - p,
-                                  act, l2[act], tol, "gauge", "; Psi may violate (C3)")
+                                  act, l2[act], DEFAULT_TOL, "gauge", "; Psi may violate (C3)")
         return out
     # rounding leaves some closed forms up to 13 ulps infeasible: raise those
     # rows by a relative step that doubles from one ulp
@@ -770,6 +754,15 @@ def _grid_sup(ts: np.ndarray, xs: np.ndarray, on_grid: Callable, unbounded: Call
     return out
 
 
+def _column(t, ok, requirement: str) -> np.ndarray:
+    """t as a float array; InputError names the first entry failing ok."""
+    ts = np.asarray(t, dtype=float)
+    bad = ~ok(ts)
+    if np.any(bad):
+        raise InputError(f"{requirement}, got {float(ts[bad][0])!r}")
+    return ts
+
+
 def _shaped(out: np.ndarray, t):
     """out in t's shape: a float for a scalar t."""
     out = np.reshape(out, np.shape(t))
@@ -787,9 +780,7 @@ def legendre_1d(phi: Callable, t):
     at 0, the supremum attained as y -> 0+ whenever phi vanishes at the
     origin (all uses here).
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise InputError(f"legendre_1d requires t >= 0, got {t[~(t >= 0)].ravel()[0]}")
+    t = _column(t, lambda v: v >= 0, "legendre_1d requires t >= 0")
     ys = np.geomspace(GRID_LO, GRID_HI, GRID_POINTS)
     phi_ys = np.asarray(phi(ys), dtype=float)
     per_decade = max(2, int(GRID_POINTS / math.log10(GRID_HI / GRID_LO)))

@@ -2,13 +2,17 @@
 compensated accumulation, analytic gradients, partition norms, and the
 deterministic chaos terms built on conjugate-ball support functions.
 
-Mixed partition norms are non-convex maximizations; we run alternating
-exact maximization (each half-step is a closed-form dual-norm witness) from
-seeded random restarts and report the best value, a certified lower bound.
+Mixed partition norms and the quadratic chaos term are non-convex
+maximizations of a bilinear form over two balls. One alternating exact
+maximizer, `_alternate`, serves both: each half-step is an exact argmax over
+one ball (a closed-form dual-norm witness for the partition norms, a
+conjugate-ball support argmax for the chaos term). Runs start from seeded
+random restarts and the best value, a certified lower bound, is reported.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -124,19 +128,19 @@ def form_gradient(A: MultiIndexMatrix, x) -> np.ndarray:
 # partition norms
 
 def _lr_witness(z: np.ndarray, r: float):
-    """argmax of <z, y> over the unit l_{r*} ball, value |z|_r."""
+    """(|z|_r, argmax of <z, y> over the unit l_{r*} ball)."""
     mags = np.abs(z)
     nr = float(np.sum(mags ** r)) ** (1.0 / r)
     if nr == 0.0:
-        return np.zeros_like(z), 0.0
-    return np.sign(z) * (mags / nr) ** (r - 1.0), nr
+        return 0.0, np.zeros_like(z)
+    return nr, np.sign(z) * (mags / nr) ** (r - 1.0)
 
 
 def _l2_witness(z: np.ndarray):
     n2 = float(np.linalg.norm(z))
     if n2 == 0.0:
-        return np.zeros_like(z), 0.0
-    return z / n2, n2
+        return 0.0, np.zeros_like(z)
+    return n2, z / n2
 
 
 def _top_singular(M: np.ndarray, rng: np.random.Generator) -> float:
@@ -174,22 +178,19 @@ def _top_singular(M: np.ndarray, rng: np.random.Generator) -> float:
     return best
 
 
-def _alternating_mixed(M: np.ndarray, r: float, left_l2: bool,
-                       rng: np.random.Generator) -> float:
-    """sup x^T M y with |y|_{r*} <= 1 and x in the unit l2 (left_l2) or
-    l_{r*} ball; value is non-decreasing across half-steps."""
-    n = M.shape[0]
-    g = rng.standard_normal(n)
-    y, _ = _lr_witness(g, r)
+def _alternate(M: np.ndarray, Mt: np.ndarray, left, right, g: np.ndarray, cap: int) -> tuple:
+    """(value, converged) of alternating exact maximization of x^T M y, where
+    left and right return (value, maximizer) over their balls: from y =
+    right(g), each step takes x = left(M y), then (value, y) = right(Mt x).
+    It stops once two values agree to _ALT_TOL, or unconverged at `cap`."""
+    y = right(g)[1]
     val = 0.0
-    for _ in range(_ALT_MAX_ITERS):
-        z = M @ y
-        x, _ = _l2_witness(z) if left_l2 else _lr_witness(z, r)
-        y, new_val = _lr_witness(M.T @ x, r)
+    for _ in range(cap):
+        new_val, y = right(Mt @ left(M @ y)[1])
         if abs(new_val - val) <= _ALT_TOL * max(new_val, 1.0):
-            return new_val
+            return new_val, True
         val = new_val
-    return val
+    return val, False
 
 
 def partition_norms(A: MultiIndexMatrix, r: float, restarts: int = 32,
@@ -198,7 +199,8 @@ def partition_norms(A: MultiIndexMatrix, r: float, restarts: int = 32,
     (symmetry is not required; the suprema are over independent left and
     right arguments). hs/entry_lr are entrywise sums; op is the top singular
     value; the two mixed norms are alternating-maximization lower bounds
-    over `restarts` seeded starts; for r >= 2 the unit l_{r*} ball lies in
+    over `restarts` seeded starts each, and `capped` counts the runs that
+    stopped at _ALT_MAX_ITERS; for r >= 2 the unit l_{r*} ball lies in
     the unit l_2 ball, so mixed_2_rstar is at least rstar_rstar."""
     if A.k != 2:
         raise InputError(f"partition norms require k = 2, got k = {A.k}")
@@ -210,13 +212,21 @@ def partition_norms(A: MultiIndexMatrix, r: float, restarts: int = 32,
     hs = math.sqrt(math.fsum((M * M).ravel()))
     entry_lr = math.fsum((np.abs(M) ** r).ravel()) ** (1.0 / r)
     op = _top_singular(M, np.random.default_rng([seed, 0xA]))
-    mixed = 0.0
-    rstar = 0.0
-    for i in range(restarts):
-        mixed = max(mixed, _alternating_mixed(M, r, True, np.random.default_rng([seed, 0xB, i])))
-        rstar = max(rstar, _alternating_mixed(M, r, False, np.random.default_rng([seed, 0xC, i])))
-    return PartitionNorms(hs=hs, op=op, entry_lr=entry_lr,
-                          mixed_2_rstar=max(mixed, rstar), rstar_rstar=rstar, r=r)
+    lr = functools.partial(_lr_witness, r=r)
+
+    def best_of(tag, left):
+        # the best value over the seeded restarts, and how many hit the cap
+        best, capped = 0.0, 0
+        for i in range(restarts):
+            g = np.random.default_rng([seed, tag, i]).standard_normal(A.n)
+            value, converged = _alternate(M, M.T, left, lr, g, _ALT_MAX_ITERS)
+            best, capped = max(best, value), capped + (not converged)
+        return best, capped
+
+    mixed, capped_l2 = best_of(0xB, _l2_witness)
+    rstar, capped_lr = best_of(0xC, lr)
+    return PartitionNorms(hs=hs, op=op, entry_lr=entry_lr, mixed_2_rstar=max(mixed, rstar),
+                          rstar_rstar=rstar, r=r, capped=capped_l2 + capped_lr)
 
 
 def chaos_deterministic_term(A: MultiIndexMatrix, spec: PsiSpec, p: float,
@@ -238,54 +248,26 @@ def chaos_deterministic_term(A: MultiIndexMatrix, spec: PsiSpec, p: float,
     M = A.data
     if not np.any(M):
         return 0.0
+    step = functools.partial(support_argmax, spec, p)
     best = 0.0
     for i in range(restarts):
-        rng = np.random.default_rng([seed, 0xD, i])
-        _, y1 = support_argmax(spec, p, rng.standard_normal(A.n))
-        val = 0.0
-        for _ in range(_CHAOS_MAX_ITERS):
-            _, y2 = support_argmax(spec, p, M @ y1)
-            new_val, y1 = support_argmax(spec, p, M @ y2)
-            converged = abs(new_val - val) <= 1e-12 * max(new_val, 1.0)
-            val = new_val
-            if converged:
-                break
-        else:
+        g = np.random.default_rng([seed, 0xD, i]).standard_normal(A.n)
+        value, converged = _alternate(M, M, step, step, g, _CHAOS_MAX_ITERS)
+        if not converged:
             raise NumericalError(f"chaos maximization hit its {_CHAOS_MAX_ITERS}-iteration cap")
-        best = max(best, val)
+        best = max(best, value)
     return best
 
 
 # ---------------------------------------------------------------------------
 # matrix I/O
 
-def matrix_to_json_dict(A: MultiIndexMatrix) -> dict:
-    return {"k": A.k, "n": A.n, "data": A.as_flat().tolist(),
-            "symmetric": bool(A.symmetric)}
-
-
-def matrix_from_json_dict(d: dict) -> MultiIndexMatrix:
-    if not isinstance(d, dict):
-        raise InputError("matrix JSON must be an object")
-    allowed = {"k", "n", "data", "symmetric"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise InputError(f"unknown matrix keys: {sorted(unknown)}")
-    for key in ("k", "n", "data"):
-        if key not in d:
-            raise InputError(f"matrix JSON missing key {key!r}")
-    try:
-        return MultiIndexMatrix.from_flat(int(d["k"]), int(d["n"]), d["data"],
-                                          symmetric=d.get("symmetric"))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed matrix JSON: {exc}") from exc
-
-
 def save_matrix(A: MultiIndexMatrix, path: str):
     """JSON for any order (by .json extension); whitespace text for k <= 2."""
     if str(path).endswith(".json"):
         with open(path, "w") as fh:
-            json.dump(matrix_to_json_dict(A), fh)
+            json.dump({"k": A.k, "n": A.n, "data": A.as_flat().tolist(),
+                       "symmetric": bool(A.symmetric)}, fh)
             fh.write("\n")
         return
     if A.k > 2:
@@ -303,7 +285,19 @@ def load_matrix(path: str) -> MultiIndexMatrix:
                 d = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputError(f"malformed matrix JSON: {exc}") from exc
-        return matrix_from_json_dict(d)
+        if not isinstance(d, dict):
+            raise InputError("matrix JSON must be an object")
+        unknown = set(d) - {"k", "n", "data", "symmetric"}
+        if unknown:
+            raise InputError(f"unknown matrix keys: {sorted(unknown)}")
+        for key in ("k", "n", "data"):
+            if key not in d:
+                raise InputError(f"matrix JSON missing key {key!r}")
+        try:
+            return MultiIndexMatrix.from_flat(int(d["k"]), int(d["n"]), d["data"],
+                                              symmetric=d.get("symmetric"))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed matrix JSON: {exc}") from exc
     rows = []
     with open(path) as fh:
         for line in fh:

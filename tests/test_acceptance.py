@@ -10,7 +10,7 @@ import math
 import time
 
 import numpy as np
-from scipy import stats
+from scipy import optimize, stats
 
 import orlicz_conc as oc
 
@@ -201,24 +201,61 @@ def test_criterion_09_mlsi_residuals():
                f"nu z={nu.residual / nu.se:+.2f}, both above -3")
 
 
+def _chernoff_log_tail(lam, t):
+    """log of the Chernoff bound on P(|Q - E Q| >= t) for the Gaussian chaos
+    Q - E Q = sum_i lam_i (g_i^2 - 1): exp(-sup_s [s t - K(s)]) with the exact
+    cumulant generating function K(s) = sum_i (-log(1 - 2 s lam_i)/2 - s lam_i),
+    one term per sign of Q - E Q. Any s in (0, 1/(2 max lam)) gives an upper
+    bound on the true tail, so a loose numeric sup only loosens it."""
+    terms = []
+    for signed in (lam, -lam):
+        s_max = 0.5 / float(np.max(signed))
+
+        def neg_rate(s):
+            return -(s * t - float(np.sum(-0.5 * np.log1p(-2.0 * s * signed) - s * signed)))
+
+        res = optimize.minimize_scalar(neg_rate, bounds=(0.0, s_max * (1.0 - 1e-9)),
+                                       method="bounded", options={"xatol": 1e-12 * s_max})
+        terms.append(float(res.fun))
+    return float(np.logaddexp(*terms))
+
+
 def test_criterion_10_bcg_tail_dominates_empirics():
+    # Q(x) = x^T A x under the standard Gaussian, against the exact chaos law:
+    # Q - tr A = sum_i lam_i (g_i^2 - 1) with lam = eigvalsh(A).  L = 2 is
+    # Gross's log-Sobolev normalisation for the standard Gaussian,
+    # Ent(f^2) <= 2 E|grad f|^2.
     rng = np.random.default_rng(707)
     G = rng.standard_normal((10, 10))
     A = 0.5 * (G + G.T)
-    M = oc.MultiIndexMatrix(2, 10, A, symmetric=True)
-    f = oc.quadratic_form(M)
+    lam = np.linalg.eigvalsh(A)
+    hess_hs, hess_op = 2.0 * float(np.linalg.norm(lam)), 2.0 * float(np.max(np.abs(lam)))
+    f = oc.quadratic_form(oc.MultiIndexMatrix(2, 10, A, symmetric=True))
     X = oc.sample(oc.SamplerSpec(family=oc.StandardGaussian(n=10), seed=707,
                                  count=100_000))
-    Z = f.f(X)
-    Zc = np.abs(Z - Z.mean())
     mean_grad = float(np.mean(np.linalg.norm(f.grad(X), axis=1)))
     L = 2.0
-    a = 2.0 * math.e * (math.sqrt(2.0) * L * L * f.hess_hs + L * mean_grad)
-    checks = []
-    for mult in (1.0, 2.0, 4.0):
-        t = mult * a
-        emp = float(np.mean(Zc >= t))
-        bound = oc.bcg_tail(L, f.hess_hs, mean_grad, f.hess_op, t)
-        assert emp <= bound, (mult, emp, bound)
-        checks.append(f"t={mult:g}a emp={emp:.1e}<=bound={bound:.1e}")
-    _report(10, "empirical tail below bcg_tail at " + "; ".join(checks))
+
+    # the oracle against the sampled law at 1-4 standard deviations of Q
+    Zc = np.abs(f.f(X) - float(np.sum(lam)))
+    sd = math.sqrt(2.0) * float(np.linalg.norm(lam))
+    sampled = []
+    for k in (1.0, 2.0, 3.0, 4.0):
+        emp, chern = float(np.mean(Zc >= k * sd)), math.exp(_chernoff_log_tail(lam, k * sd))
+        assert emp <= chern, (k, emp, chern)
+        sampled.append(f"{k:g}sd {emp:.3g}<={chern:.3g}")
+
+    # bcg_tail above the Chernoff bound certifies bcg_tail above the truth
+    a = 2.0 * math.e * (math.sqrt(2.0) * L * L * hess_hs + L * mean_grad)
+    ts = a * np.geomspace(1.0, 16.0, 65)
+    bound = oc.bcg_tail(L, hess_hs, mean_grad, hess_op, ts)
+    grid = (bound >= 1e-12) & (bound <= 0.5)
+    assert np.count_nonzero(grid) >= 20
+    ratios = []
+    for t, b in zip(ts[grid], bound[grid]):
+        log_chern = _chernoff_log_tail(lam, t)
+        assert math.log(b) >= log_chern, (t / a, b, log_chern)
+        ratios.append(math.log(b) / log_chern)
+    _report(10, f"Chernoff above the sampled tail ({'; '.join(sampled)}); bcg_tail above "
+                f"Chernoff on t = {ts[grid][0] / a:.2f}a..{ts[grid][-1] / a:.2f}a, "
+                f"log(bound)/log(Chernoff) {min(ratios):.3f}..{max(ratios):.3f}")

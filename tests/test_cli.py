@@ -268,6 +268,31 @@ def test_verify_mlsi_writes_a_one_row_csv(capsys, tmp_path):
     assert len(lines) == 3 and len(lines[2].split(",")) == 5
 
 
+TWOLEVEL2 = '{"family":"SeparableTwoLevel","params":{"r":3},"dim":2}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm", "--psi", PSI2, "--p", "1e308", "--x", "3,4"),
+    ("norm", "--psi", TWOLEVEL2, "--p", "2", "--x", "1e308,1"),
+    ("verify", "centered", "--n", "2", "--psi", PSI2, "--theta", "1e308,0", "--N", "2000"),
+    ("tensor", "--matrix", "MATRIX", "--op", "partition", "--r", "1e308"),
+    ("conjugate", "--psi", TWOLEVEL2, "--support", "--p", "4", "--theta", "1e300,0"),
+], ids=["norm_p", "norm_x", "verify_theta", "partition_r", "support_theta"])
+def test_overflow_exits_three(capsys, matrix_file, argv):
+    rc, out, err = run(capsys, *(matrix_file if a == "MATRIX" else a for a in argv))
+    assert rc == 3 and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "numerical"
+
+
+def test_overflow_prints_one_json_line_and_no_warning():
+    proc = subprocess.run(
+        [sys.executable, "-m", "orlicz_conc.cli", "norm", "--psi", PSI2,
+         "--p", "1e308", "--x", "3,4"], capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "numerical",
+                                       "message": "overflow encountered in multiply"}
+
+
 def test_chaos_iteration_cap_exits_three(capsys, monkeypatch, matrix_file):
     monkeypatch.setattr(cli.tn, "_CHAOS_MAX_ITERS", 1)
     rc, out, err = run(capsys, "tensor", "--matrix", matrix_file, "--op", "chaos",

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 import orlicz_conc.conjugacy as cj
 import orlicz_conc.psi as psi_mod
-from orlicz_conc import (BobkovLedouxCap, InputError, NumericalError, PhiSpec,
-                         PowerNorm, SeparableFromPhi, SeparableTwoLevel,
+from orlicz_conc import (BobkovLedouxCap, GrowthEnvelope, InputError, NumericalError,
+                         PhiSpec, PowerNorm, SeparableFromPhi, SeparableTwoLevel,
                          UserSeparable, conjugate_ray_radius, lam, legendre_1d,
-                         omega, omega_inv, omega_star, omega_values,
-                         profile_table, psi_star, support_argmax,
+                         lipschitz_profile, omega, omega_inv, omega_star,
+                         omega_values, profile_table, psi_star, support_argmax,
                          support_function)
 
 POWER2 = PowerNorm(dim=4, norm=2.0, a=2.0)
@@ -109,6 +109,29 @@ def test_profile_table_columns():
     assert omega_star(POWER2, 2.0) == pytest.approx(4.0, rel=1e-9)
     assert omega_inv(POWER2, 4.0) == pytest.approx(2.0, rel=1e-9)
     assert lam(POWER2, 2.0) == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("call, ts, message", [
+    (lambda v: omega_inv(TWOLEVEL3, v), [[1.0, -2.5], [math.nan, 0.0]],
+     "omega_inv requires s > 0, got -2.5"),
+    (lambda v: omega_star(TWOLEVEL3, v), [[1.0, 0.0], [-2.5, 2.0]],
+     "omega_star requires t > 0, got 0.0"),
+    (lambda v: profile_table(TWOLEVEL3, v), [1.0, -math.inf, 0.0],
+     "profile_table requires t > 0, got -inf"),
+    (lambda v: conjugate_ray_radius(TWOLEVEL3, v), [[2.0, math.nan]],
+     "requires u > 0, got nan"),
+    (lambda v: legendre_1d(np.square, v), [[0.0, 1.0], [-2.5, math.nan]],
+     "legendre_1d requires t >= 0, got -2.5"),
+    # t > 0, but t / (C L b) underflows to the 0 that omega_star refuses
+    (lambda v: lipschitz_profile(1.0, 1e4, GrowthEnvelope(K=1.0, alpha=2.0, beta=2.0),
+                                 TWOLEVEL3, 1.0, v), [1.0, 1e-320],
+     "omega_star requires t > 0, got 0.0"),
+], ids=["omega_inv", "omega_star", "profile_table", "conjugate_ray_radius", "legendre_1d",
+        "lipschitz_profile"])
+def test_positive_domain_errors_name_the_first_bad_entry(call, ts, message):
+    with pytest.raises(InputError) as info:
+        call(np.array(ts))
+    assert str(info.value) == message
 
 
 def test_legendre_1d_of_quadratic():
@@ -209,6 +232,18 @@ def test_separable_from_phi_s1_support_matches_the_numeric_dual():
         assert psi_star(SFP1, y) <= p * (1.0 + 1e-12)
         assert value == pytest.approx(float(np.dot(theta, y)), rel=1e-12)
         assert support_function(SFP1, p, theta) == value
+
+
+@pytest.mark.parametrize("spec", [BobkovLedouxCap(dim=4, threshold=0.5), SFP1],
+                         ids=["blcap", "sfp1"])
+def test_support_function_is_the_closed_argmax_value_bit_for_bit(spec):
+    # only PowerNorm has a support value of its own; these take the value of
+    # their closed-form argmax
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        p = float(rng.uniform(0.2, 60.0))
+        theta = rng.standard_normal(4) * math.exp(rng.uniform(-3, 3))
+        assert support_function(spec, p, theta) == support_argmax(spec, p, theta)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,11 @@ def test_iteration_cap_raises_numerical_error(monkeypatch, capsys):
 
 
 def test_tol_below_float_resolution_still_converges():
+    # the solve floors its tol at 2 eps, so adjacent floats end it
     spec = SeparableTwoLevel(dim=3, r=3.0)
     x = np.array([1.0, -2.0, 0.5])
-    a = psi_p_norm(spec, 4.0, x, tol=1e-300)
+    PX = 4.0 * x[None, :]
+    a = psi_mod._bracket_solve(lambda rows, b: spec._eval_rows(PX[rows] / b[:, None]) - 4.0,
+                               np.arange(1), np.array([np.linalg.norm(x)]), 1e-300, "gauge")[0]
     assert eval_psi_rows(spec, 4.0 * x[None, :] / a)[0] <= 4.0
     assert a == pytest.approx(bisect_gauge(spec, 4.0, x)[0], rel=1e-12)

@@ -1,5 +1,6 @@
 """Gauge family: construction, closed forms, serialization, diagnostics."""
 
+import json
 import math
 
 import numpy as np
@@ -11,8 +12,7 @@ from orlicz_conc import (BobkovLedouxCap, GrowthEnvelope, InputError, PhiSpec,
                          PowerNorm, SeparableFromPhi, SeparableTwoLevel,
                          UserSeparable, env_from_dict, env_to_dict, eval_psi,
                          eval_psi_rows, psi_from_dict, psi_from_json,
-                         psi_p_norm, psi_p_norm_rows, psi_to_dict,
-                         psi_to_json)
+                         psi_p_norm, psi_p_norm_rows, psi_to_dict)
 from orlicz_conc import psi as psi_mod
 
 
@@ -197,7 +197,7 @@ def test_json_roundtrip_all_builtin_families():
              BobkovLedouxCap(dim=5, threshold=0.75)]
     rng = np.random.default_rng(13)
     for spec in specs:
-        back = psi_from_json(psi_to_json(spec))
+        back = psi_from_json(json.dumps(psi_to_dict(spec)))
         assert type(back) is type(spec)
         assert back.dim == spec.dim
         x = rng.standard_normal(spec.dim) * 0.3

@@ -173,6 +173,15 @@ def test_operator_norm_against_random_net():
     assert pn.op == pytest.approx(float(np.linalg.svd(M, compute_uv=False)[0]), rel=1e-8)
 
 
+def test_partition_norms_count_the_runs_at_their_cap(monkeypatch):
+    A = MultiIndexMatrix(2, 4, np.diag([3.0, -2.0, 1.0, 0.5]), symmetric=True)
+    assert partition_norms(A, 3.0, restarts=4).capped == 0
+    # the first step moves the value off 0, so one step never converges;
+    # each restart makes one run per mixed norm
+    monkeypatch.setattr(tn, "_ALT_MAX_ITERS", 1)
+    assert partition_norms(A, 3.0, restarts=4).capped == 8
+
+
 def test_partition_norms_validation():
     A = MultiIndexMatrix(2, 3, np.eye(3), symmetric=True)
     with pytest.raises(InputError):
