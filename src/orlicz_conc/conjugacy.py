@@ -130,11 +130,19 @@ def _conjugate_1d(spec: PsiSpec, v: np.ndarray) -> np.ndarray:
 def psi_star(spec: PsiSpec, y) -> float:
     """Legendre transform Psi*(y) = sup_x(<x,y> - Psi(x)): the 1-D conjugate
     summed over coordinates for separable families, taken at the dual norm
-    of y for PowerNorm."""
+    of y for PowerNorm.  A separable family's closed 1-D conjugate is finite
+    everywhere, so a non-finite one is an overflow: NumericalError."""
     y = _as_vector(spec, y)
-    if spec.separable:
-        return float(np.sum(_conjugate_1d(spec, y)))
-    return float(spec._closed_conjugate(spec._dual_norm(y)))
+    if not spec.separable:
+        return float(spec._closed_conjugate(spec._dual_norm(y)))
+    with np.errstate(over="ignore"):
+        closed = spec._closed_conjugate(np.abs(y))
+    if closed is None:
+        return float(np.sum(legendre_1d(spec._component, np.abs(y))))
+    value = float(np.sum(closed))
+    if not math.isfinite(value):
+        raise NumericalError(f"Psi* overflowed to {value}")
+    return value
 
 
 def conjugate_ray_radius(spec: PsiSpec, u):

@@ -59,11 +59,12 @@ def _psi_meta(spec: PsiSpec) -> dict:
 @dataclass
 class TestFunction:
     """A named observable with row-vectorized value and exact gradient
-    handles."""
+    handles; `direction` is the gradient when it is the same on every row."""
 
     name: str
     f: Callable = field(repr=False)        # (N, n) -> (N,)
     grad: Callable = field(repr=False)     # (N, n) -> (N, n)
+    direction: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def linear(theta) -> TestFunction:
@@ -74,6 +75,7 @@ def linear(theta) -> TestFunction:
         name="linear",
         f=lambda X: X @ theta,
         grad=lambda X: np.broadcast_to(theta, X.shape).copy(),
+        direction=theta,
     )
 
 
@@ -344,16 +346,22 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
                     C: float = 1.0) -> MomentReport:
     """Estimate ||f - mean f||_p against G(p) = || |grad f|_{Psi_p} ||_p and
     the closed-form bound C L G(p); the fitted constant is the largest ratio
-    lhs / G over the grid."""
+    lhs / G over the grid.  A gradient with a fixed `direction` takes one
+    gauge solve per p, the same value every row would give."""
     family = _family_of(sampler, seed, N)
     p_grid = _validate_p_grid(p_grid, env.beta)
     if family.n != spec.dim:
         raise InputError(f"sampler dim {family.n} != spec dim {spec.dim}")
+    if f.direction is not None:
+        fixed = [psi_p_norm_rows(spec, p, f.direction[None, :])[0] for p in p_grid]
 
     def job(X):
-        gr = f.grad(X)
         cols = [f.f(X)]
-        cols.extend(psi_p_norm_rows(spec, p, gr) for p in p_grid)
+        if f.direction is not None:
+            cols.extend(np.full(X.shape[0], g) for g in fixed)
+        else:
+            gr = f.grad(X)
+            cols.extend(psi_p_norm_rows(spec, p, gr) for p in p_grid)
         return np.column_stack(cols)
 
     data = map_streams(N, [(family, seed)], job)

@@ -27,13 +27,14 @@ THREADS_ENV = "ORLICZ_CONC_THREADS"
 class Family:
     """A reference measure on R^n with an exact chunked sampler. A subclass
     is a frozen dataclass with a field n; it owns `_draw`, which turns one
-    chunk's Philox stream into all CHUNK rows, and `meta`, its JSON form."""
+    chunk's Philox stream into the first `rows` of its CHUNK rows, and
+    `meta`, its JSON form."""
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
             raise InputError(f"n must be an integer >= 1, got {self.n!r}")
 
-    def _draw(self, rng: np.random.Generator) -> np.ndarray:
+    def _draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
         raise NotImplementedError
 
     def meta(self) -> dict:
@@ -44,8 +45,8 @@ class Family:
 class StandardGaussian(Family):
     n: int
 
-    def _draw(self, rng):
-        return rng.standard_normal((CHUNK, self.n))
+    def _draw(self, rng, rows):
+        return rng.standard_normal((rows, self.n))
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,11 @@ class ProductPhiTail(Family):
         if not isinstance(self.phi, PhiSpec):
             raise InputError("phi must be a PhiSpec")
 
-    def _draw(self, rng):
-        u = _uniform_open(rng, (CHUNK, self.n))
+    def _draw(self, rng, rows):
+        # every uniform is drawn, as they position the sign draws after them
+        u = _uniform_open(rng, (CHUNK, self.n))[:rows]
         mags = _phi_inv_array(self.phi, -np.log(u))
-        return mags * (2.0 * rng.integers(0, 2, size=(CHUNK, self.n)) - 1.0)
+        return mags * (2.0 * rng.integers(0, 2, size=(rows, self.n)) - 1.0)
 
     def meta(self) -> dict:
         return {**super().meta(), "phi": {"s": self.phi.s, "custom": self.phi.fn is not None}}
@@ -79,8 +81,8 @@ class NuMeasure(Family):
         if self.n != 1:
             raise InputError("NuMeasure is one-dimensional; n must be 1")
 
-    def _draw(self, rng):
-        return nu_quantile(_uniform_open(rng, (CHUNK, 1)))
+    def _draw(self, rng, rows):
+        return nu_quantile(_uniform_open(rng, (rows, 1)))
 
 
 @dataclass(frozen=True)
@@ -121,14 +123,11 @@ def _phi_inv_array(phi: PhiSpec, y: np.ndarray) -> np.ndarray:
 
 
 def sample_chunk(family: Family, seed: int, j: int, rows: int) -> np.ndarray:
-    """First `rows` rows of chunk j of the (family, seed) stream.
-
-    The full chunk is always generated before slicing so that a partial
-    request is a bit-exact prefix of the full chunk; rows <= CHUNK.
-    """
+    """First `rows` rows of chunk j of the (family, seed) stream, rows <= CHUNK:
+    a bit-exact prefix of the full chunk, with only those rows computed."""
     if not 0 < rows <= CHUNK:
         raise InputError(f"rows must lie in (0, {CHUNK}], got {rows}")
-    return family._draw(_chunk_rng(seed, j))[:rows]
+    return family._draw(_chunk_rng(seed, j), rows)
 
 
 def map_streams(count: int, streams, fn: Callable) -> np.ndarray:

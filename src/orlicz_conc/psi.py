@@ -13,9 +13,11 @@ gauge
 
 which is non-decreasing in p and is the gradient norm appearing in the
 moment bounds of `bounds`.  PowerNorm and BobkovLedouxCap gauges, and that of
-SeparableFromPhi s=1, a rescaled cap, are closed forms; for the other families
-the predicate Psi(px/a) <= p, monotone in a, is bracketed geometrically and
-the bracket narrowed by Chandrupatla's method.
+SeparableFromPhi s=1, a rescaled cap, are closed forms.  SeparableTwoLevel and
+SeparableFromPhi 1 < s <= 2 have components of two power pieces, whose gauge
+is one sort per row and a Newton solve on the root's segment.  For the other
+families the predicate Psi(px/a) <= p, monotone in a, is bracketed
+geometrically and the bracket narrowed by Chandrupatla's method.
 The golden-section maximiser and the numeric Legendre transform at the end
 serve conjugacy's profiles and a custom Phi's component alike.
 """
@@ -36,7 +38,9 @@ DEFAULT_TOL = 1e-10
 _BRACKET_MAX = 200  # doublings/halvings before giving up (condition C3 failure)
 _SOLVE_MAX = 100    # Chandrupatla steps; bisection needs 35 (tol 1e-10) to 52 (float resolution)
 _NUDGE_MAX = 16     # doubling steps, at most 2^16 ulps, that repair a rounded closed form
-_BLOCK = 8192       # rows per iterative solve, bounding its per-row temporaries
+_BLOCK = 8192       # rows per gauge block, bounding its per-row temporaries
+_NEWTON_MAX = 64    # Newton steps of the two-piece gauge; it takes 2-6
+_NEWTON_TOL = 1e-14  # last log-step of the two-piece gauge, over 1 + |log s|: its rounding floor
 _SUP_TOL = 1e-13    # relative width of the profile, radius and level solves
 
 GRID_LO = 1e-6      # log grid of the numeric Legendre transform and ray supremum
@@ -296,6 +300,9 @@ class SeparableTwoLevel(PsiSpec):
         with np.errstate(over="ignore"):
             return np.where(u <= 1.0, u * u, np.power(u, self.r))
 
+    def _closed_gauge(self, p, X):
+        return _two_piece_gauge(p, X, (1.0, 2.0, 1.0, 1.0, self.r))
+
     def _closed_omega(self, t):
         return np.maximum(t * t, np.power(t, self.r))
 
@@ -337,8 +344,16 @@ class SeparableFromPhi(PsiSpec):
         return None
 
     def _closed_gauge(self, p, X):
-        cap = self._cap()
-        return None if cap is None else 0.5 * cap._closed_gauge(p, X)
+        cap, s = self._cap(), self.phi.s
+        if cap is not None:
+            return 0.5 * cap._closed_gauge(p, X)
+        if self.phi.fn is None and s <= 2.0:
+            # for 1 < s <= 2 the component is the convex envelope v^2/4 up to
+            # v0, where it meets c v^{s*} (v0 -> 2 as s -> 2, where both are v^2/4)
+            s_conj = s / (s - 1.0)
+            c = (s - 1.0) * s ** (-s_conj)
+            v0 = 2.0 if s == 2.0 else (0.25 / c) ** (1.0 / (s_conj - 2.0))
+            return _two_piece_gauge(p, X, (0.25, 2.0, v0, c, s_conj))
 
     def _closed_omega(self, t):
         cap, s = self._cap(), self.phi.s
@@ -616,25 +631,82 @@ def psi_p_norm_rows(spec: PsiSpec, p: float, X) -> np.ndarray:
         raise InputError("input vectors must be finite")
 
     out = np.zeros(X.shape[0])
-    l2 = np.linalg.norm(X, axis=1)
-    act = np.flatnonzero(l2 > 0.0)
-    a = spec._closed_gauge(p, X[act])
-    if a is None:
-        out[act] = _bracket_solve(lambda rows, b: spec._eval_rows(p * X[rows] / b[:, None]) - p,
-                                  act, l2[act], DEFAULT_TOL, "gauge", "; Psi may violate (C3)")
-        return out
-    # rounding leaves some closed forms up to 13 ulps infeasible: raise those
-    # rows by a relative step that doubles from one ulp
-    PX, step = p * X[act], np.finfo(float).eps
+    act = np.flatnonzero(np.any(X != 0.0, axis=1))
+    for i in range(0, act.size, _BLOCK):
+        rows = act[i:i + _BLOCK]
+        a = spec._closed_gauge(p, X[rows])
+        if a is None:
+            l2 = np.linalg.norm(X[act], axis=1)
+            if not np.all(l2 > 0.0):
+                raise NumericalError("gauge bracket needs a positive start: a nonzero row's "
+                                     "l2 norm underflows to 0")
+            out[act] = _bracket_solve(lambda r, b: spec._eval_rows(p * X[r] / b[:, None]) - p,
+                                      act, l2, DEFAULT_TOL, "gauge", "; Psi may violate (C3)")
+            return out
+        out[rows] = _feasible_gauge(spec, p, X[rows], a)
+    return out
+
+
+def _feasible_gauge(spec: PsiSpec, p: float, X: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The closed-form gauges a of the nonzero rows of X, made feasible:
+    rounding leaves some closed forms up to 13 ulps infeasible, so those rows
+    rise by a relative step that doubles from one ulp."""
+    if not np.all((a > 0.0) & (a < np.inf)):
+        raise NumericalError("closed-form gauge of a nonzero row is 0 or not finite")
+    PX, step = p * X, np.finfo(float).eps
     bad = np.flatnonzero(~(spec._eval_rows(PX / a[:, None]) <= p))
     for _ in range(_NUDGE_MAX):
         if bad.size == 0:
-            out[act] = a
-            return out
+            return a
         a[bad] *= 1.0 + step
         step *= 2.0
         bad = bad[~(spec._eval_rows(PX[bad] / a[bad, None]) <= p)]
     raise NumericalError(f"closed-form gauge still infeasible after {_NUDGE_MAX} steps")
+
+
+def _two_piece_gauge(p: float, X: np.ndarray, pieces: tuple) -> np.ndarray:
+    """|row|_{Psi_p} for the nonzero rows of X, for a separable Psi whose
+    component is two homogeneous pieces, h(v) = c1 v^e1 on [0, b] and
+    c2 v^e2 above, continuous at b, with e1, e2 > 1.
+
+    The gauge is 1-homogeneous, so each row is divided by its max |x_i| and
+    the gauge is p max|x_i| / s* with s* the root of F(s) = sum_i h(s y_i) = p,
+    y the sorted |x_i| / max|x_i|.  Coordinate k crosses the knot at
+    t_k = b / y_k, and F(t_k) follows from prefix sums of y^e1 and y^e2, so
+    the root's segment is #{k : F(t_k) <= p}.  On it F(s) = A s^e1 + B s^e2,
+    and G(tau) = log(F(e^tau) / p) is convex and increasing: Newton on tau,
+    started at the least s where one term alone reaches p, an upper bound of
+    the root, falls monotonically to it.  Each row stops on its own, once its
+    step is at most _NEWTON_TOL (1 + |tau|); NumericalError after _NEWTON_MAX
+    steps."""
+    c1, e1, b, c2, e2 = pieces
+    top = np.max(np.abs(X), axis=1)
+    y = np.sort(np.abs(X) / top[:, None], axis=1)[:, ::-1]
+    m, n = y.shape
+    ye1, ye2 = y ** e1, y ** e2
+    below, above = np.zeros((m, n + 1)), np.zeros((m, n + 1))
+    below[:, :n] = np.cumsum(ye1[:, ::-1], axis=1)[:, ::-1]  # sum_{i >= k} y_i^e1
+    np.cumsum(ye2, axis=1, out=above[:, 1:])                 # sum_{i < k} y_i^e2
+    log_p, idx = math.log(p), np.arange(m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # F(t_k) / h(b); a zero y_k gives nan or +inf, never counted
+        at_knots = above[:, :n] / ye2 + below[:, :n] / ye1
+        k = np.count_nonzero(c1 * b ** e1 * at_knots <= p, axis=1)
+        lA, lB = np.log(c1 * below[idx, k]) - log_p, np.log(c2 * above[idx, k]) - log_p
+        tau, out = np.minimum(-lA / e1, -lB / e2), np.empty(m)
+        for _ in range(_NEWTON_MAX):
+            z1, z2 = lA + e1 * tau, lB + e2 * tau
+            slope = e1 + (e2 - e1) / (1.0 + np.exp(z1 - z2))
+            step = np.logaddexp(z1, z2) / slope
+            tau = tau - step
+            done = np.abs(step) <= _NEWTON_TOL * (1.0 + np.abs(tau))
+            if np.any(done):
+                out[idx[done]] = tau[done]
+                if np.all(done):
+                    return p * (top * np.exp(-out))
+                idx, lA, lB, tau = (v[~done] for v in (idx, lA, lB, tau))
+    raise NumericalError(f"two-piece gauge did not converge in {_NEWTON_MAX} steps "
+                         f"for {idx.size} rows")
 
 
 def _bracket_solve(resid, data, start, tol: float, what: str, why: str = ""):

@@ -277,11 +277,22 @@ TWOLEVEL2 = '{"family":"SeparableTwoLevel","params":{"r":3},"dim":2}'
     ("verify", "centered", "--n", "2", "--psi", PSI2, "--theta", "1e308,0", "--N", "2000"),
     ("tensor", "--matrix", "MATRIX", "--op", "partition", "--r", "1e308"),
     ("conjugate", "--psi", TWOLEVEL2, "--support", "--p", "4", "--theta", "1e300,0"),
-], ids=["norm_p", "norm_x", "verify_theta", "partition_r", "support_theta"])
+    ("conjugate", "--psi", TWOLEVEL2, "--y", "1e308,1"),
+], ids=["norm_p", "norm_x", "verify_theta", "partition_r", "support_theta", "conjugate_y"])
 def test_overflow_exits_three(capsys, matrix_file, argv):
     rc, out, err = run(capsys, *(matrix_file if a == "MATRIX" else a for a in argv))
     assert rc == 3 and out == ""
     assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "numerical"
+
+
+def test_an_indicator_conjugate_is_inf_and_a_tiny_row_has_a_positive_gauge(capsys):
+    # PowerNorm a=1: Psi* is the indicator of the dual ball, +inf outside it
+    rc, out, _ = run(capsys, "conjugate", "--y", "2,0",
+                     "--psi", '{"family":"PowerNorm","params":{"norm":"l2","a":1},"dim":2}')
+    assert rc == 0 and value_lines(out) == ["inf"]
+    # the row's l2 norm underflows, yet it is not the zero row
+    rc, out, _ = run(capsys, "norm", "--psi", TWOLEVEL2, "--p", "4", "--x", "1e-300,1e-301")
+    assert rc == 0 and float(value_lines(out)[0]) > 0.0
 
 
 def test_overflow_prints_one_json_line_and_no_warning():

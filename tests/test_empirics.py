@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,8 @@ import orlicz_conc.empirics as em
 import orlicz_conc.measures as ms
 from orlicz_conc import (CHUNK, BobkovLedouxCap, Family, GrowthEnvelope,
                          InputError, MultiIndexMatrix, PhiSpec,
-                         PowerNorm, SamplerSpec, StandardGaussian,
+                         PowerNorm, SamplerSpec, SeparableFromPhi, SeparableTwoLevel,
+                         StandardGaussian,
                          UserSeparable, batch_se, comparison_check,
                          empirical_entropy, empirical_moment, enlargement_mc,
                          euclidean_norm, exp_tilt, linear, max_coordinate,
@@ -113,6 +114,27 @@ def test_linear_and_quadratic_builtins():
     q = quadratic_form(MultiIndexMatrix(2, 2, M, symmetric=True))
     np.testing.assert_allclose(q.f(X), np.einsum("ni,ij,nj->n", X, M, X), rtol=1e-12)
     np.testing.assert_allclose(q.grad(X), 2.0 * X @ M, rtol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [PowerNorm(dim=3, norm=3.0, a=1.5),
+                                  SeparableTwoLevel(dim=3, r=3.0),
+                                  SeparableFromPhi(dim=3, phi=PhiSpec(s=3.0))], ids=repr)
+def test_linear_takes_one_gauge_per_p_bit_for_bit(spec, monkeypatch):
+    theta = np.array([0.7, -1.3, 0.2])
+    f = linear(theta)
+    np.testing.assert_array_equal(f.direction, theta)
+    env = GrowthEnvelope(K=1.0, alpha=2.0, beta=3.0, D=2.0, d=0.0)
+    per_row = replace(f, direction=None)
+    want = verify_centered(StandardGaussian(n=3), per_row, spec, env, [3.0, 8.0],
+                           CHUNK + 50, 4)
+    rows = []
+    gauge = em.psi_p_norm_rows
+    monkeypatch.setattr(em, "psi_p_norm_rows",
+                        lambda sp, p, X: rows.append(len(X)) or gauge(sp, p, X))
+    got = verify_centered(StandardGaussian(n=3), f, spec, env, [3.0, 8.0], CHUNK + 50, 4)
+    assert rows == [1, 1]
+    for name in ("lhs", "lhs_se", "rhs", "bound", "ratio"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_norm_and_max_builtins():
@@ -364,8 +386,8 @@ def test_a_new_sampler_family_needs_only_its_class():
     class Uniform(Family):
         n: int
 
-        def _draw(self, rng):
-            return rng.random((CHUNK, self.n))
+        def _draw(self, rng, rows):
+            return rng.random((rows, self.n))
 
     fam = Uniform(n=2)
     X = sample(SamplerSpec(fam, seed=3, count=CHUNK + 7))

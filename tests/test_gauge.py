@@ -1,6 +1,7 @@
 """Gauge solve: closed forms and the Chandrupatla solve against the
 bracketed-bisection oracle, exact feasibility, and the iteration cap."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import orlicz_conc.cli as cli
 from orlicz_conc import (BobkovLedouxCap, NumericalError, PhiSpec, PowerNorm,
                          SeparableFromPhi, SeparableTwoLevel, UserSeparable,
-                         eval_psi_rows, psi_p_norm, psi_p_norm_rows)
+                         eval_psi_rows, psi_p_norm, psi_p_norm_rows, psi_to_dict)
 from orlicz_conc import psi as psi_mod
 
 
@@ -112,13 +113,15 @@ def test_power_norm_rounding_repair_keeps_every_row_feasible():
             np.testing.assert_allclose(got, spec._closed_gauge(5.7, X), rtol=1e-13, atol=0.0)
 
 
-def test_iteration_cap_raises_numerical_error(monkeypatch, capsys):
-    monkeypatch.setattr(psi_mod, "_SOLVE_MAX", 2)
-    spec = SeparableTwoLevel(dim=3, r=3.0)
+@pytest.mark.parametrize("cap, spec", [
+    ("_SOLVE_MAX", SeparableFromPhi(dim=3, phi=PhiSpec(s=3.0))),  # three pieces: bracketed
+    ("_NEWTON_MAX", SeparableTwoLevel(dim=3, r=3.0)),             # two pieces: Newton
+], ids=["bracket", "two_piece"])
+def test_iteration_cap_raises_numerical_error(cap, spec, monkeypatch, capsys):
+    monkeypatch.setattr(psi_mod, cap, 1)
     with pytest.raises(NumericalError, match="did not converge"):
         psi_p_norm(spec, 4.0, np.array([1.0, -2.0, 0.5]))
-    rc = cli.main(["norm", "--psi", '{"family":"SeparableTwoLevel","params":{"r":3},"dim":3}',
-                   "--p", "4", "--x", "1,-2,0.5"])
+    rc = cli.main(["norm", "--psi", json.dumps(psi_to_dict(spec)), "--p", "4", "--x", "1,-2,0.5"])
     assert rc == 3
     assert '"numerical"' in capsys.readouterr().err
 
@@ -132,3 +135,103 @@ def test_tol_below_float_resolution_still_converges():
                                np.arange(1), np.array([np.linalg.norm(x)]), 1e-300, "gauge")[0]
     assert eval_psi_rows(spec, 4.0 * x[None, :] / a)[0] <= 4.0
     assert a == pytest.approx(bisect_gauge(spec, 4.0, x)[0], rel=1e-12)
+
+
+TWO_PIECE = ([SeparableTwoLevel(dim=1, r=r) for r in (1.2, 1.5, 2.0, 3.0, 7.0)]
+             + [SeparableFromPhi(dim=1, phi=PhiSpec(s=s)) for s in (1.1, 1.5, 1.9, 2.0)])
+TWO_PIECE_P = (0.5, 1.0, 4.0, 33.0, 1e4)
+
+
+def _with_dim(spec, dim):
+    return (SeparableTwoLevel(dim=dim, r=spec.r) if isinstance(spec, SeparableTwoLevel)
+            else SeparableFromPhi(dim=dim, phi=spec.phi))
+
+
+def _on_the_knot(spec, p):
+    # x_1 = b/p and h(p x_2) = p - h(b): at the gauge a = 1 coordinate 1 sits
+    # exactly on the knot b, where the two pieces meet
+    if isinstance(spec, SeparableTwoLevel):
+        b, h_b, root = 1.0, 1.0, lambda v: v ** (1.0 / spec.r)
+    else:
+        c1, _, b, c2, e2 = _pieces(spec)
+        h_b, root = c1 * b * b, lambda v: (v / c2) ** (1.0 / e2)
+    return None if p <= 2.0 * h_b else np.array([b / p, root(p - h_b) / p])
+
+
+def _pieces(spec):
+    seen = []
+    real = psi_mod._two_piece_gauge
+    try:
+        psi_mod._two_piece_gauge = lambda p, X, pieces: seen.append(pieces) or real(p, X, pieces)
+        spec._closed_gauge(1.0, np.ones((1, spec.dim)))
+    finally:
+        psi_mod._two_piece_gauge = real
+    return seen[0]
+
+
+def _two_piece_rows(dim, seed):
+    rng = np.random.default_rng(seed)
+    m = 60 if dim > 8 else 300
+    X = rng.standard_normal((m, dim)) * np.exp(rng.uniform(-6.0, 6.0, (m, 1)))
+    X[0] = 0.0                         # a zero row
+    X[1] = 0.0
+    X[1, -1] = -2.5                    # one nonzero coordinate
+    X[2] = 1.5                         # every |x_i| tied
+    X[3, ::2] = 0.0                    # zeros among nonzeros
+    X[4, : (dim + 1) // 2] = -X[4, 0]  # ties at the top
+    return X
+
+
+@pytest.mark.parametrize("spec", TWO_PIECE, ids=repr)
+def test_two_piece_gauge_matches_bisection_oracle(spec, monkeypatch):
+    def no_bracket(*args, **kwargs):
+        raise AssertionError("a two-piece family reached the bracketed solve")
+
+    monkeypatch.setattr(psi_mod, "_bracket_solve", no_bracket)
+    for dim in (1, 8, 512):
+        sp = _with_dim(spec, dim)
+        for seed, p in enumerate(TWO_PIECE_P):
+            X = _two_piece_rows(dim, seed)
+            got = psi_p_norm_rows(sp, p, X)
+            want = bisect_gauge(sp, p, X)
+            np.testing.assert_array_equal(got == 0.0, want == 0.0)
+            nz = want > 0.0
+            np.testing.assert_allclose(got[nz], want[nz], rtol=2e-12, atol=0.0)
+            assert np.all(eval_psi_rows(sp, p * X[nz] / got[nz, None]) <= p)
+    for p in TWO_PIECE_P:
+        x = _on_the_knot(spec, p)
+        if x is not None:
+            sp = _with_dim(spec, 2)
+            assert psi_p_norm(sp, p, x) == pytest.approx(1.0, rel=2e-12)
+            assert psi_p_norm(sp, p, x) == pytest.approx(bisect_gauge(sp, p, x)[0], rel=2e-12)
+
+
+def test_from_phi_two_pieces_are_its_component():
+    # 1 < s <= 2: v^2/4 up to the knot v0, c v^{s*} above it, and v0 = 2 at s = 2
+    v = np.geomspace(1e-6, 1e6, 200001)
+    for s in (1.01, 1.1, 1.5, 1.9, 1.99, 2.0):
+        c1, e1, b, c2, e2 = _pieces(SeparableFromPhi(dim=1, phi=PhiSpec(s=s)))
+        with np.errstate(over="ignore"):
+            two = np.where(v <= b, c1 * v ** e1, c2 * v ** e2)
+            np.testing.assert_array_equal(two, psi_mod.two_level_component_conjugate(v, s))
+        if s == 2.0:
+            assert b == 2.0
+
+
+@pytest.mark.parametrize("spec", [SeparableTwoLevel(dim=3, r=3.0),
+                                  SeparableFromPhi(dim=3, phi=PhiSpec(s=1.5))], ids=repr)
+def test_two_piece_gauge_is_homogeneous_at_extreme_scales(spec):
+    x = np.array([1.0, -0.1, 0.37])
+    unit = psi_p_norm(spec, 4.0, x)
+    for scale in (1e-300, 1e-160, 1e150):
+        assert psi_p_norm(spec, 4.0, scale * x) == pytest.approx(scale * unit, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [PowerNorm(dim=2), SeparableFromPhi(dim=2, phi=PhiSpec(s=3.0))],
+                         ids=repr)
+def test_a_nonzero_row_whose_norm_underflows_is_never_zero(spec):
+    # the closed form reads 0 and the bracket has no start: both refuse
+    x = np.array([1e-300, 1e-301])
+    with pytest.raises(NumericalError):
+        psi_p_norm(spec, 4.0, x)
+    assert psi_p_norm(SeparableTwoLevel(dim=2, r=3.0), 4.0, x) > 0.0

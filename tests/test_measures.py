@@ -50,6 +50,18 @@ def test_sample_over_three_chunks_matches_one_worker(monkeypatch):
     np.testing.assert_array_equal(one[2 * ms.CHUNK:], sample_chunk(spec.family, 3, 2, 17))
 
 
+@pytest.mark.parametrize("family", [
+    StandardGaussian(n=3), ProductPhiTail(PhiSpec(s=1.5), n=2), NuMeasure(),
+    ProductPhiTail(PhiSpec(fn=lambda t: np.abs(t) ** 1.5), n=1),
+], ids=["gaussian", "phi_tail", "nu", "custom_phi"])
+def test_a_short_chunk_is_the_full_chunks_prefix(family):
+    # only the requested rows are computed, yet they are the full chunk's
+    full = sample_chunk(family, 5, 2, ms.CHUNK)
+    assert full.shape == (ms.CHUNK, family.n)
+    for rows in (1, 777, ms.CHUNK - 1, ms.CHUNK):
+        np.testing.assert_array_equal(sample_chunk(family, 5, 2, rows), full[:rows])
+
+
 @pytest.mark.parametrize("count, family, seed, match", [
     (0, StandardGaussian(n=1), 0, "count"),
     (10, "gaussian", 0, "family"),
