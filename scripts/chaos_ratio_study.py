@@ -40,8 +40,8 @@ def main():
         # all N rows of the stream, one chunk in memory at a time
         vals = oc.map_streams(args.N, [(family, args.seed + 1)],
                               lambda X: np.einsum("ij,jk,ik->i", X, A, X)) - np.trace(A)
-        ratios = [oc.empirical_moment(vals, p)
-                  / oc.quadratic_chaos_moment(norms, p) for p in p_grid]
+        ratios = [m / oc.quadratic_chaos_moment(norms, p)
+                  for m, p in zip(oc.empirical_moment(vals, p_grid), p_grid)]
         print(f"{name:>10s} " + " ".join(f"{r:7.3f}" for r in ratios))
 
 

@@ -98,7 +98,7 @@ def _parse_grid(raw: str) -> np.ndarray:
 
 
 def _emit_json(obj, out_path):
-    with ms._text_out(out_path or sys.stdout) as fh:
+    with ms._out_stream(out_path or sys.stdout) as fh:
         fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
@@ -317,13 +317,13 @@ _FAMILIES = {
 
 
 def _cmd_sample(ns, _extra) -> int:
-    family = _FAMILIES[ns.family](ns.n, ns.phi_s)
-    X = ms.sample(ms.SamplerSpec(family=family, seed=ns.seed, count=ns.count))
-    config = {"command": "sample", "seed": ns.seed, "count": ns.count, **family.meta()}
     if ns.format == "bin" and not ns.out:
         raise InputError("binary samples require --out")
-    ms.save_samples(X, ns.out or sys.stdout, fmt=ns.format,
-                    header_lines=["config: " + json.dumps(config, sort_keys=True)])
+    family = _FAMILIES[ns.family](ns.n, ns.phi_s)
+    spec = ms.SamplerSpec(family=family, seed=ns.seed, count=ns.count)
+    config = {"command": "sample", "seed": ns.seed, "count": ns.count, **family.meta()}
+    ms.stream_samples(spec, ns.out or sys.stdout, fmt=ns.format,
+                      header_lines=["config: " + json.dumps(config, sort_keys=True)])
     return 0
 
 

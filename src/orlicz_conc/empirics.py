@@ -132,33 +132,50 @@ def _logsumexp(a: np.ndarray) -> float:
     """log(sum(exp(a))) for a non-empty real 1-D array, in the order of
     operations of scipy.special.logsumexp, so results are bit-identical.
     The maximal entries are masked out of the sum rather than shifted to
-    -inf, so all -inf input gives -inf (not -inf - -inf = nan)."""
+    -inf, so all -inf input gives -inf (not -inf - -inf = nan).  `a` is
+    overwritten by its shifted exponentials."""
     a_max = np.max(a)
     at_max = a == a_max
     m = np.sum(at_max, dtype=a.dtype)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sum(np.where(at_max, 0.0, np.exp(a - a_max))) / m
+        np.exp(np.subtract(a, a_max, out=a), out=a)
+        a[at_max] = 0.0
+        s = np.sum(a) / m
         return float(np.log1p(s) + np.log(m) + a_max)
 
 
-def empirical_moment(values, p: float) -> float:
+def _log_abs(values) -> np.ndarray:
+    """log|v| of a flat float column, in a new array (-inf at zeros)."""
+    logs = np.abs(np.asarray(values, dtype=float).ravel())
+    with np.errstate(divide="ignore"):
+        return np.log(logs, out=logs)
+
+
+def _lse_grid(logs: np.ndarray, grid: np.ndarray) -> list:
+    """_logsumexp(p * logs) for each p of the grid, through one work buffer."""
+    work = np.empty_like(logs)
+    return [_logsumexp(np.multiply(logs, p, out=work)) for p in grid]
+
+
+def empirical_moment(values, p):
     """(mean |v|^p)^{1/p}, max-shifted in the log domain so large p (up to
-    the 256 design range) cannot overflow."""
+    the 256 design range) cannot overflow.  For a p grid (a 1-D array) it
+    is the array of those moments, each bit-identical to its own call:
+    |v| and its log are taken once, and every p shares one work buffer."""
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise InputError("empirical_moment requires a non-empty value vector")
-    if not p >= 1.0:
+    grid = np.atleast_1d(np.asarray(p, dtype=float))
+    if not np.all(grid >= 1.0):
         raise InputError(f"requires p >= 1, got {p}")
-    mags = np.abs(values)
-    top = float(np.max(mags))
-    if top == 0.0:
-        return 0.0
-    if math.isinf(top):
-        return math.inf
-    with np.errstate(divide="ignore"):
-        logs = np.log(mags)
-    lse = _logsumexp(p * logs) - math.log(values.size)
-    return math.exp(lse / p)
+    logs = _log_abs(values)
+    top = float(np.max(logs))
+    if math.isinf(top):  # every |v| is 0, or one is inf
+        moments = np.full(grid.size, math.exp(top))
+    else:
+        lses = np.array(_lse_grid(logs, grid)) - math.log(values.size)
+        moments = np.array([math.exp(x) for x in lses / grid])
+    return moments if np.ndim(p) else float(moments[0])
 
 
 def empirical_entropy(values) -> float:
@@ -171,33 +188,36 @@ def empirical_entropy(values) -> float:
     mean = float(np.mean(values))
     if mean == 0.0:
         return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vlogv = np.where(values > 0.0, values * np.log(values), 0.0)
+    vlogv = np.log(values, out=np.zeros_like(values), where=values > 0.0)
+    vlogv *= values
     return float(np.mean(vlogv)) - mean * math.log(mean)
 
 
-def batch_se(values, stat: Callable) -> float:
-    """Batch-means standard error of stat over BATCHES contiguous batches."""
+def batch_se(values, stat: Callable):
+    """Batch-means standard error of stat over BATCHES contiguous batches;
+    for a vector-valued stat, the array of the SEs of its entries, each
+    bit-identical to the SE of that entry alone."""
     values = np.asarray(values)
     n_batches = min(BATCHES, values.shape[0])
     if n_batches < 2:
         return math.inf
     stats = np.array([stat(chunk) for chunk in np.array_split(values, n_batches)])
-    return float(np.std(stats, ddof=1) / math.sqrt(n_batches))
+    se = [float(np.std(row, ddof=1) / math.sqrt(n_batches))
+          for row in np.atleast_2d(np.ascontiguousarray(stats.T))]
+    return np.array(se) if stats.ndim > 1 else se[0]
 
 
-def top_mass_fraction(values, p: float) -> float:
-    """Fraction of sum |v|^p carried by the TOP_K largest magnitudes; the
-    effective-sample-size diagnostic attached to high-p estimates."""
-    values = np.asarray(values, dtype=float).ravel()
-    mags = np.abs(values)
-    if not np.any(mags > 0.0):
-        return 0.0
-    with np.errstate(divide="ignore"):
-        logs = p * np.log(mags)
-    total = _logsumexp(logs)
-    top = _logsumexp(np.sort(logs)[-TOP_K:])
-    return float(math.exp(top - total))
+def top_mass_fraction(values, p_grid) -> np.ndarray:
+    """Per p of the grid, the fraction of sum |v|^p carried by the TOP_K
+    largest magnitudes, from one log pass; the effective-sample-size
+    diagnostic attached to high-p estimates."""
+    grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
+    logs = _log_abs(values)
+    if not np.any(logs > -math.inf):
+        return np.zeros(grid.size)
+    # p > 0 keeps the order, so p times the top logs are the top of p * logs
+    total, top = _lse_grid(logs, grid), _lse_grid(np.sort(logs)[-TOP_K:], grid)
+    return np.array([math.exp(t - s) for t, s in zip(top, total)])
 
 
 def _estimate(values, stat: Callable) -> tuple:
@@ -325,20 +345,19 @@ def _validate_p_grid(p_grid, lo: float) -> np.ndarray:
     return p_grid
 
 
-def _moment_report(p_grid, f_values, rhs_columns, bound_of, meta) -> MomentReport:
-    """Per p: ||f - mean f||_p and its batch SE against the p-th moment of the
-    p's rhs column, the bound bound_of(rhs, p) and, above HIGH_P_FLAG, a flag."""
+def _moment_report(p_grid, f_values, rhs, bound_of, meta) -> MomentReport:
+    """Per p: ||f - mean f||_p and its batch SE against the p's rhs moment,
+    the bound bound_of(rhs moment, p) and, above HIGH_P_FLAG, a flag."""
     centered = f_values - float(np.mean(f_values))
-    lhs, lhs_se = np.array([_estimate(centered, lambda b, p=p: empirical_moment(b, p))
-                            for p in p_grid]).T
-    rhs = np.array([empirical_moment(col, p) for col, p in zip(rhs_columns, p_grid)])
+    lhs, lhs_se = _estimate(centered, lambda b: empirical_moment(b, p_grid))
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(rhs > 0.0, lhs / rhs, 0.0)
+    high = p_grid[p_grid > HIGH_P_FLAG]
+    flags = dict(zip(high.tolist(), top_mass_fraction(centered, high).tolist())) if high.size else {}
     return MomentReport(p_grid=p_grid, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
                         bound=np.array([bound_of(g, p) for g, p in zip(rhs, p_grid)]),
                         ratio=ratio, fitted=float(np.max(ratio)) if ratio.size else 0.0,
-                        flags={float(p): top_mass_fraction(centered, p)
-                               for p in p_grid if p > HIGH_P_FLAG}, meta=meta)
+                        flags=flags, meta=meta)
 
 
 def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
@@ -368,7 +387,8 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
     meta = {"scenario": "centered", "function": f.name, "psi": _psi_meta(spec),
             "env": env_to_dict(env), "sampler": family.meta(),
             "seed": seed, "N": N, "C": C, "l_constant": l_constant(env)}
-    return _moment_report(p_grid, data[:, 0], data[:, 1:].T,
+    rhs = np.array([empirical_moment(data[:, 1 + i], p) for i, p in enumerate(p_grid)])
+    return _moment_report(p_grid, data[:, 0], rhs,
                           lambda g, p: centered_moment_bound(g, env, p, C), meta)
 
 
@@ -378,9 +398,8 @@ def verify_nu_logp(p_grid, N: int, seed: int) -> NuLogPReport:
     p_grid = _validate_p_grid(p_grid, 2.0)
     family = _family_of(NuMeasure(), seed, N)
     x = map_streams(N, [(family, seed)], lambda X: X[:, 0])
-    l1, l1_se = _estimate(x, lambda b: empirical_moment(b, 1.0))
-    emp, emp_se = np.array([_estimate(x, lambda b, p=p: empirical_moment(b, p))
-                            for p in p_grid]).T
+    est, se = _estimate(x, lambda b: empirical_moment(b, np.r_[1.0, p_grid]))
+    (l1, emp), (l1_se, emp_se) = (float(est[0]), est[1:]), (float(se[0]), se[1:])
     lower = np.log(p_grid) / (2.0 * math.e)
     upper = l1 + np.log(p_grid)
     passed_lower = emp >= lower - 3.0 * emp_se
@@ -408,7 +427,7 @@ def comparison_check(samplerX, phi: PhiSpec, f: TestFunction, p_grid,
     data = map_streams(N, [(famX, seed), (famZ, seed_z)], job)
     meta = {"scenario": "comparison", "function": f.name, "phi": famZ.meta()["phi"],
             "sampler": famX.meta(), "seed": seed, "N": N}
-    return _moment_report(p_grid, data[:, 0], [data[:, 1]] * p_grid.size,
+    return _moment_report(p_grid, data[:, 0], empirical_moment(data[:, 1], p_grid),
                           lambda g, p: g, meta)
 
 
@@ -427,8 +446,7 @@ def enlargement_mc(sampler, m: float, spec: PsiSpec, u_grid, N: int,
         raise InputError(
             f"halfspace mass {base_mass:.4f} is below 1/2 - 3 SE; raise m")
     radius = conjugate_ray_radius(spec, u_grid)
-    emp, se = np.array([_estimate(x1, lambda b, th=m + s_u: float(np.mean(b < th)))
-                        for s_u in radius]).T
+    emp, se = _estimate(x1, lambda b: np.array([np.mean(b < m + s_u) for s_u in radius]))
     bound = (enlargement_bound(u_grid, env, C_impl) if env is not None
              else np.full(u_grid.size, math.nan))
     meta = {"scenario": "enlargement", "m": m, "psi": _psi_meta(spec),

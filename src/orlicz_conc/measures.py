@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,10 +62,12 @@ class ProductPhiTail(Family):
             raise InputError("phi must be a PhiSpec")
 
     def _draw(self, rng, rows):
-        # every uniform is drawn, as they position the sign draws after them
-        u = _uniform_open(rng, (CHUNK, self.n))[:rows]
-        mags = _phi_inv_array(self.phi, -np.log(u))
-        return mags * (2.0 * rng.integers(0, 2, size=(rows, self.n)) - 1.0)
+        # every uniform is drawn, as they position the sign draws after them;
+        # a short chunk copies its rows, so it holds none of the others
+        z = _uniform_open(rng, (CHUNK, self.n))[:rows]
+        z = z.copy() if rows < CHUNK else z
+        z = _phi_inv_array(self.phi, np.negative(np.log(z, out=z), out=z))  # |Z|, in place
+        return np.negative(z, out=z, where=rng.integers(0, 2, size=(rows, self.n)) == 0)
 
     def meta(self) -> dict:
         return {**super().meta(), "phi": {"s": self.phi.s, "custom": self.phi.fn is not None}}
@@ -105,18 +107,20 @@ def _chunk_rng(seed: int, j: int) -> np.random.Generator:
 
 
 def _uniform_open(rng: np.random.Generator, shape) -> np.ndarray:
-    # strictly inside (0,1): 53-bit integers offset by half an ulp; the top
-    # draw 2^53 - 1 rounds to 1, so it alone moves to the largest double below 1
-    u = (rng.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) * 2.0 ** -53
+    # strictly inside (0,1): k 2^-53 for a 53-bit k, offset by half an ulp; the
+    # top draw k = 2^53 - 1 rounds to 1, so it alone moves to the largest below 1
+    u = rng.random(shape)
+    u += 2.0 ** -54
     return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 
 def _phi_inv_array(phi: PhiSpec, y: np.ndarray) -> np.ndarray:
-    """Vectorized phi^{-1}: closed form for powers, otherwise the least a with
-    Phi(a) >= y to float resolution, by the gauge's bracketing solve."""
+    """Vectorized phi^{-1}: closed form for powers, in place in a float y,
+    otherwise the least a with Phi(a) >= y to float resolution, by the
+    gauge's bracketing solve."""
     y = np.asarray(y, dtype=float)
     if phi.fn is None:
-        return y ** (1.0 / phi.s)
+        return np.power(y, 1.0 / phi.s, out=y)
     flat = y.ravel()
     return _bracket_solve(lambda d, a: d - phi.phi(a), flat, np.ones_like(flat), 0.0,
                           "phi^{-1}").reshape(y.shape)
@@ -130,12 +134,14 @@ def sample_chunk(family: Family, seed: int, j: int, rows: int) -> np.ndarray:
     return family._draw(_chunk_rng(seed, j), rows)
 
 
-def map_streams(count: int, streams, fn: Callable) -> np.ndarray:
+def map_streams(count: int, streams, fn: Callable, sink: Optional[Callable] = None):
     """fn(*chunks) over the chunks of the first `count` rows of each
     (family, seed) stream in `streams`: chunk j of every stream goes in
-    together, and each result lands at chunk j's rows of one array. Every
-    chunk is keyed by (seed, j), so the ORLICZ_CONC_THREADS worker threads
-    (default 1) change the schedule only, never the result."""
+    together, and each result lands at chunk j's rows of one array, which is
+    returned; with `sink`, each result goes to sink(result) instead, in chunk
+    order on the calling thread, and nothing is kept. Every chunk is keyed
+    by (seed, j), so the ORLICZ_CONC_THREADS worker threads (default 1)
+    change the schedule only, never the result."""
     specs = [SamplerSpec(family, seed, count) for family, seed in streams]
     if not specs:
         raise InputError("map_streams needs at least one (family, seed) stream")
@@ -150,22 +156,44 @@ def map_streams(count: int, streams, fn: Callable) -> np.ndarray:
         rows = min(CHUNK, count - j * CHUNK)
         return fn(*(sample_chunk(s.family, s.seed, j, rows) for s in specs))
 
-    pool, mapper = nullcontext(), map
-    if workers > 1 and n_chunks > 1:
+    def parts():
+        if workers == 1 or n_chunks == 1:
+            yield from map(job, range(n_chunks))
+            return
         from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=workers)
-        mapper = pool.map
-    with pool:  # closed on an error too
-        for j, part in enumerate(mapper(job, range(n_chunks))):
+        with ThreadPoolExecutor(max_workers=workers) as pool:  # closed on an error too
+            # chunk j + 2 workers starts as chunk j is taken: at most that
+            # many results wait, and no chunk waits for a slower one to start
+            ahead = [pool.submit(job, j) for j in range(min(2 * workers, n_chunks))]
+            for j in range(len(ahead), n_chunks + len(ahead)):
+                part = ahead.pop(0).result()
+                if j < n_chunks:
+                    ahead.append(pool.submit(job, j))
+                yield part
+
+    with closing(parts()) as results:
+        for j, part in enumerate(results):
+            if sink is not None:
+                sink(part)
+                continue
             if j == 0:
                 out = np.empty((count, *part.shape[1:]), dtype=part.dtype)
             out[j * CHUNK:j * CHUNK + len(part)] = part
-    return out
+    return out if sink is None else None
 
 
 def sample(spec: SamplerSpec) -> np.ndarray:
     """Full (count x n) sample matrix, filled chunk by chunk."""
     return map_streams(spec.count, [(spec.family, spec.seed)], lambda X: X)
+
+
+def stream_samples(spec: SamplerSpec, path, fmt: str = "bin", header_lines=()) -> None:
+    """save_samples(sample(spec), path, fmt, header_lines) byte for byte, with
+    one chunk in memory at a time: the header, then each chunk as it is drawn."""
+    with _out_stream(path, binary=fmt == "bin") as fh:
+        save_samples(np.empty((0, spec.family.n)), fh, fmt, header_lines)  # the header alone
+        map_streams(spec.count, [(spec.family, spec.seed)], lambda X: X,
+                    sink=lambda X: save_samples(X, fh, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +239,11 @@ def isoperimetric_profile_nu(t):
 # ---------------------------------------------------------------------------
 # export
 
-def _text_out(out):
-    """A context manager giving a text stream: `out` itself if it is one,
-    else the file at path `out`, opened for writing."""
-    return nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="")
+def _out_stream(out, binary: bool = False):
+    """A context manager giving a stream: `out` itself if it is one, else
+    the file at path `out`, opened for writing (text, or binary)."""
+    return (nullcontext(out) if hasattr(out, "write") else
+            open(out, "wb" if binary else "w", newline=None if binary else ""))
 
 
 def write_table(out, config, rows, names=None) -> None:
@@ -222,7 +251,7 @@ def write_table(out, config, rows, names=None) -> None:
     (none when config is None), the column names if given, then one line of
     .17g cells per row of the 2-D `rows` (a scalar is one cell). `out` is a
     path or an open text stream, which is left open."""
-    with _text_out(out) as fh:
+    with _out_stream(out) as fh:
         if config is not None:
             fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         if names is not None:
@@ -233,15 +262,14 @@ def write_table(out, config, rows, names=None) -> None:
 
 def save_samples(X: np.ndarray, path, fmt: str = "bin", header_lines=()) -> None:
     """bin: raw little-endian float64, row-major, no header.
-    csv: comma-separated, 17 significant digits, optional '#' header lines;
-    `path` may also be an open text stream."""
-    if fmt == "bin":
-        with open(path, "wb") as fh:
+    csv: comma-separated, 17 significant digits, optional '#' header lines.
+    `path` may also be an open stream (binary for bin, text for csv), which
+    is left open."""
+    if fmt not in ("bin", "csv"):
+        raise InputError(f"unknown sample format {fmt!r} (expected 'bin' or 'csv')")
+    with _out_stream(path, binary=fmt == "bin") as fh:
+        if fmt == "bin":
             fh.write(np.ascontiguousarray(X, dtype="<f8"))
-        return
-    if fmt == "csv":
-        with _text_out(path) as fh:
+        else:
             fh.writelines(f"# {line}\n" for line in header_lines)
             write_table(fh, None, X)
-        return
-    raise InputError(f"unknown sample format {fmt!r} (expected 'bin' or 'csv')")

@@ -632,18 +632,31 @@ def psi_p_norm_rows(spec: PsiSpec, p: float, X) -> np.ndarray:
 
     out = np.zeros(X.shape[0])
     act = np.flatnonzero(np.any(X != 0.0, axis=1))
+    # the gauge is 1-homogeneous, so a nonzero row whose squares under- or
+    # overflow is solved exactly at 2^-e times itself, e its max's exponent
+    with np.errstate(over="ignore"):
+        sq = np.einsum("ij,ij->i", X, X)[act]
+    far = act[~((sq >= 2.0 ** -1000) & (sq <= 2.0 ** 1000))]
+    del sq  # not held through the solve
+    e = np.frexp(np.max(np.abs(X[far]), axis=1))[1]
+    if far.size:  # on a copy: the caller's X stays as it is
+        X = X.copy()
+        X[far] = np.ldexp(X[far], -e[:, None])
     for i in range(0, act.size, _BLOCK):
         rows = act[i:i + _BLOCK]
         a = spec._closed_gauge(p, X[rows])
         if a is None:
-            l2 = np.linalg.norm(X[act], axis=1)
-            if not np.all(l2 > 0.0):
-                raise NumericalError("gauge bracket needs a positive start: a nonzero row's "
-                                     "l2 norm underflows to 0")
             out[act] = _bracket_solve(lambda r, b: spec._eval_rows(p * X[r] / b[:, None]) - p,
-                                      act, l2, DEFAULT_TOL, "gauge", "; Psi may violate (C3)")
-            return out
+                                      act, np.linalg.norm(X[act], axis=1), DEFAULT_TOL,
+                                      "gauge", "; Psi may violate (C3)")
+            break
         out[rows] = _feasible_gauge(spec, p, X[rows], a)
+    with np.errstate(over="ignore"):
+        back = np.ldexp(out[far], e)
+    if not np.all((back > 0.0) & (back < np.inf)):
+        raise NumericalError("the gauge of a nonzero row under- or overflows")
+    # a subnormal gauge that rounded down rises one step, so it stays feasible
+    out[far] = np.where(np.ldexp(back, -e) < out[far], np.nextafter(back, np.inf), back)
     return out
 
 

@@ -273,7 +273,7 @@ TWOLEVEL2 = '{"family":"SeparableTwoLevel","params":{"r":3},"dim":2}'
 
 @pytest.mark.parametrize("argv", [
     ("norm", "--psi", PSI2, "--p", "1e308", "--x", "3,4"),
-    ("norm", "--psi", TWOLEVEL2, "--p", "2", "--x", "1e308,1"),
+    ("norm", "--psi", TWOLEVEL2, "--p", "2", "--x", "1.2e308,1"),
     ("verify", "centered", "--n", "2", "--psi", PSI2, "--theta", "1e308,0", "--N", "2000"),
     ("tensor", "--matrix", "MATRIX", "--op", "partition", "--r", "1e308"),
     ("conjugate", "--psi", TWOLEVEL2, "--support", "--p", "4", "--theta", "1e300,0"),
@@ -290,9 +290,13 @@ def test_an_indicator_conjugate_is_inf_and_a_tiny_row_has_a_positive_gauge(capsy
     rc, out, _ = run(capsys, "conjugate", "--y", "2,0",
                      "--psi", '{"family":"PowerNorm","params":{"norm":"l2","a":1},"dim":2}')
     assert rc == 0 and value_lines(out) == ["inf"]
+    # p x overflows, yet the gauge 1.587e308 is representable
+    rc, out, _ = run(capsys, "norm", "--psi", TWOLEVEL2, "--p", "2", "--x", "1e308,1")
+    assert rc == 0 and float(value_lines(out)[0]) == pytest.approx(2.0 ** (2.0 / 3.0) * 1e308)
     # the row's l2 norm underflows, yet it is not the zero row
-    rc, out, _ = run(capsys, "norm", "--psi", TWOLEVEL2, "--p", "4", "--x", "1e-300,1e-301")
-    assert rc == 0 and float(value_lines(out)[0]) > 0.0
+    for spec in (TWOLEVEL2, PSI2, '{"family":"SeparableFromPhi","params":{"s":3},"dim":2}'):
+        rc, out, _ = run(capsys, "norm", "--psi", spec, "--p", "4", "--x", "1e-300,1e-301")
+        assert rc == 0 and float(value_lines(out)[0]) > 0.0
 
 
 def test_overflow_prints_one_json_line_and_no_warning():
@@ -571,7 +575,12 @@ def test_sample_runs_are_byte_identical(capsys, tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_sample_bin_requires_out(capsys):
+def test_sample_bin_requires_out(capsys, monkeypatch):
+    # refused before any chunk is drawn
+    def boom(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(oc.measures, "sample_chunk", boom)
     rc, _, err = run(capsys, "sample", "--family", "nu", "--seed", "1",
                      "--count", "8", "--format", "bin")
     assert rc == 2

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,6 +72,93 @@ def test_top_mass_fraction_range():
     assert top_mass_fraction(v[:5], 8.0) == pytest.approx(1.0, rel=1e-12)
 
 
+def _moment_oracle(values, p):
+    # the per-p estimator before p grids, on scipy's logsumexp
+    from scipy.special import logsumexp
+    mags = np.abs(np.asarray(values, dtype=float).ravel())
+    top = float(np.max(mags))
+    if top == 0.0 or math.isinf(top):
+        return top
+    with np.errstate(divide="ignore"):
+        logs = np.log(mags)
+    return math.exp((float(logsumexp(p * logs)) - math.log(mags.size)) / p)
+
+
+def _top_mass_oracle(values, p):
+    from scipy.special import logsumexp
+    mags = np.abs(np.asarray(values, dtype=float).ravel())
+    if not np.any(mags > 0.0):
+        return 0.0
+    with np.errstate(divide="ignore"):
+        logs = p * np.log(mags)
+    with np.errstate(invalid="ignore"):
+        return math.exp(float(logsumexp(np.sort(logs)[-em.TOP_K:])) - float(logsumexp(logs)))
+
+
+def _batch_se_oracle(values, stat):
+    # the scalar batch SE before vector-valued stats
+    n_batches = min(em.BATCHES, values.shape[0])
+    if n_batches < 2:
+        return math.inf
+    stats = np.array([stat(chunk) for chunk in np.array_split(values, n_batches)])
+    return float(np.std(stats, ddof=1) / math.sqrt(n_batches))
+
+
+def _moment_columns():
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(3000)
+    zeros = v.copy()
+    zeros[::7] = 0.0
+    return {"normal": v, "zeros": zeros, "pos_inf": np.r_[v[:40], np.inf, v[40:80]],
+            "neg_inf": np.r_[-np.inf, v[:80]], "all_zero": np.zeros(64),
+            "one_value": np.array([-3.5]), "heavy": rng.standard_cauchy(5000)}
+
+
+GRID = np.array([1.0, 1.5, 2.0, 7.0, 64.0, 65.0, 128.0])
+
+
+@pytest.mark.parametrize("name", list(_moment_columns()))
+def test_grid_estimators_equal_the_per_p_oracles(name):
+    # bit for bit: one log pass for the grid changes no value
+    v = _moment_columns()[name]
+    with np.errstate(invalid="ignore"):
+        want = np.array([_moment_oracle(v, p) for p in GRID])
+        want_se = np.array([_batch_se_oracle(v, lambda b, p=p: _moment_oracle(b, p))
+                            for p in GRID])
+        want_top = np.array([_top_mass_oracle(v, p) for p in GRID])
+        got_se = np.broadcast_to(batch_se(v, lambda b: empirical_moment(b, GRID)), GRID.shape)
+    got = empirical_moment(v, GRID)
+    assert got.tobytes() == want.tobytes()
+    assert [empirical_moment(v, p) for p in GRID] == want.tolist()
+    assert np.array(got_se).tobytes() == want_se.tobytes()
+    assert top_mass_fraction(v, GRID).tobytes() == want_top.tobytes()
+    assert np.float64(empirical_moment(v, 2.0)).tobytes() == want[2].tobytes()
+
+
+def test_verify_nu_logp_equals_the_per_p_oracles():
+    p_grid = np.array([2.0, 4.0, 16.0])
+    rep = verify_nu_logp(p_grid, 5000, 3)
+    x = sample(SamplerSpec(ms.NuMeasure(), 3, 5000))[:, 0]
+    assert rep.l1 == _moment_oracle(x, 1.0)
+    assert rep.l1_se == _batch_se_oracle(x, lambda b: _moment_oracle(b, 1.0))
+    assert rep.emp.tolist() == [_moment_oracle(x, p) for p in p_grid]
+    assert rep.emp_se.tolist() == [_batch_se_oracle(x, lambda b, p=p: _moment_oracle(b, p))
+                                   for p in p_grid]
+
+
+def test_verify_nu_logp_holds_about_three_columns():
+    # the sample column, its logs and one work buffer: under 4 column sizes
+    # for a 4-point grid (an estimate per p and batch once held about 6)
+    N = 2 ** 20
+    tracemalloc.start()
+    try:
+        verify_nu_logp(np.array([2.0, 4.0, 8.0, 16.0]), N, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * N
+
+
 def _logsumexp_cases():
     rng = np.random.default_rng(7)
     for size in (1, 2, 10, 1000, 65536, 100_000):
@@ -96,7 +184,7 @@ def _logsumexp_cases():
 def test_logsumexp_is_bit_identical_to_scipy():
     from scipy.special import logsumexp
     for a in _logsumexp_cases():
-        assert em._logsumexp(a) == float(logsumexp(a)), a[:5]
+        assert em._logsumexp(a.copy()) == float(logsumexp(a)), a[:5]
     assert em._logsumexp(np.full(5, -np.inf)) == -math.inf
 
 

@@ -227,11 +227,31 @@ def test_two_piece_gauge_is_homogeneous_at_extreme_scales(spec):
         assert psi_p_norm(spec, 4.0, scale * x) == pytest.approx(scale * unit, rel=1e-12)
 
 
-@pytest.mark.parametrize("spec", [PowerNorm(dim=2), SeparableFromPhi(dim=2, phi=PhiSpec(s=3.0))],
-                         ids=repr)
+@pytest.mark.parametrize("spec", [PowerNorm(dim=2), SeparableFromPhi(dim=2, phi=PhiSpec(s=3.0)),
+                                  SeparableTwoLevel(dim=2, r=3.0)], ids=repr)
 def test_a_nonzero_row_whose_norm_underflows_is_never_zero(spec):
-    # the closed form reads 0 and the bracket has no start: both refuse
-    x = np.array([1e-300, 1e-301])
-    with pytest.raises(NumericalError):
-        psi_p_norm(spec, 4.0, x)
-    assert psi_p_norm(SeparableTwoLevel(dim=2, r=3.0), 4.0, x) > 0.0
+    # a row whose squares under- or overflow is solved at a power-of-two
+    # scale: its gauge is the unit row's, scaled, bit for bit
+    x = np.array([0.75, -0.1])
+    unit = psi_p_norm(spec, 4.0, x)
+    for k in (-1015, -1000, 1000):
+        assert psi_p_norm(spec, 4.0, np.ldexp(x, k)) == np.ldexp(unit, k)
+    tiny = psi_p_norm(spec, 4.0, np.array([1e-300, 1e-301]))
+    assert tiny == pytest.approx(1e-300 * psi_p_norm(spec, 4.0, np.array([1.0, 0.1])), rel=1e-12)
+    # in a batch, the other rows are solved as on their own
+    X = np.array([[1e-300, 1e-301], [0.75, -0.1], [0.0, 0.0], [3.0, 1e-200]])
+    np.testing.assert_array_equal(psi_p_norm_rows(spec, 4.0, X),
+                                  [tiny, unit, 0.0, psi_p_norm(spec, 4.0, X[3])])
+    # a gauge in the subnormal range is the least subnormal at or above the
+    # gauge of the row scaled into the normal range, so it stays feasible
+    for c in np.linspace(1.0, 9.0, 17):
+        x = np.array([c * 1e-310, -0.3 * c * 1e-310])
+        e = np.frexp(np.max(np.abs(x)))[1]
+        a = psi_p_norm(spec, 4.0, x)
+        assert np.ldexp(a, -e) >= psi_p_norm(spec, 4.0, np.ldexp(x, -e)) > np.ldexp(
+            np.nextafter(a, 0.0), -e)
+
+
+def test_a_gauge_that_overflows_is_refused():
+    with pytest.raises(NumericalError, match="overflows"):
+        psi_p_norm(PowerNorm(dim=2), 4.0, np.array([1e308, 1.0]))

@@ -4,6 +4,7 @@ import math
 import pathlib
 import runpy
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,14 +112,53 @@ def test_uniforms_are_strictly_inside_the_unit_interval():
 
 
 def test_extreme_uniform_draws_stay_inside_the_unit_interval():
-    # k + 0.5 rounds to 2^53 for the top draw k = 2^53 - 1
+    # k 2^-53 + 2^-54 rounds to 1 for the top draw k = 2^53 - 1
     class Stub:
-        def integers(self, lo, hi, size):
-            return np.array([0, 2 ** 52 + 1, 2 ** 53 - 1], dtype=np.int64).reshape(size)
+        def random(self, size):
+            k = np.array([0, 2 ** 52 + 1, 2 ** 53 - 1], dtype=np.float64)
+            return (k * 2.0 ** -53).reshape(size)
 
     u = ms._uniform_open(Stub(), (3,))
     assert np.all((u > 0.0) & (u < 1.0))
     np.testing.assert_array_equal(u[:2], [0.5 * 2.0 ** -53, (2.0 ** 52 + 1.5) * 2.0 ** -53])
+    assert u[2] == 1.0 - 2.0 ** -53
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+def _old_uniform_open(rng, shape):
+    # the 53-bit integer formula the uniforms had before rng.random
+    u = (rng.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) * 2.0 ** -53
+    return np.minimum(u, 1.0 - 2.0 ** -53)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_uniforms_equal_the_53_bit_integer_formula(seed):
+    # bit for bit, from the same 64-bit draws: the sign draws after them agree
+    new, old = _philox(seed), _philox(seed)
+    np.testing.assert_array_equal(ms._uniform_open(new, (5000, 3)), _old_uniform_open(old, (5000, 3)))
+    np.testing.assert_array_equal(new.integers(0, 2, size=1000), old.integers(0, 2, size=1000))
+
+
+def _old_phi_tail_draw(family, rng, rows):
+    # ProductPhiTail._draw before its transforms were taken in place
+    u = _old_uniform_open(rng, (ms.CHUNK, family.n))[:rows]
+    y = -np.log(u)
+    mags = y ** (1.0 / family.phi.s) if family.phi.fn is None else ms._phi_inv_array(family.phi, y)
+    return mags * (2.0 * rng.integers(0, 2, size=(rows, family.n)) - 1.0)
+
+
+@pytest.mark.parametrize("family", [
+    ProductPhiTail(PhiSpec(s=1.5), n=3), ProductPhiTail(PhiSpec(s=2.0), n=2),
+    ProductPhiTail(PhiSpec(fn=lambda t: 0.5 * (t * t + t)), n=1),
+], ids=["power", "power_sqrt", "custom"])
+def test_phi_tail_draw_equals_the_old_formula(family):
+    for j, rows in enumerate((1, 777, ms.CHUNK - 1, ms.CHUNK)):
+        got = sample_chunk(family, 11, j, rows)
+        want = _old_phi_tail_draw(family, ms._chunk_rng(11, j), rows)
+        assert got.tobytes() == want.tobytes(), rows
 
 
 def test_chaos_ratio_study_reads_every_requested_row(monkeypatch, capsys):
@@ -226,6 +266,39 @@ def test_save_samples_roundtrip(tmp_path):
         first = fh.readline()
     assert first.startswith("# config:")
     np.testing.assert_allclose(np.loadtxt(c, delimiter=",", comments="#"), X, rtol=1e-15)
+
+
+@pytest.mark.parametrize("count", [1, ms.CHUNK, ms.CHUNK + 1, 2 * ms.CHUNK + 5])
+def test_streamed_samples_equal_the_saved_matrix(monkeypatch, tmp_path, count):
+    header = ["config: {}"]
+    for fmt, family in (("bin", StandardGaussian(n=2)), ("csv", ProductPhiTail(PhiSpec(s=1.5), n=1))):
+        spec = SamplerSpec(family=family, seed=6, count=count)
+        want = tmp_path / f"want.{fmt}"
+        save_samples(sample(spec), str(want), fmt=fmt, header_lines=header)
+        for threads in ("1", "2"):
+            monkeypatch.setenv(ms.THREADS_ENV, threads)
+            got = tmp_path / f"got{threads}.{fmt}"
+            ms.stream_samples(spec, str(got), fmt=fmt, header_lines=header)
+            assert got.read_bytes() == want.read_bytes(), (fmt, threads)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_samples_hold_one_chunk(tmp_path):
+    # the peak does not grow with the count: 8 chunks peak within one chunk
+    # of 2 chunks, where the whole matrix would be 6 chunks more
+    family = StandardGaussian(n=4)
+    peaks = [_peak_bytes(lambda: ms.stream_samples(SamplerSpec(family, 1, chunks * ms.CHUNK),
+                                                   str(tmp_path / "s.bin")))
+             for chunks in (2, 8)]
+    assert peaks[1] - peaks[0] <= ms.CHUNK * family.n * 8
 
 
 def test_sampler_spec_validation():
