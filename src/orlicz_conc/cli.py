@@ -52,8 +52,10 @@ def _read_arg_text(raw: str) -> str:
 
 
 def _finite(raw) -> float:
-    """float(raw) for a finite number: the type of every float flag, and the
-    rule for vector entries and bound parameters."""
+    """float(raw) for a finite number, which a JSON boolean is not: the type
+    of every float flag, and the rule for vector entries and bound parameters."""
+    if isinstance(raw, bool):
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}")
     try:
         value = float(raw)
     except (TypeError, ValueError):
@@ -64,9 +66,9 @@ def _finite(raw) -> float:
 
 
 def _order(raw) -> int:
-    """A derivative order: an integral number, which a JSON boolean is not."""
+    """A derivative order: an integral number."""
     value = _finite(raw)
-    if isinstance(raw, bool) or not value.is_integer():
+    if not value.is_integer():
         raise argparse.ArgumentTypeError(f"derivative order must be an integer, got {raw!r}")
     return int(value)
 

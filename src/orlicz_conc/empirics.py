@@ -371,24 +371,25 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
     p_grid = _validate_p_grid(p_grid, env.beta)
     if family.n != spec.dim:
         raise InputError(f"sampler dim {family.n} != spec dim {spec.dim}")
-    if f.direction is not None:
-        fixed = [psi_p_norm_rows(spec, p, f.direction[None, :])[0] for p in p_grid]
+    fixed = (None if f.direction is None
+             else [psi_p_norm_rows(spec, p, f.direction[None, :])[0] for p in p_grid])
 
     def job(X):
-        cols = [f.f(X)]
-        if f.direction is not None:
-            cols.extend(np.full(X.shape[0], g) for g in fixed)
-        else:
-            gr = f.grad(X)
-            cols.extend(psi_p_norm_rows(spec, p, gr) for p in p_grid)
-        return np.column_stack(cols)
+        if fixed is not None:
+            return f.f(X)
+        gr = f.grad(X)
+        return np.column_stack([f.f(X)] + [psi_p_norm_rows(spec, p, gr) for p in p_grid])
 
     data = map_streams(N, [(family, seed)], job)
     meta = {"scenario": "centered", "function": f.name, "psi": _psi_meta(spec),
             "env": env_to_dict(env), "sampler": family.meta(),
             "seed": seed, "N": N, "C": C, "l_constant": l_constant(env)}
-    rhs = np.array([empirical_moment(data[:, 1 + i], p) for i, p in enumerate(p_grid)])
-    return _moment_report(p_grid, data[:, 0], rhs,
+    # a fixed gauge g enters as the moment of a constant column, not as g: its
+    # log-sum-exp rounds as the per-row gauges' column does, one column at a time
+    f_values, cols = ((data[:, 0], data[:, 1:].T) if fixed is None
+                      else (data, (np.full(N, g) for g in fixed)))
+    rhs = np.array([empirical_moment(col, p) for col, p in zip(cols, p_grid)])
+    return _moment_report(p_grid, f_values, rhs,
                           lambda g, p: centered_moment_bound(g, env, p, C), meta)
 
 

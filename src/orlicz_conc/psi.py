@@ -520,6 +520,8 @@ def psi_from_dict(obj: dict) -> PsiSpec:
         raise InputError(f"dim must be an integer, got {dim!r}")
     if not (isinstance(fam, str) and fam in _FAMILIES):
         raise InputError(f"unknown PsiSpec family {fam!r}")
+    if any(isinstance(v, bool) for v in params.values()):
+        raise InputError(f"malformed {fam} params: a boolean is not a number")
     try:
         return _FAMILIES[fam]._from_params(dim, params)
     except InputError:
@@ -632,31 +634,26 @@ def psi_p_norm_rows(spec: PsiSpec, p: float, X) -> np.ndarray:
 
     out = np.zeros(X.shape[0])
     act = np.flatnonzero(np.any(X != 0.0, axis=1))
-    # the gauge is 1-homogeneous, so a nonzero row whose squares under- or
-    # overflow is solved exactly at 2^-e times itself, e its max's exponent
-    with np.errstate(over="ignore"):
-        sq = np.einsum("ij,ij->i", X, X)[act]
-    far = act[~((sq >= 2.0 ** -1000) & (sq <= 2.0 ** 1000))]
-    del sq  # not held through the solve
-    e = np.frexp(np.max(np.abs(X[far]), axis=1))[1]
-    if far.size:  # on a copy: the caller's X stays as it is
-        X = X.copy()
-        X[far] = np.ldexp(X[far], -e[:, None])
     for i in range(0, act.size, _BLOCK):
         rows = act[i:i + _BLOCK]
-        a = spec._closed_gauge(p, X[rows])
+        # the gauge is 1-homogeneous, so each row is solved exactly at 2^-e
+        # times itself, e its max's exponent: no square or p x under- or overflows
+        Y = X[rows]
+        e = np.frexp(np.max(np.abs(Y), axis=1))[1]
+        np.ldexp(Y, -e[:, None], out=Y)
+        a = spec._closed_gauge(p, Y)
         if a is None:
-            out[act] = _bracket_solve(lambda r, b: spec._eval_rows(p * X[r] / b[:, None]) - p,
-                                      act, np.linalg.norm(X[act], axis=1), DEFAULT_TOL,
-                                      "gauge", "; Psi may violate (C3)")
-            break
-        out[rows] = _feasible_gauge(spec, p, X[rows], a)
-    with np.errstate(over="ignore"):
-        back = np.ldexp(out[far], e)
-    if not np.all((back > 0.0) & (back < np.inf)):
-        raise NumericalError("the gauge of a nonzero row under- or overflows")
-    # a subnormal gauge that rounded down rises one step, so it stays feasible
-    out[far] = np.where(np.ldexp(back, -e) < out[far], np.nextafter(back, np.inf), back)
+            a = _bracket_solve(lambda y, b: spec._eval_rows(p * y / b[:, None]) - p, Y,
+                               np.linalg.norm(Y, axis=1), DEFAULT_TOL,
+                               "gauge", "; Psi may violate (C3)")
+        else:
+            a = _feasible_gauge(spec, p, Y, a)
+        with np.errstate(over="ignore"):
+            back = np.ldexp(a, e)
+        if not np.all((back > 0.0) & (back < np.inf)):
+            raise NumericalError("the gauge of a nonzero row under- or overflows")
+        # a subnormal gauge that rounded down rises one step, so it stays feasible
+        out[rows] = np.where(np.ldexp(back, -e) < a, np.nextafter(back, np.inf), back)
     return out
 
 

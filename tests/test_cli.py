@@ -230,6 +230,10 @@ EXIT_TWO = {
     "bcg_chain_boolean_order": ("bound", "bcg_moment_bound", "--L", "1", "--p", "4",
                                 "--dk_norm", "1", "--hess_op_mp", "1", "--higher",
                                 "[[true,0.5]]"),
+    "bound_boolean_param": ("bound", "l_constant", "--params",
+                            '{"K": true, "alpha": 2, "beta": 2}'),
+    "norm_boolean_psi_param": ("norm", "--psi", '{"family":"BobkovLedouxCap",'
+                               '"params":{"threshold":true},"dim":2}', "--p", "4", "--x", "1,2"),
 }
 
 
@@ -272,7 +276,7 @@ TWOLEVEL2 = '{"family":"SeparableTwoLevel","params":{"r":3},"dim":2}'
 
 
 @pytest.mark.parametrize("argv", [
-    ("norm", "--psi", PSI2, "--p", "1e308", "--x", "3,4"),
+    ("norm", "--psi", PSI2, "--p", "1e308", "--x", "1e300,4"),
     ("norm", "--psi", TWOLEVEL2, "--p", "2", "--x", "1.2e308,1"),
     ("verify", "centered", "--n", "2", "--psi", PSI2, "--theta", "1e308,0", "--N", "2000"),
     ("tensor", "--matrix", "MATRIX", "--op", "partition", "--r", "1e308"),
@@ -293,16 +297,26 @@ def test_an_indicator_conjugate_is_inf_and_a_tiny_row_has_a_positive_gauge(capsy
     # p x overflows, yet the gauge 1.587e308 is representable
     rc, out, _ = run(capsys, "norm", "--psi", TWOLEVEL2, "--p", "2", "--x", "1e308,1")
     assert rc == 0 and float(value_lines(out)[0]) == pytest.approx(2.0 ** (2.0 / 3.0) * 1e308)
+    rc, out, _ = run(capsys, "norm", "--psi", PSI2, "--p", "1e308", "--x", "3,4")
+    assert rc == 0 and value_lines(out) == ["5e+154"]
+    # |x|^4 under- or overflows, yet the gauge p^(1/2) ||x||_4 is representable
+    for scale in ("1e-100", "1e100"):
+        rc, out, _ = run(capsys, "norm", "--p", "4", f"--x={scale},{scale}",
+                         "--psi", '{"family":"PowerNorm","params":{"norm":4,"a":2},"dim":2}')
+        assert rc == 0 and float(value_lines(out)[0]) == pytest.approx(
+            2.0 ** 1.25 * float(scale), rel=1e-15)
     # the row's l2 norm underflows, yet it is not the zero row
     for spec in (TWOLEVEL2, PSI2, '{"family":"SeparableFromPhi","params":{"s":3},"dim":2}'):
         rc, out, _ = run(capsys, "norm", "--psi", spec, "--p", "4", "--x", "1e-300,1e-301")
         assert rc == 0 and float(value_lines(out)[0]) > 0.0
 
 
-def test_overflow_prints_one_json_line_and_no_warning():
+def test_overflow_prints_one_json_line_and_no_warning(tmp_path):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1 2\n3 4\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "orlicz_conc.cli", "norm", "--psi", PSI2,
-         "--p", "1e308", "--x", "3,4"], capture_output=True, text=True)
+        [sys.executable, "-m", "orlicz_conc.cli", "tensor", "--matrix", str(matrix),
+         "--op", "eval", "--x", "1e200,1e200"], capture_output=True, text=True)
     assert proc.returncode == 3 and proc.stdout == ""
     assert json.loads(proc.stderr) == {"error": "numerical",
                                        "message": "overflow encountered in multiply"}

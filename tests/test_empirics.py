@@ -225,6 +225,22 @@ def test_linear_takes_one_gauge_per_p_bit_for_bit(spec, monkeypatch):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
+def test_linear_centered_holds_no_gauge_columns():
+    # f, then one constant gauge column with its logs and work buffer at a
+    # time: under 5 column sizes for a 4-point grid (one per p once stood
+    # beside f, about 8)
+    N = 2 ** 20
+    env = GrowthEnvelope(K=1.0, alpha=2.0, beta=2.0, D=2.0, d=0.0)
+    tracemalloc.start()
+    try:
+        verify_centered(StandardGaussian(n=2), linear([1.0, 0.5]), SPEC2, env,
+                        [2.0, 4.0, 8.0, 16.0], N, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * N
+
+
 def test_norm_and_max_builtins():
     X = np.array([[3.0, 4.0], [0.5, -0.1]])
     e = euclidean_norm()

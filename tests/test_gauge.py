@@ -227,15 +227,22 @@ def test_two_piece_gauge_is_homogeneous_at_extreme_scales(spec):
         assert psi_p_norm(spec, 4.0, scale * x) == pytest.approx(scale * unit, rel=1e-12)
 
 
-@pytest.mark.parametrize("spec", [PowerNorm(dim=2), SeparableFromPhi(dim=2, phi=PhiSpec(s=3.0)),
-                                  SeparableTwoLevel(dim=2, r=3.0)], ids=repr)
+@pytest.mark.parametrize("spec", [
+    PowerNorm(dim=2), PowerNorm(dim=2, norm=4.0), PowerNorm(dim=2, norm=math.inf),
+    SeparableFromPhi(dim=2, phi=PhiSpec(s=3.0)), SeparableFromPhi(dim=2, phi=PhiSpec(s=1.0)),
+    SeparableTwoLevel(dim=2, r=3.0), BobkovLedouxCap(dim=2),
+    UserSeparable(dim=2, fn=_capped_square, name="capped")],
+    ids=lambda s: getattr(s, "name", None) or repr(s))
 def test_a_nonzero_row_whose_norm_underflows_is_never_zero(spec):
-    # a row whose squares under- or overflow is solved at a power-of-two
-    # scale: its gauge is the unit row's, scaled, bit for bit
+    # every nonzero row is solved at a power-of-two scale: its gauge is the
+    # unit row's, scaled, bit for bit
     x = np.array([0.75, -0.1])
     unit = psi_p_norm(spec, 4.0, x)
-    for k in (-1015, -1000, 1000):
+    for k in (-1015, -1000, -500, 0, 500, 1000):
         assert psi_p_norm(spec, 4.0, np.ldexp(x, k)) == np.ldexp(unit, k)
+    # entries 2^1100 apart: at the row's scale the small one is below every subnormal
+    span = psi_p_norm(spec, 4.0, np.array([2.0 ** 400, 2.0 ** -700]))
+    assert span == np.ldexp(psi_p_norm(spec, 4.0, np.array([1.0, 0.0])), 400)
     tiny = psi_p_norm(spec, 4.0, np.array([1e-300, 1e-301]))
     assert tiny == pytest.approx(1e-300 * psi_p_norm(spec, 4.0, np.array([1.0, 0.1])), rel=1e-12)
     # in a batch, the other rows are solved as on their own
