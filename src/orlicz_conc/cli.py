@@ -7,11 +7,13 @@ Exit codes: 0 success, 1 verification band failure, 2 input error,
 objects on stderr. Every run echoes its fully resolved configuration into
 the output header ('# config:' line for text/CSV, a "config" field for
 JSON), and output for a fixed configuration is byte-identical across runs.
+A subcommand imports the layers it uses when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -19,14 +21,19 @@ import warnings
 
 import numpy as np
 
-from . import bounds as bd
-from . import conjugacy as cj
-from . import empirics as em
-from . import measures as ms
-from . import tensors as tn
 from .errors import InputError, NumericalError
 from .psi import (GrowthEnvelope, PhiSpec, env_from_dict, env_to_dict,
                   psi_from_json, psi_p_norm_rows, psi_to_dict)
+from .tables import _out_stream, write_table
+
+_LAYERS = {"bd": "bounds", "cj": "conjugacy", "em": "empirics", "ms": "measures", "tn": "tensors"}
+
+
+def __getattr__(name):
+    # cli.bd and the rest are the layer modules themselves, imported on first use
+    if name in _LAYERS:
+        return importlib.import_module("." + _LAYERS[name], __package__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +107,7 @@ def _parse_grid(raw: str) -> np.ndarray:
 
 
 def _emit_json(obj, out_path):
-    with ms._out_stream(out_path or sys.stdout) as fh:
+    with _out_stream(out_path or sys.stdout) as fh:
         fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
@@ -113,10 +120,10 @@ def _emit_result(config: dict, payload, out_path, fmt: str):
                 else np.asarray(payload).tolist())
         _emit_json({"config": config, "result": body}, out_path)
     elif table:
-        ms.write_table(out_path or sys.stdout, config, np.column_stack(list(payload.values())),
-                       list(payload))
+        write_table(out_path or sys.stdout, config, np.column_stack(list(payload.values())),
+                    list(payload))
     else:
-        ms.write_table(out_path or sys.stdout, config, payload)
+        write_table(out_path or sys.stdout, config, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +170,7 @@ def _load_params(ns, extra_tokens, name: str, allowed, required, structured=()) 
 
 
 def _cmd_bound(ns, extra_tokens) -> int:
+    from . import bounds as bd
     name = ns.name
     if name == "gk_moment":
         return _cmd_bound_gk(ns, extra_tokens)
@@ -202,6 +210,7 @@ def _cmd_bound(ns, extra_tokens) -> int:
 
 
 def _cmd_bound_gk(ns, extra_tokens) -> int:
+    from . import bounds as bd
     keys = ("x", "s", "p")
     raw = _load_params(ns, extra_tokens, "gk_moment", keys, keys, structured=("x",))
     try:
@@ -216,6 +225,7 @@ def _cmd_bound_gk(ns, extra_tokens) -> int:
 
 
 def _cmd_bound_bcg_chain(ns, extra_tokens) -> int:
+    from . import bounds as bd
     keys = ("L", "p", "dk_norm", "hess_op_mp", "higher")
     raw = _load_params(ns, extra_tokens, "bcg_moment_bound", keys, keys, structured=("higher",))
     higher = raw["higher"]
@@ -254,6 +264,7 @@ def _cmd_norm(ns, _extra) -> int:
 
 
 def _cmd_conjugate(ns, _extra) -> int:
+    from . import conjugacy as cj
     spec = _psi(ns, "conjugate")
     if sum([ns.grid is not None, ns.y is not None, ns.support]) != 1:
         raise InputError("choose exactly one of --grid, --y, --support")
@@ -278,6 +289,7 @@ def _cmd_conjugate(ns, _extra) -> int:
 
 
 def _cmd_tensor(ns, _extra) -> int:
+    from . import tensors as tn
     A = tn.load_matrix(ns.matrix)
     config = {"command": "tensor", "op": ns.op, "matrix": ns.matrix,
               "k": A.k, "n": A.n}
@@ -310,18 +322,24 @@ def _cmd_tensor(ns, _extra) -> int:
     return 0
 
 
-# the --family choices: name -> constructor from (n, phi_s)
-_FAMILIES = {
-    "gaussian": lambda n, phi_s: ms.StandardGaussian(n=n),
-    "phi_tail": lambda n, phi_s: ms.ProductPhiTail(PhiSpec(s=phi_s), n=n),
-    "nu": lambda n, phi_s: ms.NuMeasure(),
-}
+_FAMILIES = ("gaussian", "phi_tail", "nu")  # the --family choices
+
+
+def _family(ns):
+    """The --family measure on R^n (--n); phi_tail's tails are exp(-t^s) (--phi-s)."""
+    from . import measures as ms
+    if ns.family == "nu":
+        return ms.NuMeasure()
+    if ns.family == "phi_tail":
+        return ms.ProductPhiTail(PhiSpec(s=ns.phi_s), n=ns.n)
+    return ms.StandardGaussian(n=ns.n)
 
 
 def _cmd_sample(ns, _extra) -> int:
+    from . import measures as ms
     if ns.format == "bin" and not ns.out:
         raise InputError("binary samples require --out")
-    family = _FAMILIES[ns.family](ns.n, ns.phi_s)
+    family = _family(ns)
     spec = ms.SamplerSpec(family=family, seed=ns.seed, count=ns.count)
     config = {"command": "sample", "seed": ns.seed, "count": ns.count, **family.meta()}
     ms.stream_samples(spec, ns.out or sys.stdout, fmt=ns.format,
@@ -330,6 +348,8 @@ def _cmd_sample(ns, _extra) -> int:
 
 
 def _build_function(ns, dim: int) -> em.TestFunction:
+    from . import empirics as em
+    from . import tensors as tn
     kind = ns.function
     if kind in ("linear", "tilt"):
         if ns.theta is None:
@@ -360,8 +380,9 @@ _VERIFY_ENV = {"K": 1.0, "alpha": 2.0, "beta": 2.0, "D": 2.0, "d": 0.0}
 
 
 def _cmd_verify(ns, _extra) -> int:
+    from . import empirics as em
     scenario = ns.scenario
-    family = None if scenario == "nu-logp" else _FAMILIES[ns.family](ns.n, ns.phi_s)
+    family = None if scenario == "nu-logp" else _family(ns)
     spec = (_psi(ns, f"verify {scenario}")
             if scenario in ("centered", "enlargement", "mlsi") else None)
     given = {k: getattr(ns, k) for k in _ENV_KEYS if getattr(ns, k) is not None}

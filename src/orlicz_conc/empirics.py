@@ -20,10 +20,10 @@ import numpy as np
 from .bounds import centered_moment_bound, enlargement_bound, l_constant
 from .conjugacy import conjugate_ray_radius
 from .errors import InputError
-from .measures import (Family, NuMeasure, ProductPhiTail, SamplerSpec, map_streams,
-                       write_table)
-from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, env_to_dict, eval_psi_rows,
+from .measures import Family, NuMeasure, ProductPhiTail, SamplerSpec, map_streams
+from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, _row_max, env_to_dict, eval_psi_rows,
                   psi_p_norm_rows, psi_to_dict)
+from .tables import write_table
 from .tensors import MultiIndexMatrix
 
 BATCHES = 32
@@ -108,8 +108,7 @@ def max_coordinate() -> TestFunction:
         out[np.arange(X.shape[0]), np.argmax(X, axis=1)] = 1.0
         return out
 
-    return TestFunction(name="max_coordinate",
-                        f=lambda X: np.max(X, axis=1), grad=grad)
+    return TestFunction(name="max_coordinate", f=_row_max, grad=grad)
 
 
 def exp_tilt(theta) -> TestFunction:
@@ -365,20 +364,19 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
                     C: float = 1.0) -> MomentReport:
     """Estimate ||f - mean f||_p against G(p) = || |grad f|_{Psi_p} ||_p and
     the closed-form bound C L G(p); the fitted constant is the largest ratio
-    lhs / G over the grid.  A gradient with a fixed `direction` takes one
-    gauge solve per p, the same value every row would give."""
+    lhs / G over the grid.  Each chunk's gradient rows take one gauge call
+    for the whole grid; a gradient with a fixed `direction` takes one call
+    for the direction, the values every row would give."""
     family = _family_of(sampler, seed, N)
     p_grid = _validate_p_grid(p_grid, env.beta)
     if family.n != spec.dim:
         raise InputError(f"sampler dim {family.n} != spec dim {spec.dim}")
-    fixed = (None if f.direction is None
-             else [psi_p_norm_rows(spec, p, f.direction[None, :])[0] for p in p_grid])
+    fixed = None if f.direction is None else psi_p_norm_rows(spec, p_grid, f.direction[None, :])[0]
 
     def job(X):
         if fixed is not None:
             return f.f(X)
-        gr = f.grad(X)
-        return np.column_stack([f.f(X)] + [psi_p_norm_rows(spec, p, gr) for p in p_grid])
+        return np.column_stack([f.f(X), psi_p_norm_rows(spec, p_grid, f.grad(X))])
 
     data = map_streams(N, [(family, seed)], job)
     meta = {"scenario": "centered", "function": f.name, "psi": _psi_meta(spec),

@@ -1,7 +1,6 @@
 """Reference measures: exact samplers (counter-based, chunk-keyed Philox
 streams), closed-form CDF/density/quantile for the heavy-tailed measure nu,
-and its isoperimetric-type profile; `write_table`, the text-table format
-every CSV output shares.
+and its isoperimetric-type profile; `save_samples`, the sample writer.
 
 Chunk j of a stream is generated from key (seed, j), so samples are
 bit-identical however generation is scheduled across workers.
@@ -9,9 +8,8 @@ bit-identical however generation is scheduled across workers.
 
 from __future__ import annotations
 
-import json
 import os
-from contextlib import closing, nullcontext
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,6 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .psi import PhiSpec, _bracket_solve
+from .tables import _out_stream, write_table
 
 CHUNK = 65536
 THREADS_ENV = "ORLICZ_CONC_THREADS"
@@ -67,7 +66,11 @@ class ProductPhiTail(Family):
         z = _uniform_open(rng, (CHUNK, self.n))[:rows]
         z = z.copy() if rows < CHUNK else z
         z = _phi_inv_array(self.phi, np.negative(np.log(z, out=z), out=z))  # |Z|, in place
-        return np.negative(z, out=z, where=rng.integers(0, 2, size=(rows, self.n)) == 0)
+        # a sign draw k = 0 negates: (k ^ 1) << 63 is the sign bit, or'ed into |Z| in place
+        k = rng.integers(0, 2, size=(rows, self.n))
+        np.left_shift(np.bitwise_xor(k, 1, out=k), 63, out=k)
+        np.bitwise_or(z.view(np.int64), k, out=z.view(np.int64))
+        return z
 
     def meta(self) -> dict:
         return {**super().meta(), "phi": {"s": self.phi.s, "custom": self.phi.fn is not None}}
@@ -238,27 +241,6 @@ def isoperimetric_profile_nu(t):
 
 # ---------------------------------------------------------------------------
 # export
-
-def _out_stream(out, binary: bool = False):
-    """A context manager giving a stream: `out` itself if it is one, else
-    the file at path `out`, opened for writing (text, or binary)."""
-    return (nullcontext(out) if hasattr(out, "write") else
-            open(out, "wb" if binary else "w", newline=None if binary else ""))
-
-
-def write_table(out, config, rows, names=None) -> None:
-    """The text table of every CSV output: a '# config: <sorted JSON>' line
-    (none when config is None), the column names if given, then one line of
-    .17g cells per row of the 2-D `rows` (a scalar is one cell). `out` is a
-    path or an open text stream, which is left open."""
-    with _out_stream(out) as fh:
-        if config is not None:
-            fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        if names is not None:
-            fh.write(",".join(names) + "\n")
-        for row in np.atleast_2d(np.asarray(rows, dtype=float)):
-            fh.write(",".join(f"{v:.17g}" for v in row.tolist()) + "\n")
-
 
 def save_samples(X: np.ndarray, path, fmt: str = "bin", header_lines=()) -> None:
     """bin: raw little-endian float64, row-major, no header.

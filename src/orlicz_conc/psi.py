@@ -14,10 +14,13 @@ gauge
 which is non-decreasing in p and is the gradient norm appearing in the
 moment bounds of `bounds`.  PowerNorm and BobkovLedouxCap gauges, and that of
 SeparableFromPhi s=1, a rescaled cap, are closed forms.  SeparableTwoLevel and
-SeparableFromPhi 1 < s <= 2 have components of two power pieces, whose gauge
+SeparableFromPhi 1 < s <= 2 have components of two power pieces, and
+SeparableFromPhi s > 2 one of three (quadratic, linear, power): their gauge
 is one sort per row and a Newton solve on the root's segment.  For the other
 families the predicate Psi(px/a) <= p, monotone in a, is bracketed
-geometrically and the bracket narrowed by Chandrupatla's method.
+geometrically and the bracket narrowed by Chandrupatla's method.  Every
+gauge takes a whole p grid at once, so the work that does not depend on p
+is done once per block of rows.
 The golden-section maximiser and the numeric Legendre transform at the end
 serve conjugacy's profiles and a custom Phi's component alike.
 """
@@ -39,8 +42,9 @@ _BRACKET_MAX = 200  # doublings/halvings before giving up (condition C3 failure)
 _SOLVE_MAX = 100    # Chandrupatla steps; bisection needs 35 (tol 1e-10) to 52 (float resolution)
 _NUDGE_MAX = 16     # doubling steps, at most 2^16 ulps, that repair a rounded closed form
 _BLOCK = 8192       # rows per gauge block, bounding its per-row temporaries
-_NEWTON_MAX = 64    # Newton steps of the two-piece gauge; it takes 2-6
-_NEWTON_TOL = 1e-14  # last log-step of the two-piece gauge, over 1 + |log s|: its rounding floor
+_NEWTON_MAX = 64    # Newton steps of the piecewise gauges; they take 2-8
+_NEWTON_TOL = 1e-14  # last log-step of the piecewise gauges (over 1 + |log s| for two pieces)
+_FOLD_MAX = 16      # columns up to which a row max folds column by column
 _SUP_TOL = 1e-13    # relative width of the profile, radius and level solves
 
 GRID_LO = 1e-6      # log grid of the numeric Legendre transform and ray supremum
@@ -54,9 +58,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # scalar building blocks shared by the two-level family and PhiSpec
 
 def _sup_linear_minus_quad(v):
-    # sup_{0 <= u <= 1} (u v - u^2) for v >= 0
+    # sup_{0 <= u <= 1} (u v - u^2) for v >= 0; v^2 may overflow where v > 2
     v = np.asarray(v, dtype=float)
-    return np.where(v <= 2.0, 0.25 * v * v, v - 1.0)
+    with np.errstate(over="ignore"):
+        return np.where(v <= 2.0, 0.25 * v * v, v - 1.0)
 
 
 def _sup_linear_minus_power(v, s):
@@ -168,8 +173,9 @@ class PsiSpec:
         vals = self._component(np.abs(X))
         return np.sum(vals, axis=-1)
 
-    def _closed_gauge(self, p: float, X: np.ndarray) -> Optional[np.ndarray]:
-        """|row|_{Psi_p} for the non-zero rows of X."""
+    def _closed_gauge(self, ps: list, X: np.ndarray) -> Optional[np.ndarray]:
+        """|row|_{Psi_p} for the non-zero rows of X: row j of the
+        (len(ps), rows) array is the gauge at ps[j]."""
         return None
 
     def _closed_omega(self, t: np.ndarray) -> Optional[np.ndarray]:
@@ -227,8 +233,8 @@ class PowerNorm(PsiSpec):
     def _eval_rows(self, X):
         return np.power(self._inner_norm(X), self.a)
 
-    def _closed_gauge(self, p, X):
-        return p ** (1.0 - 1.0 / self.a) * self._inner_norm(X)
+    def _closed_gauge(self, ps, X):
+        return np.multiply.outer([p ** (1.0 - 1.0 / self.a) for p in ps], self._inner_norm(X))
 
     def _dual_norm(self, y) -> float:
         q = self.norm
@@ -300,8 +306,8 @@ class SeparableTwoLevel(PsiSpec):
         with np.errstate(over="ignore"):
             return np.where(u <= 1.0, u * u, np.power(u, self.r))
 
-    def _closed_gauge(self, p, X):
-        return _two_piece_gauge(p, X, (1.0, 2.0, 1.0, 1.0, self.r))
+    def _closed_gauge(self, ps, X):
+        return _two_piece_gauge(ps, X, (1.0, 2.0, 1.0, 1.0, self.r))
 
     def _closed_omega(self, t):
         return np.maximum(t * t, np.power(t, self.r))
@@ -343,17 +349,20 @@ class SeparableFromPhi(PsiSpec):
             return BobkovLedouxCap(dim=self.dim, threshold=0.5)
         return None
 
-    def _closed_gauge(self, p, X):
+    def _closed_gauge(self, ps, X):
         cap, s = self._cap(), self.phi.s
         if cap is not None:
-            return 0.5 * cap._closed_gauge(p, X)
-        if self.phi.fn is None and s <= 2.0:
-            # for 1 < s <= 2 the component is the convex envelope v^2/4 up to
-            # v0, where it meets c v^{s*} (v0 -> 2 as s -> 2, where both are v^2/4)
-            s_conj = s / (s - 1.0)
-            c = (s - 1.0) * s ** (-s_conj)
-            v0 = 2.0 if s == 2.0 else (0.25 / c) ** (1.0 / (s_conj - 2.0))
-            return _two_piece_gauge(p, X, (0.25, 2.0, v0, c, s_conj))
+            return 0.5 * cap._closed_gauge(ps, X)
+        if self.phi.fn is not None:
+            return None
+        s_conj = s / (s - 1.0)
+        c = (s - 1.0) * s ** (-s_conj)
+        if s > 2.0:
+            return _three_piece_gauge(ps, X, s, s_conj, c)
+        # for 1 < s <= 2 the component is the convex envelope v^2/4 up to
+        # v0, where it meets c v^{s*} (v0 -> 2 as s -> 2, where both are v^2/4)
+        v0 = 2.0 if s == 2.0 else (0.25 / c) ** (1.0 / (s_conj - 2.0))
+        return _two_piece_gauge(ps, X, (0.25, 2.0, v0, c, s_conj))
 
     def _closed_omega(self, t):
         cap, s = self._cap(), self.phi.s
@@ -405,10 +414,10 @@ class BobkovLedouxCap(PsiSpec):
     def _component(self, u):
         return np.where(u <= self.threshold, u * u, np.inf)
 
-    def _closed_gauge(self, p, X):
+    def _closed_gauge(self, ps, X):
         # Psi(px/a) <= p iff p|x|_inf/a <= threshold and p^2|x|_2^2/a^2 <= p
-        return np.maximum(p * np.max(np.abs(X), axis=-1) / self.threshold,
-                          math.sqrt(p) * np.linalg.norm(X, axis=-1))
+        top, l2 = _row_max(np.abs(X)), np.linalg.norm(X, axis=-1)
+        return np.array([np.maximum(p * top / self.threshold, math.sqrt(p) * l2) for p in ps])
 
     def _closed_omega(self, t):
         return np.where(t <= 1.0, t * t, np.inf)
@@ -621,102 +630,224 @@ def psi_p_norm(spec: PsiSpec, p: float, x) -> float:
     return float(psi_p_norm_rows(spec, p, _as_vector(spec, x)[None, :])[0])
 
 
-def psi_p_norm_rows(spec: PsiSpec, p: float, X) -> np.ndarray:
-    """Vector of |row|_{Psi_p} over the rows of X.  Each value depends on its
-    row alone, so it is bit-identical to psi_p_norm on that row."""
-    if not p > 0:
-        raise InputError(f"p must be positive, got {p}")
+def psi_p_norm_rows(spec: PsiSpec, p, X) -> np.ndarray:
+    """Vector of |row|_{Psi_p} over the rows of X; for a p grid (a 1-D
+    array), the (rows, len(p)) array whose column j is the vector at p[j].
+    Each block of rows is scaled once and the family does its p-independent
+    work once for the whole grid.  Each value depends on its row and p
+    alone, so it is bit-identical to psi_p_norm on that row at that p."""
+    grid = np.asarray(p, dtype=float)
+    if grid.ndim > 1 or not np.all(grid > 0):
+        raise InputError(f"p must be positive (a scalar or a 1-D grid), got {p}")
+    ps = np.atleast_1d(grid).tolist()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != spec.dim:
         raise InputError(f"expected (m, {spec.dim}) array, got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise InputError("input vectors must be finite")
 
-    out = np.zeros(X.shape[0])
+    out = np.zeros((len(ps), X.shape[0]))
     act = np.flatnonzero(np.any(X != 0.0, axis=1))
     for i in range(0, act.size, _BLOCK):
         rows = act[i:i + _BLOCK]
         # the gauge is 1-homogeneous, so each row is solved exactly at 2^-e
         # times itself, e its max's exponent: no square or p x under- or overflows
         Y = X[rows]
-        e = np.frexp(np.max(np.abs(Y), axis=1))[1]
+        e = np.frexp(_row_max(np.abs(Y)))[1]
         np.ldexp(Y, -e[:, None], out=Y)
-        a = spec._closed_gauge(p, Y)
+        a = spec._closed_gauge(ps, Y)
         if a is None:
-            a = _bracket_solve(lambda y, b: spec._eval_rows(p * y / b[:, None]) - p, Y,
-                               np.linalg.norm(Y, axis=1), DEFAULT_TOL,
-                               "gauge", "; Psi may violate (C3)")
+            start = np.linalg.norm(Y, axis=1)
+            a = np.array([_bracket_solve(lambda y, b: spec._eval_rows(p * y / b[:, None]) - p,
+                                         Y, start, DEFAULT_TOL, "gauge", "; Psi may violate (C3)")
+                          for p in ps])
         else:
-            a = _feasible_gauge(spec, p, Y, a)
+            for p, a_p in zip(ps, a):
+                _feasible_gauge(spec, p, Y, a_p)
         with np.errstate(over="ignore"):
             back = np.ldexp(a, e)
         if not np.all((back > 0.0) & (back < np.inf)):
             raise NumericalError("the gauge of a nonzero row under- or overflows")
         # a subnormal gauge that rounded down rises one step, so it stays feasible
-        out[rows] = np.where(np.ldexp(back, -e) < a, np.nextafter(back, np.inf), back)
-    return out
+        out[:, rows] = np.where(np.ldexp(back, -e) < a, np.nextafter(back, np.inf), back)
+    return out.T if grid.ndim else out[0]
 
 
 def _feasible_gauge(spec: PsiSpec, p: float, X: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The closed-form gauges a of the nonzero rows of X, made feasible:
-    rounding leaves some closed forms up to 13 ulps infeasible, so those rows
-    rise by a relative step that doubles from one ulp."""
+    """The closed-form gauges a of the nonzero rows of X, made feasible in
+    place: rounding leaves some closed forms up to 13 ulps infeasible, so
+    those rows rise by a relative step that doubles from one ulp."""
     if not np.all((a > 0.0) & (a < np.inf)):
         raise NumericalError("closed-form gauge of a nonzero row is 0 or not finite")
-    PX, step = p * X, np.finfo(float).eps
-    bad = np.flatnonzero(~(spec._eval_rows(PX / a[:, None]) <= p))
+    step = np.finfo(float).eps
+    bad = np.flatnonzero(~(spec._eval_rows(p * X / a[:, None]) <= p))
     for _ in range(_NUDGE_MAX):
         if bad.size == 0:
             return a
         a[bad] *= 1.0 + step
         step *= 2.0
-        bad = bad[~(spec._eval_rows(PX[bad] / a[bad, None]) <= p)]
+        bad = bad[~(spec._eval_rows(p * X[bad] / a[bad, None]) <= p)]
     raise NumericalError(f"closed-form gauge still infeasible after {_NUDGE_MAX} steps")
 
 
-def _two_piece_gauge(p: float, X: np.ndarray, pieces: tuple) -> np.ndarray:
-    """|row|_{Psi_p} for the nonzero rows of X, for a separable Psi whose
-    component is two homogeneous pieces, h(v) = c1 v^e1 on [0, b] and
-    c2 v^e2 above, continuous at b, with e1, e2 > 1.
+def _row_max(A: np.ndarray) -> np.ndarray:
+    """np.max(A, axis=1), bit for bit.  Up to _FOLD_MAX columns it folds
+    np.maximum over the columns, as numpy reduces a short axis slowly."""
+    if A.shape[1] > _FOLD_MAX:
+        return np.max(A, axis=1)
+    out = A[:, 0].copy()
+    for j in range(1, A.shape[1]):
+        np.maximum(out, A[:, j], out=out)
+    return out
+
+
+def _sorted_rows(X: np.ndarray, pad: int = 0):
+    """(top, y): each row's max |x_i| and its |x_i| / top, sorted in
+    decreasing order and followed by `pad` zeros."""
+    m, n = X.shape
+    buf = np.zeros((m, pad + n))
+    ax = np.abs(X, out=buf[:, pad:])
+    top = _row_max(ax)
+    ax /= top[:, None]
+    ax.sort(axis=1)
+    return top, buf[:, ::-1]
+
+
+def _newton(update, x: np.ndarray, coefs: tuple, what: str) -> np.ndarray:
+    """Per row, x, coefs -> update(x, *coefs) = (new x, done) until the row
+    is done; rows leave as they finish.  NumericalError after _NEWTON_MAX
+    steps."""
+    out, idx = np.empty(x.size), np.arange(x.size)
+    for _ in range(_NEWTON_MAX):
+        x, done = update(x, *coefs)
+        if np.any(done):
+            out[idx[done]] = x[done]
+            if np.all(done):
+                return out
+            idx, x, coefs = idx[~done], x[~done], tuple(v[~done] for v in coefs)
+    raise NumericalError(f"{what} gauge did not converge in {_NEWTON_MAX} steps "
+                         f"for {idx.size} rows")
+
+
+def _two_piece_gauge(ps: list, X: np.ndarray, pieces: tuple) -> np.ndarray:
+    """|row|_{Psi_p} at each p of ps for the nonzero rows of X, for a
+    separable Psi whose component is two homogeneous pieces, h(v) = c1 v^e1
+    on [0, b] and c2 v^e2 above, continuous at b, with e1, e2 > 1.
 
     The gauge is 1-homogeneous, so each row is divided by its max |x_i| and
     the gauge is p max|x_i| / s* with s* the root of F(s) = sum_i h(s y_i) = p,
     y the sorted |x_i| / max|x_i|.  Coordinate k crosses the knot at
     t_k = b / y_k, and F(t_k) follows from prefix sums of y^e1 and y^e2, so
-    the root's segment is #{k : F(t_k) <= p}.  On it F(s) = A s^e1 + B s^e2,
+    the root's segment is #{k : F(t_k) <= p}: only that count and the Newton
+    solve depend on p.  On the segment F(s) = A s^e1 + B s^e2,
     and G(tau) = log(F(e^tau) / p) is convex and increasing: Newton on tau,
     started at the least s where one term alone reaches p, an upper bound of
     the root, falls monotonically to it.  Each row stops on its own, once its
-    step is at most _NEWTON_TOL (1 + |tau|); NumericalError after _NEWTON_MAX
-    steps."""
+    step is at most _NEWTON_TOL (1 + |tau|)."""
     c1, e1, b, c2, e2 = pieces
-    top = np.max(np.abs(X), axis=1)
-    y = np.sort(np.abs(X) / top[:, None], axis=1)[:, ::-1]
+    top, y = _sorted_rows(X)
     m, n = y.shape
     ye1, ye2 = y ** e1, y ** e2
     below, above = np.zeros((m, n + 1)), np.zeros((m, n + 1))
     below[:, :n] = np.cumsum(ye1[:, ::-1], axis=1)[:, ::-1]  # sum_{i >= k} y_i^e1
     np.cumsum(ye2, axis=1, out=above[:, 1:])                 # sum_{i < k} y_i^e2
-    log_p, idx = math.log(p), np.arange(m)
+
+    def update(tau, lA, lB):
+        z1, z2 = lA + e1 * tau, lB + e2 * tau
+        slope = e1 + (e2 - e1) / (1.0 + np.exp(z1 - z2))
+        step = np.logaddexp(z1, z2) / slope
+        tau = tau - step
+        return tau, np.abs(step) <= _NEWTON_TOL * (1.0 + np.abs(tau))
+
+    out, rows = np.empty((len(ps), m)), np.arange(m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # F(t_k) / h(b); a zero y_k gives nan or +inf, never counted
-        at_knots = above[:, :n] / ye2 + below[:, :n] / ye1
-        k = np.count_nonzero(c1 * b ** e1 * at_knots <= p, axis=1)
-        lA, lB = np.log(c1 * below[idx, k]) - log_p, np.log(c2 * above[idx, k]) - log_p
-        tau, out = np.minimum(-lA / e1, -lB / e2), np.empty(m)
-        for _ in range(_NEWTON_MAX):
-            z1, z2 = lA + e1 * tau, lB + e2 * tau
-            slope = e1 + (e2 - e1) / (1.0 + np.exp(z1 - z2))
-            step = np.logaddexp(z1, z2) / slope
-            tau = tau - step
-            done = np.abs(step) <= _NEWTON_TOL * (1.0 + np.abs(tau))
-            if np.any(done):
-                out[idx[done]] = tau[done]
-                if np.all(done):
-                    return p * (top * np.exp(-out))
-                idx, lA, lB, tau = (v[~done] for v in (idx, lA, lB, tau))
-    raise NumericalError(f"two-piece gauge did not converge in {_NEWTON_MAX} steps "
-                         f"for {idx.size} rows")
+        # F(t_k); a zero y_k gives nan or +inf, never counted
+        at_knots = c1 * b ** e1 * (above[:, :n] / ye2 + below[:, :n] / ye1)
+        for j, p in enumerate(ps):
+            k, log_p = np.count_nonzero(at_knots <= p, axis=1), math.log(p)
+            lA, lB = np.log(c1 * below[rows, k]) - log_p, np.log(c2 * above[rows, k]) - log_p
+            tau = _newton(update, np.minimum(-lA / e1, -lB / e2), (lA, lB), "two-piece")
+            out[j] = p * (top * np.exp(-tau))
+    return out
+
+
+def _leading(pred, m: int, n: int) -> np.ndarray:
+    """Per row of m, the count of leading k in range(n) where pred holds,
+    pred(k) taking one k per row and monotone in k (true, then false):
+    binary lifting, one pred call per bit of n."""
+    k, step = np.zeros(m, dtype=np.intp), 1 << (n.bit_length() - 1)
+    while step:
+        j = k + step
+        k += step * ((j <= n) & pred(np.minimum(j, n) - 1))
+        step >>= 1
+    return k
+
+
+def _three_piece_gauge(ps: list, X: np.ndarray, s: float, s_conj: float, c: float) -> np.ndarray:
+    """|row|_{Psi_p} at each p of ps for the nonzero rows of X, for
+    SeparableFromPhi s > 2: h(v) = v^2/4 on [0, 2], v - 1 on [2, s] and
+    c v^{s*} above.  As for two pieces, the gauge is p max|x_i| / sig with
+    F(sig) = sum_i h(sig y_i) = p.  With kp coordinates at or above the knot
+    s and kl at or above 2, F(sig) = c P sig^{s*} + B sig - C + D sig^2 / 4,
+    from prefix sums of y^{s*}, y and y^2, and C = kl - kp.  Per p, binary
+    searches count the knots below the root: ks = #{k : F(s/y_k) <= p},
+    each step finding its kl by a search of its own, then k2 = #{k :
+    F(2/y_k) <= p}.  On that segment F is convex and increasing, and each
+    term alone reaches p above the root, within a factor 3: Newton from the
+    least of those points falls monotonically to it, a row stopping once its
+    relative step is at most _NEWTON_TOL."""
+    top, yp = _sorted_rows(X, pad=1)  # yp[:, n] = 0: the knots past the last are +inf
+    m, n = X.shape
+    # increasing and contiguous, asc[:, n - k] = y_k: a gather is one take.
+    # In place, P[:, k] = sum_{i < k} y_i^{s*}, L[:, k] = sum_{i < k} y_i and
+    # Q[:, n - k] = sum_{i >= k} y_i^2
+    asc, P, L = yp[:, ::-1], np.zeros((m, n + 1)), np.zeros((m, n + 1))
+    np.cumsum(np.power(asc[:, :0:-1], s_conj, out=P[:, 1:]), axis=1, out=P[:, 1:])
+    np.cumsum(asc[:, :0:-1], axis=1, out=L[:, 1:])
+    Q = np.square(asc)
+    np.cumsum(Q, axis=1, out=Q)
+    asc, P, L, Q = (v.ravel() for v in (asc, P, L, Q))
+    at, root_c = np.arange(m) * (n + 1), c ** (-1.0 / s_conj)
+    rev = at + n
+
+    def segment(kp, kl):  # P, B, C and D of F on a segment
+        return P.take(at + kp), L.take(at + kl) - L.take(at + kp), kl - kp, Q.take(rev - kl)
+
+    def F(v, k, kp, kl):  # F at the knot v / y_k
+        (Pk, B, C, D), yk = segment(kp, kl), asc.take(rev - k)
+        sig = v / yk
+        return c * v ** s_conj * Pk / yk ** s_conj + sig * B - C + 0.25 * (D * sig) * sig
+
+    def above(thr):  # per row, #{i : y_i >= thr}
+        return _leading(lambda k: asc.take(rev - k) >= thr, m, n)
+
+    out = np.empty((len(ps), m))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j, p in enumerate(ps):
+            def at_s(k):
+                return F(s, k, k + 1, np.maximum(above(2.0 / s * asc.take(rev - k)), k + 1)) <= p
+
+            ks = _leading(at_s, m, n)
+            lo = np.where(ks > 0, s / asc.take(np.minimum(rev - ks + 1, rev)), 0.0)
+            hi = s / asc.take(rev - ks)
+
+            def at_2(k):
+                sig = 2.0 / asc.take(rev - k)
+                return (sig < lo) | ((sig < hi) & (F(2.0, k, ks, np.maximum(k + 1, ks)) <= p))
+
+            P_, B, C, D = segment(ks, _leading(at_2, m, n))
+            # each term alone reaches p at sP, sQ or (p + C) / B, +inf or nan without it
+            sP, sQ, C = root_c * (p / P_) ** (1.0 / s_conj), 2.0 * np.sqrt(p / D), C.astype(float)
+
+            def update(sig, sP, sQ, B, C):
+                # f(sig) = F(sig) / p - 1 and sig f'(sig), each term as a ratio to its own root
+                tP, tQ, lin = (sig / sP) ** s_conj, (sig / sQ) ** 2, B * sig / p
+                step = (tP + tQ + lin - C / p - 1.0) / (s_conj * tP + 2.0 * tQ + lin)
+                return sig - sig * step, np.abs(step) <= _NEWTON_TOL
+
+            sig = np.fmin(np.fmin(sP, sQ), (p + C) / B)
+            out[j] = p * (top / _newton(update, sig, (sP, sQ, B, C), "three-piece"))
+    return out
 
 
 def _bracket_solve(resid, data, start, tol: float, what: str, why: str = ""):

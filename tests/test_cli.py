@@ -69,6 +69,30 @@ def test_startup_imports_neither_scipy_nor_thread_pool(code):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["norm", "--psi", PSI2, "--p", "4", "--x", "3,4"]],
+                         ids=["help", "norm"])
+def test_startup_imports_no_layer_the_subcommand_does_not_use(argv):
+    # a subcommand imports its layers when it runs: norm needs psi alone
+    probe = (f"import runpy, sys; sys.argv[1:] = {argv!r}\ntry:\n"
+             "    runpy.run_module('orlicz_conc.cli', run_name='__main__')\n"
+             "except SystemExit:\n    pass\n"
+             "print(sorted(m for m in sys.modules if m.startswith('orlicz_conc.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    assert "orlicz_conc.psi" in loaded
+    for layer in ("bounds", "conjugacy", "empirics", "measures", "tensors"):
+        assert f"orlicz_conc.{layer}'" not in loaded
+
+
+def test_cli_layers_are_the_imported_modules():
+    # what a test patches on cli.bd is what the subcommand runs
+    import orlicz_conc.bounds as bounds
+    assert cli.bd is bounds and cli.cj is oc.conjugacy and cli.tn is oc.tensors
+    with pytest.raises(AttributeError):
+        cli.no_such_layer
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error objects
 

@@ -213,14 +213,16 @@ def test_linear_takes_one_gauge_per_p_bit_for_bit(spec, monkeypatch):
     np.testing.assert_array_equal(f.direction, theta)
     env = GrowthEnvelope(K=1.0, alpha=2.0, beta=3.0, D=2.0, d=0.0)
     per_row = replace(f, direction=None)
-    want = verify_centered(StandardGaussian(n=3), per_row, spec, env, [3.0, 8.0],
-                           CHUNK + 50, 4)
     rows = []
     gauge = em.psi_p_norm_rows
     monkeypatch.setattr(em, "psi_p_norm_rows",
                         lambda sp, p, X: rows.append(len(X)) or gauge(sp, p, X))
+    want = verify_centered(StandardGaussian(n=3), per_row, spec, env, [3.0, 8.0],
+                           CHUNK + 50, 4)
+    assert rows == [CHUNK, 50]  # one call per chunk, for the whole grid
+    rows.clear()
     got = verify_centered(StandardGaussian(n=3), f, spec, env, [3.0, 8.0], CHUNK + 50, 4)
-    assert rows == [1, 1]
+    assert rows == [1]  # one call on the direction, for the whole grid
     for name in ("lhs", "lhs_se", "rhs", "bound", "ratio"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import orlicz_conc.cli as cli
-from orlicz_conc import (BobkovLedouxCap, NumericalError, PhiSpec, PowerNorm,
+from orlicz_conc import (BobkovLedouxCap, InputError, NumericalError, PhiSpec, PowerNorm,
                          SeparableFromPhi, SeparableTwoLevel, UserSeparable,
                          eval_psi_rows, psi_p_norm, psi_p_norm_rows, psi_to_dict)
 from orlicz_conc import psi as psi_mod
@@ -94,7 +94,7 @@ def test_bobkov_ledoux_rows_on_the_cap_are_feasible():
     X[m // 2:, 1:] = 1e-3 * X[m // 2:, :1] * rng.standard_normal((m - m // 2, 4))
     for thr, p in ((2.0, 4.0), (0.5, 4.0), (1.7, 3.3)):
         spec = BobkovLedouxCap(dim=5, threshold=thr)
-        raw = spec._closed_gauge(p, X)
+        raw = spec._closed_gauge([p], X)[0]
         got = psi_p_norm_rows(spec, p, X)
         assert np.all(eval_psi_rows(spec, p * X / got[:, None]) <= p)
         np.testing.assert_allclose(got, raw, rtol=1e-14, atol=0.0)
@@ -110,17 +110,20 @@ def test_power_norm_rounding_repair_keeps_every_row_feasible():
             spec = PowerNorm(dim=16, norm=q, a=a)
             got = psi_p_norm_rows(spec, 5.7, X)
             assert np.all(eval_psi_rows(spec, 5.7 * X / got[:, None]) <= 5.7)
-            np.testing.assert_allclose(got, spec._closed_gauge(5.7, X), rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(got, spec._closed_gauge([5.7], X)[0], rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("cap, spec", [
-    ("_SOLVE_MAX", SeparableFromPhi(dim=3, phi=PhiSpec(s=3.0))),  # three pieces: bracketed
-    ("_NEWTON_MAX", SeparableTwoLevel(dim=3, r=3.0)),             # two pieces: Newton
-], ids=["bracket", "two_piece"])
+    ("_SOLVE_MAX", UserSeparable(dim=3, fn=_capped_square, name="capped")),  # bracketed
+    ("_NEWTON_MAX", SeparableTwoLevel(dim=3, r=3.0)),                       # two pieces
+    ("_NEWTON_MAX", SeparableFromPhi(dim=3, phi=PhiSpec(s=3.0))),           # three pieces
+], ids=["bracket", "two_piece", "three_piece"])
 def test_iteration_cap_raises_numerical_error(cap, spec, monkeypatch, capsys):
     monkeypatch.setattr(psi_mod, cap, 1)
     with pytest.raises(NumericalError, match="did not converge"):
         psi_p_norm(spec, 4.0, np.array([1.0, -2.0, 0.5]))
+    if isinstance(spec, UserSeparable):  # no JSON form, so no CLI run
+        return
     rc = cli.main(["norm", "--psi", json.dumps(psi_to_dict(spec)), "--p", "4", "--x", "1,-2,0.5"])
     assert rc == 3
     assert '"numerical"' in capsys.readouterr().err
@@ -162,8 +165,8 @@ def _pieces(spec):
     seen = []
     real = psi_mod._two_piece_gauge
     try:
-        psi_mod._two_piece_gauge = lambda p, X, pieces: seen.append(pieces) or real(p, X, pieces)
-        spec._closed_gauge(1.0, np.ones((1, spec.dim)))
+        psi_mod._two_piece_gauge = lambda ps, X, pieces: seen.append(pieces) or real(ps, X, pieces)
+        spec._closed_gauge([1.0], np.ones((1, spec.dim)))
     finally:
         psi_mod._two_piece_gauge = real
     return seen[0]
@@ -218,8 +221,106 @@ def test_from_phi_two_pieces_are_its_component():
             assert b == 2.0
 
 
+def _three_piece_h(s):
+    # the component v^2/4 on [0, 2], v - 1 on [2, s], c v^{s*} above, and its inverse
+    s_conj = s / (s - 1.0)
+    c = (s - 1.0) * s ** (-s_conj)
+
+    def h(v):
+        return v * v / 4.0 if v <= 2.0 else (v - 1.0 if v <= s else c * v ** s_conj)
+
+    def inverse(w):
+        return 2.0 * math.sqrt(w) if w <= 1.0 else (w + 1.0 if w <= s - 1.0 else (w / c) ** (1.0 / s_conj))
+
+    return h, inverse
+
+
+def _three_piece_rows(dim, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((200, dim)) * np.exp(rng.uniform(-20.0, 20.0, (200, 1)))
+    X[0] = 0.0                         # a zero row
+    X[1, ::2] = 0.0                    # zeros among nonzeros
+    X[2] = -0.75                       # every |x_i| tied
+    X[3, : (dim + 1) // 2] = X[3, 0]   # ties at the top
+    return X
+
+
+@pytest.mark.parametrize("s", (2.5, 3.0, 7.0))
+def test_three_piece_gauge_matches_bisection_oracle(s, monkeypatch):
+    def no_bracket(*args, **kwargs):
+        raise AssertionError("a three-piece family reached the bracketed solve")
+
+    monkeypatch.setattr(psi_mod, "_bracket_solve", no_bracket)
+    for dim in (1, 3, 8, 64):
+        spec = SeparableFromPhi(dim=dim, phi=PhiSpec(s=s))
+        for seed, p in enumerate((0.5, 2.0, 4.0, 16.0, 64.0)):
+            X = _three_piece_rows(dim, seed)
+            got = psi_p_norm_rows(spec, p, X)
+            want = bisect_gauge(spec, p, X)
+            np.testing.assert_array_equal(got == 0.0, want == 0.0)
+            nz = want > 0.0
+            np.testing.assert_allclose(got[nz], want[nz], rtol=1e-9, atol=0.0)
+            assert np.all(eval_psi_rows(spec, p * X[nz] / got[nz, None]) <= p)
+    # at the gauge a = 1 the first coordinate sits exactly on the knot v:
+    # x_1 = v/p and h(p x_2) = p - h(v)
+    h, inverse = _three_piece_h(s)
+    spec = SeparableFromPhi(dim=2, phi=PhiSpec(s=s))
+    knots = 0
+    for p in (4.0, 16.0, 64.0):
+        for v in (2.0, s):
+            if p > 2.0 * h(v):
+                knots += 1
+                x = np.array([v / p, inverse(p - h(v)) / p])
+                assert psi_p_norm(spec, p, x) == pytest.approx(1.0, rel=1e-12)
+                assert psi_p_norm(spec, p, x) == pytest.approx(bisect_gauge(spec, p, x)[0], rel=1e-9)
+    assert knots >= 3
+
+
+GRID = np.array([0.5, 2.0, 4.0, 33.0])
+
+
+@pytest.mark.parametrize("spec", [
+    PowerNorm(dim=4), PowerNorm(dim=4, norm=3.0, a=1.5), BobkovLedouxCap(dim=4),
+    SeparableTwoLevel(dim=4, r=3.0), SeparableFromPhi(dim=4, phi=PhiSpec(s=1.0)),
+    SeparableFromPhi(dim=4, phi=PhiSpec(s=1.5)), SeparableFromPhi(dim=4, phi=PhiSpec(s=3.0)),
+    SeparableFromPhi(dim=4, phi=PhiSpec(fn=lambda t: np.abs(t) ** 2.5)),
+    UserSeparable(dim=4, fn=_capped_square, name="capped")],
+    ids=lambda s: getattr(s, "name", None) or repr(s))
+def test_grid_columns_equal_the_scalar_calls_bit_for_bit(spec):
+    X = _rows(5, m=40 if isinstance(spec, SeparableFromPhi) and spec.phi.fn else 400, dim=4)
+    got = psi_p_norm_rows(spec, GRID, X)
+    assert got.shape == (X.shape[0], GRID.size)
+    for j, p in enumerate(GRID):
+        np.testing.assert_array_equal(got[:, j], psi_p_norm_rows(spec, p, X))
+    assert psi_p_norm_rows(spec, GRID[:1], X).shape == (X.shape[0], 1)
+
+
+@pytest.mark.parametrize("p", [np.array([2.0, 0.0]), np.array([[2.0]]), math.nan])
+def test_a_p_grid_must_be_positive_and_one_dimensional(p):
+    with pytest.raises(InputError, match="p must be positive"):
+        psi_p_norm_rows(PowerNorm(dim=2), p, np.ones((3, 2)))
+
+
+def _norm_line(capsys, spec, p):
+    rc = cli.main(["norm", "--psi", json.dumps(psi_to_dict(spec)), "--p", p, "--x", "3,4"])
+    out, err = capsys.readouterr()
+    return rc, out.splitlines()[-1] if rc == 0 else err
+
+
+def test_three_piece_gauge_at_extreme_p(capsys):
+    # p = 1e-300 is on the quadratic piece: a = sqrt(p) |x|_2 / 2
+    spec = SeparableFromPhi(dim=2, phi=PhiSpec(s=3.0))
+    rc, line = _norm_line(capsys, spec, "1e-300")
+    assert rc == 0 and float(line) == pytest.approx(2.5e-150, rel=1e-12)
+    # p = 1e308 is on the power piece: a = (c sum |x_i|^{s*})^{1/s*} p^{1/s}
+    rc, line = _norm_line(capsys, spec, "1e308")
+    want = (2.0 * 3.0 ** -1.5 * (3.0 ** 1.5 + 8.0)) ** (2.0 / 3.0) * 1e308 ** (1.0 / 3.0)
+    assert rc == 0 and float(line) == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("spec", [SeparableTwoLevel(dim=3, r=3.0),
-                                  SeparableFromPhi(dim=3, phi=PhiSpec(s=1.5))], ids=repr)
+                                  SeparableFromPhi(dim=3, phi=PhiSpec(s=1.5)),
+                                  SeparableFromPhi(dim=3, phi=PhiSpec(s=3.0))], ids=repr)
 def test_two_piece_gauge_is_homogeneous_at_extreme_scales(spec):
     x = np.array([1.0, -0.1, 0.37])
     unit = psi_p_norm(spec, 4.0, x)
@@ -262,3 +363,13 @@ def test_a_nonzero_row_whose_norm_underflows_is_never_zero(spec):
 def test_a_gauge_that_overflows_is_refused():
     with pytest.raises(NumericalError, match="overflows"):
         psi_p_norm(PowerNorm(dim=2), 4.0, np.array([1e308, 1.0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 17, 64])
+def test_row_max_is_numpys_bit_for_bit(n):
+    # the column fold below 17 columns, numpy's reduction above
+    rng = np.random.default_rng(n)
+    A = np.round(2.0 * rng.standard_normal((500, n))) / 2.0 + 0.25  # ties, and no signed zero
+    A[1] = 1.75                                                     # a row of ties
+    for M in (A, np.abs(A), A[:, ::-1], np.abs(A) * 1e-310):
+        assert psi_mod._row_max(M).tobytes() == np.max(M, axis=1).tobytes()
