@@ -164,9 +164,7 @@ def support_function(spec: PsiSpec, p: float, theta) -> float:
     a log grid with golden refinement.  {Psi* <= p} is bounded for every
     supported family, so a non-finite value is an overflow: NumericalError.
     """
-    if not p > 0:
-        raise InputError(f"requires p > 0, got {p}")
-    spec._require_convex()
+    _check_support(spec, p)
     theta = _as_vector(spec, theta)
     if not np.any(theta):
         return 0.0
@@ -178,19 +176,23 @@ def support_function(spec: PsiSpec, p: float, theta) -> float:
     return value
 
 
-def support_argmax(spec: PsiSpec, p: float, theta) -> tuple:
-    """(value, y) with y a feasible point of {Psi* <= p} attaining (up to
-    numerical tolerance) the supremum of <theta, .>; used as the exact inner
-    step of alternating chaos maximization."""
+def _check_support(spec: PsiSpec, p: float):
     if not p > 0:
         raise InputError(f"requires p > 0, got {p}")
     spec._require_convex()
+
+
+def support_argmax(spec: PsiSpec, p: float, theta) -> tuple:
+    """(value, y) with y a feasible point of {Psi* <= p} attaining (up to
+    numerical tolerance) the supremum of <theta, .>: the one-row case of
+    the family's closed form, else a numeric search."""
+    _check_support(spec, p)
     theta = _as_vector(spec, theta)
     if not np.any(theta):
         return 0.0, np.zeros(spec.dim)
-    closed = spec._closed_support_argmax(p, theta)
+    closed = spec._closed_support_argmax(p, theta[None, :])
     if closed is not None:
-        return closed
+        return float(closed[0][0]), closed[1][0]
 
     # separable: multiplier from the dual, then exact per-coordinate argmax
     y = _coordinate_argmax(spec, theta, _support_multiplier(spec, p, theta)[0])
@@ -200,6 +202,20 @@ def support_argmax(spec: PsiSpec, p: float, theta) -> tuple:
                          np.array([float(p)]), np.ones(1), "support_argmax")
         y = float(c[0]) * y
     return max(float(np.dot(theta, y)), 0.0), y
+
+
+def _support_argmax_rows(spec: PsiSpec, p: float, Theta: np.ndarray) -> tuple:
+    """(values, Y): support_argmax of each row of Theta, for a p and spec
+    that _check_support passed; the exact inner step of alternating chaos
+    maximization.  A family's closed form takes the non-zero rows as one
+    block; otherwise each row runs support_argmax's search in turn."""
+    nz = np.flatnonzero(np.any(Theta, axis=1))
+    closed = spec._closed_support_argmax(p, Theta[nz]) if nz.size else None
+    if closed is None:
+        return tuple(map(np.array, zip(*(support_argmax(spec, p, theta) for theta in Theta))))
+    values, Y = np.zeros(len(Theta)), np.zeros(Theta.shape)
+    values[nz], Y[nz] = closed
+    return values, Y
 
 
 def _support_multiplier(spec: PsiSpec, p: float, theta) -> tuple:

@@ -71,8 +71,14 @@ def _sup_linear_minus_power(v, s):
         return np.where(v <= 1.0, v - 1.0, np.inf)
     s_conj = s / (s - 1.0)
     c = (s - 1.0) * s ** (-s_conj)
-    with np.errstate(over="ignore"):
-        tail = c * np.power(np.maximum(v, s), s_conj)
+    u = np.maximum(v, s)
+    try:
+        with np.errstate(over="raise"):
+            tail = c * np.power(u, s_conj)
+    except FloatingPointError:  # c v^{s*} may be finite where v^{s*} is not
+        with np.errstate(over="ignore"):
+            tail = c * np.power(u, s_conj)
+            tail = np.where(np.isinf(tail), np.power(c ** (1.0 / s_conj) * u, s_conj), tail)
     return np.where(v <= s, v - 1.0, tail)
 
 
@@ -189,11 +195,11 @@ class PsiSpec:
     def _closed_support(self, p: float, theta: np.ndarray) -> Optional[float]:
         """sup{<theta, y> : Psi*(y) <= p}: the value of _closed_support_argmax,
         unless the family has a value of its own."""
-        closed = self._closed_support_argmax(p, theta)
-        return None if closed is None else closed[0]
+        closed = self._closed_support_argmax(p, theta[None, :])
+        return None if closed is None else float(closed[0][0])
 
-    def _closed_support_argmax(self, p: float, theta: np.ndarray) -> Optional[tuple]:
-        """(value, maximizer y) of that supremum."""
+    def _closed_support_argmax(self, p: float, Theta: np.ndarray) -> Optional[tuple]:
+        """(values, maximizers Y) of that supremum, row by row, for non-zero rows."""
         return None
 
     def _require_convex(self):
@@ -266,20 +272,21 @@ class PowerNorm(PsiSpec):
         # R ||theta||_q, which rounds differently from <theta, y> at the argmax
         return self._conjugate_radius(p) * float(np.linalg.norm(theta, ord=self.norm))
 
-    def _closed_support_argmax(self, p, theta):
+    def _closed_support_argmax(self, p, Theta):
         R = self._conjugate_radius(p)
         q = self.norm
-        mags = np.abs(theta)
+        mags = np.abs(Theta)
         if math.isinf(q):
-            y = np.zeros(self.dim)
-            j = int(np.argmax(mags))
-            y[j] = math.copysign(R, theta[j])
+            Y = np.zeros(Theta.shape)
+            rows, j = np.arange(len(Theta)), np.argmax(mags, axis=1)
+            Y[rows, j] = np.copysign(R, Theta[rows, j])
         elif q == 1.0:
-            y = R * np.sign(theta)
+            Y = R * np.sign(Theta)
         else:
-            w = np.sign(theta) * mags ** (q - 1.0)
-            y = R * w / float(np.linalg.norm(mags ** (q - 1.0), ord=q / (q - 1.0)))
-        return float(np.dot(theta, y)), y
+            W, q_dual = mags ** (q - 1.0), q / (q - 1.0)
+            norms = np.sqrt(_row_dots(W, W)) if q_dual == 2.0 else _row_power_norms(W, q_dual)
+            Y = R * (np.sign(Theta) * W) / norms[:, None]
+        return _row_dots(Theta, Y), Y
 
     def _params(self):
         return {"norm": _norm_descriptor(self.norm), "a": self.a}
@@ -380,11 +387,11 @@ class SeparableFromPhi(PsiSpec):
         if self.phi.fn is None and self.phi.s >= 2.0:
             return self.phi.tilde(c)
 
-    def _closed_support_argmax(self, p, theta):
+    def _closed_support_argmax(self, p, Theta):
         cap = self._cap()
         if cap is not None:
-            value, y = cap._closed_support_argmax(p, theta)
-            return 0.5 * value, 0.5 * y
+            values, Y = cap._closed_support_argmax(p, Theta)
+            return 0.5 * values, 0.5 * Y
 
     def _params(self):
         if self.phi.fn is not None:
@@ -426,23 +433,22 @@ class BobkovLedouxCap(PsiSpec):
         thr = self.threshold
         return np.where(c <= 2.0 * thr, 0.25 * c * c, thr * c - thr * thr)
 
-    def _closed_support_argmax(self, p, theta):
+    def _closed_support_argmax(self, p, Theta):
         # Psi(theta/lam) = |theta|^2/lam^2 on lam >= max|theta|/thr, so the dual
         # min_lam lam (p + Psi(theta/lam)) sits at lam*; off the cap the
         # maximizer is y = grad Psi(theta/lam*) = 2 theta/lam*
-        thr, mags = self.threshold, np.abs(theta)
-        top = float(np.max(mags))
-        lam_star = max(float(np.linalg.norm(theta)) / math.sqrt(p), top / thr)
-        y = 2.0 * theta / lam_star
+        thr, mags = self.threshold, np.abs(Theta)
+        top = _row_max(mags)
+        lam_star = np.maximum(np.sqrt(_row_dots(Theta, Theta)) / math.sqrt(p), top / thr)
+        Y = 2.0 * Theta / lam_star[:, None]
         # where the cap binds, the subdifferential of h at thr is the ray
         # [2 thr, inf): the tied top coordinates share what the others leave of
         # the budget p on h*'s linear piece (complementary slackness)
-        ties = mags == top
-        rest = 0.25 * float(np.sum(np.square(y[~ties])))
-        c = ((p - rest) / np.count_nonzero(ties) + thr * thr) / thr
-        if c > 2.0 * thr:
-            y[ties] = np.copysign(c, theta[ties])
-        return float(np.dot(theta, y)), y
+        ties = mags == top[:, None]
+        rest = 0.25 * np.array([np.sum(np.square(y[~t])) for y, t in zip(Y, ties)])
+        c = ((p - rest) / np.count_nonzero(ties, axis=1) + thr * thr) / thr
+        Y = np.where(ties & (c > 2.0 * thr)[:, None], np.copysign(c[:, None], Theta), Y)
+        return _row_dots(Theta, Y), Y
 
     def _params(self):
         return {"threshold": self.threshold}
@@ -699,6 +705,17 @@ def _row_max(A: np.ndarray) -> np.ndarray:
     for j in range(1, A.shape[1]):
         np.maximum(out, A[:, j], out=out)
     return out
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.dot(a, b) for each pair of rows, bit for bit (one dot per row)."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _row_power_norms(A: np.ndarray, r: float) -> np.ndarray:
+    """(sum_i a_i^r)^{1/r} for each row of a non-negative A, the 1/r power
+    taken per row; for r != 2 it is np.linalg.norm(a, r) bit for bit."""
+    return np.array([total ** (1.0 / r) for total in np.sum(A ** r, axis=1).tolist()])
 
 
 def _sorted_rows(X: np.ndarray, pad: int = 0):

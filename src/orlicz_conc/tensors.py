@@ -7,7 +7,8 @@ maximizations of a bilinear form over two balls. One alternating exact
 maximizer, `_alternate`, serves both: each half-step is an exact argmax over
 one ball (a closed-form dual-norm witness for the partition norms, a
 conjugate-ball support argmax for the chaos term). Runs start from seeded
-random restarts and the best value, a certified lower bound, is reported.
+random restarts, all advanced in lockstep as one block of rows, and the best
+value, a certified lower bound, is reported.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import PartitionNorms
-from .conjugacy import support_argmax, support_function
+from .conjugacy import _check_support, _support_argmax_rows, support_function
 from .errors import InputError, NumericalError
-from .psi import PsiSpec
+from .psi import PsiSpec, _row_dots, _row_power_norms
 
 MAX_ENTRIES = 10 ** 7
 MAX_SYM_ORDER = 6  # k! permutation guard
@@ -127,20 +128,18 @@ def form_gradient(A: MultiIndexMatrix, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # partition norms
 
-def _lr_witness(z: np.ndarray, r: float):
-    """(|z|_r, argmax of <z, y> over the unit l_{r*} ball)."""
-    mags = np.abs(z)
-    nr = float(np.sum(mags ** r)) ** (1.0 / r)
-    if nr == 0.0:
-        return 0.0, np.zeros_like(z)
-    return nr, np.sign(z) * (mags / nr) ** (r - 1.0)
+def _lr_witness(Z: np.ndarray, r: float):
+    """(|z|_r, argmax of <z, y> over the unit l_{r*} ball) for each row z of
+    Z; a zero row has the zero witness."""
+    mags = np.abs(Z)
+    nr = _row_power_norms(mags, r)
+    ratio = np.divide(mags, nr[:, None], out=np.zeros_like(Z), where=nr[:, None] != 0.0)
+    return nr, np.sign(Z) * ratio ** (r - 1.0)
 
 
-def _l2_witness(z: np.ndarray):
-    n2 = float(np.linalg.norm(z))
-    if n2 == 0.0:
-        return 0.0, np.zeros_like(z)
-    return n2, z / n2
+def _l2_witness(Z: np.ndarray):
+    n2 = np.sqrt(_row_dots(Z, Z))  # np.linalg.norm of each row, bit for bit
+    return n2, np.divide(Z, n2[:, None], out=np.zeros_like(Z), where=n2[:, None] != 0.0)
 
 
 def _top_singular(M: np.ndarray, rng: np.random.Generator) -> float:
@@ -178,19 +177,30 @@ def _top_singular(M: np.ndarray, rng: np.random.Generator) -> float:
     return best
 
 
-def _alternate(M: np.ndarray, Mt: np.ndarray, left, right, g: np.ndarray, cap: int) -> tuple:
-    """(value, converged) of alternating exact maximization of x^T M y, where
-    left and right return (value, maximizer) over their balls: from y =
-    right(g), each step takes x = left(M y), then (value, y) = right(Mt x).
-    It stops once two values agree to _ALT_TOL, or unconverged at `cap`."""
-    y = right(g)[1]
-    val = 0.0
+def _products(Y: np.ndarray, M: np.ndarray) -> np.ndarray:
+    # M @ y for each row y, one gemv per row and so bit for bit; one gemm,
+    # Y @ M.T, is not, and its rows can depend on how many there are
+    return np.matmul(Y[:, None, :], M.T)[:, 0, :]
+
+
+def _alternate(M: np.ndarray, Mt: np.ndarray, left, right, G: np.ndarray, cap: int) -> tuple:
+    """Per-row (values, converged) of alternating exact maximization of
+    x^T M y, where left and right map a block of rows to (values,
+    maximizers) over their balls: from each start g, a row of G, y =
+    right(g), and each step takes x = left(M y), then (value, y) =
+    right(Mt x).  All rows advance in lockstep, each with the arithmetic of
+    a run on its own, and a row leaves the block once two of its values
+    agree to _ALT_TOL, or unconverged at `cap`."""
+    values, converged = np.zeros(len(G)), np.zeros(len(G), dtype=bool)
+    run, Y = np.arange(len(G)), right(G)[1]
     for _ in range(cap):
-        new_val, y = right(Mt @ left(M @ y)[1])
-        if abs(new_val - val) <= _ALT_TOL * max(new_val, 1.0):
-            return new_val, True
-        val = new_val
-    return val, False
+        new, Y = right(_products(left(_products(Y, M))[1], Mt))
+        done = np.abs(new - values[run]) <= _ALT_TOL * np.maximum(new, 1.0)
+        values[run], converged[run] = new, done
+        run, Y = run[~done], Y[~done]
+        if not run.size:
+            break
+    return values, converged
 
 
 def partition_norms(A: MultiIndexMatrix, r: float, restarts: int = 32,
@@ -216,12 +226,10 @@ def partition_norms(A: MultiIndexMatrix, r: float, restarts: int = 32,
 
     def best_of(tag, left):
         # the best value over the seeded restarts, and how many hit the cap
-        best, capped = 0.0, 0
-        for i in range(restarts):
-            g = np.random.default_rng([seed, tag, i]).standard_normal(A.n)
-            value, converged = _alternate(M, M.T, left, lr, g, _ALT_MAX_ITERS)
-            best, capped = max(best, value), capped + (not converged)
-        return best, capped
+        G = np.array([np.random.default_rng([seed, tag, i]).standard_normal(A.n)
+                      for i in range(restarts)])
+        values, converged = _alternate(M, M.T, left, lr, G, _ALT_MAX_ITERS)
+        return max(0.0, *values.tolist()), int(np.count_nonzero(~converged))
 
     mixed, capped_l2 = best_of(0xB, _l2_witness)
     rstar, capped_lr = best_of(0xC, lr)
@@ -248,15 +256,14 @@ def chaos_deterministic_term(A: MultiIndexMatrix, spec: PsiSpec, p: float,
     M = A.data
     if not np.any(M):
         return 0.0
-    step = functools.partial(support_argmax, spec, p)
-    best = 0.0
-    for i in range(restarts):
-        g = np.random.default_rng([seed, 0xD, i]).standard_normal(A.n)
-        value, converged = _alternate(M, M, step, step, g, _CHAOS_MAX_ITERS)
-        if not converged:
-            raise NumericalError(f"chaos maximization hit its {_CHAOS_MAX_ITERS}-iteration cap")
-        best = max(best, value)
-    return best
+    _check_support(spec, p)
+    step = functools.partial(_support_argmax_rows, spec, p)
+    G = np.array([np.random.default_rng([seed, 0xD, i]).standard_normal(A.n)
+                  for i in range(restarts)])
+    values, converged = _alternate(M, M, step, step, G, _CHAOS_MAX_ITERS)
+    if not np.all(converged):
+        raise NumericalError(f"chaos maximization hit its {_CHAOS_MAX_ITERS}-iteration cap")
+    return max(0.0, *values.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -212,13 +212,24 @@ def test_two_piece_gauge_matches_bisection_oracle(spec, monkeypatch):
 def test_from_phi_two_pieces_are_its_component():
     # 1 < s <= 2: v^2/4 up to the knot v0, c v^{s*} above it, and v0 = 2 at s = 2
     v = np.geomspace(1e-6, 1e6, 200001)
+    band = 0
     for s in (1.01, 1.1, 1.5, 1.9, 1.99, 2.0):
         c1, e1, b, c2, e2 = _pieces(SeparableFromPhi(dim=1, phi=PhiSpec(s=s)))
+        got = psi_mod.two_level_component_conjugate(v, s)
         with np.errstate(over="ignore"):
             two = np.where(v <= b, c1 * v ** e1, c2 * v ** e2)
-            np.testing.assert_array_equal(two, psi_mod.two_level_component_conjugate(v, s))
+        finite = np.isfinite(two)
+        np.testing.assert_array_equal(two[finite], got[finite])
+        # where v^{s*} overflows, c v^{s*} may not: the component is inf only
+        # where log c + s* log v exceeds log(DBL_MAX)
+        log_h = math.log(c2) + e2 * np.log(v[~finite])
+        over = log_h > math.log(np.finfo(float).max)
+        assert np.all(np.isinf(got[~finite][over]))
+        np.testing.assert_allclose(np.log(got[~finite][~over]), log_h[~over], rtol=1e-13)
+        band += np.count_nonzero(~over)
         if s == 2.0:
             assert b == 2.0
+    assert band > 0  # s = 1.01 near v = 1e6
 
 
 def _three_piece_h(s):
@@ -315,6 +326,18 @@ def test_three_piece_gauge_at_extreme_p(capsys):
     # p = 1e308 is on the power piece: a = (c sum |x_i|^{s*})^{1/s*} p^{1/s}
     rc, line = _norm_line(capsys, spec, "1e308")
     want = (2.0 * 3.0 ** -1.5 * (3.0 ** 1.5 + 8.0)) ** (2.0 / 3.0) * 1e308 ** (1.0 / 3.0)
+    assert rc == 0 and float(line) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0])
+def test_two_piece_gauge_at_p_1e308_where_v_to_the_s_star_overflows(capsys, s):
+    # on the power piece a = p (c sum |x_i|^{s*} / p)^{1/s*}; the feasibility
+    # check reads c v^{s*} at v ~ 1e103 (s = 1.5), where v^{s*} overflows
+    spec = SeparableFromPhi(dim=2, phi=PhiSpec(s=s))
+    s_conj = s / (s - 1.0)
+    c = (s - 1.0) * s ** (-s_conj)
+    want = 1e308 * (c * (3.0 ** s_conj + 4.0 ** s_conj) / 1e308) ** (1.0 / s_conj)
+    rc, line = _norm_line(capsys, spec, "1e308")
     assert rc == 0 and float(line) == pytest.approx(want, rel=1e-12)
 
 
