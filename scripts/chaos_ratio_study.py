@@ -43,14 +43,26 @@ def main():
     p_grid = np.array([2.0, 4.0, 8.0, 16.0, 32.0])
     family = oc.StandardGaussian(n=args.n)
 
+    # the N rows of one stream are drawn once, a chunk at a time, and each
+    # chunk's forms for every matrix go straight into that matrix's column
+    cols = [np.empty(args.N) for _ in mats]
+    filled = 0
+
+    def store(forms):
+        nonlocal filled
+        for col, form in zip(cols, forms):
+            col[filled:filled + len(form)] = form
+        filled += len(forms[0])
+
+    oc.map_streams(args.N, [(family, args.seed + 1)],
+                   lambda X: [quadratic_forms(X, A) for A in mats.values()], sink=store)
+
     print(f"n={args.n} N={args.N} r={args.r}")
     print(f"{'matrix':>10s} " + " ".join(f"p={p:<5g}" for p in p_grid))
-    for name, A in mats.items():
+    for (name, A), vals in zip(mats.items(), cols):
         M = oc.MultiIndexMatrix(k=2, n=args.n, data=A, symmetric=True)
         norms = oc.partition_norms(M, args.r, restarts=16, seed=args.seed)
-        # all N rows of the stream, one chunk in memory at a time
-        vals = oc.map_streams(args.N, [(family, args.seed + 1)],
-                              lambda X: quadratic_forms(X, A)) - np.trace(A)
+        vals -= np.trace(A)
         ratios = [m / oc.quadratic_chaos_moment(norms, p)
                   for m, p in zip(oc.empirical_moment(vals, p_grid), p_grid)]
         print(f"{name:>10s} " + " ".join(f"{r:7.3f}" for r in ratios))

@@ -17,7 +17,6 @@ from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .conjugacy import omega_star
 from .errors import InputError
 from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, SeparableFromPhi, _bracket_sup, _column,
                   _shaped, psi_p_norm)
@@ -199,6 +198,7 @@ def chebyshev_level(grad_moment_fn: Callable, env: GrowthEnvelope, C: float, t):
 def lipschitz_profile(a: float, b: float, env: GrowthEnvelope, spec: PsiSpec, C: float, t):
     """min(1, exp(beta - a omega*(t / (C L b)))) for an a-concentrated,
     b-Lipschitz observable; omega* comes from one solve over the t > 0."""
+    from .conjugacy import omega_star  # the one bound that needs the conjugate layer
     if not (a > 0 and b > 0 and C > 0):
         raise InputError(f"requires a, b, C > 0, got a={a} b={b} C={C}")
     ts = _column(t, lambda v: v >= 0, "requires t >= 0")

@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 verification band failure, 2 input error,
 objects on stderr. Every run echoes its fully resolved configuration into
 the output header ('# config:' line for text/CSV, a "config" field for
 JSON), and output for a fixed configuration is byte-identical across runs.
-A subcommand imports the layers it uses when it runs.
+The parser, --help and every usage error (exit 2) run on the standard
+library alone: numpy, psi and tables load once argparse has accepted a
+command, and each subcommand imports the other layers it uses when it runs.
 """
 
 from __future__ import annotations
@@ -19,14 +21,10 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from .errors import InputError, NumericalError
-from .psi import (GrowthEnvelope, PhiSpec, env_from_dict, env_to_dict,
-                  psi_from_json, psi_p_norm_rows, psi_to_dict)
-from .tables import _out_stream, write_table
 
-_LAYERS = {"bd": "bounds", "cj": "conjugacy", "em": "empirics", "ms": "measures", "tn": "tensors"}
+_LAYERS = {"bd": "bounds", "cj": "conjugacy", "em": "empirics", "ms": "measures",
+           "ps": "psi", "tb": "tables", "tn": "tensors"}
 
 
 def __getattr__(name):
@@ -34,6 +32,14 @@ def __getattr__(name):
     if name in _LAYERS:
         return importlib.import_module("." + _LAYERS[name], __package__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _load_core():
+    """Bind numpy, psi and tables, which every subcommand uses, as this
+    module's globals np, ps and tb."""
+    global np, ps, tb
+    import numpy as np
+    from . import psi as ps, tables as tb
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,7 +96,7 @@ def _parse_vector(raw: str) -> np.ndarray:
 def _psi(ns, what: str):
     if ns.psi is None:
         raise InputError(f"{what} requires --psi")
-    return psi_from_json(_read_arg_text(ns.psi))
+    return ps.psi_from_json(_read_arg_text(ns.psi))
 
 
 def _parse_grid(raw: str) -> np.ndarray:
@@ -107,7 +113,7 @@ def _parse_grid(raw: str) -> np.ndarray:
 
 
 def _emit_json(obj, out_path):
-    with _out_stream(out_path or sys.stdout) as fh:
+    with tb._out_stream(out_path or sys.stdout) as fh:
         fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
@@ -120,10 +126,10 @@ def _emit_result(config: dict, payload, out_path, fmt: str):
                 else np.asarray(payload).tolist())
         _emit_json({"config": config, "result": body}, out_path)
     elif table:
-        write_table(out_path or sys.stdout, config, np.column_stack(list(payload.values())),
-                    list(payload))
+        tb.write_table(out_path or sys.stdout, config, np.column_stack(list(payload.values())),
+                       list(payload))
     else:
-        write_table(out_path or sys.stdout, config, payload)
+        tb.write_table(out_path or sys.stdout, config, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +138,8 @@ def _emit_result(config: dict, payload, out_path, fmt: str):
 _ENV_KEYS = ("K", "alpha", "beta", "D", "d")
 
 
-def _env_from(params: dict) -> GrowthEnvelope:
-    return env_from_dict({k: params[k] for k in _ENV_KEYS if k in params})
+def _env_from(params: dict) -> ps.GrowthEnvelope:
+    return ps.env_from_dict({k: params[k] for k in _ENV_KEYS if k in params})
 
 
 def _parse_extra_params(tokens) -> dict:
@@ -191,9 +197,9 @@ def _cmd_bound(ns, extra_tokens) -> int:
     spec = _psi(ns, name) if bound.needs_psi else None
     config = {"bound": name, "params": params}
     if env is not None:
-        config["env"] = env_to_dict(env)
+        config["env"] = ps.env_to_dict(env)
     if spec is not None:
-        config["psi"] = psi_to_dict(spec)
+        config["psi"] = ps.psi_to_dict(spec)
     t = None
     if ns.grid:
         if not bound.swept:
@@ -218,7 +224,7 @@ def _cmd_bound_gk(ns, extra_tokens) -> int:
              else np.asarray(raw["x"], dtype=float))
     except (TypeError, ValueError) as exc:
         raise InputError(f"x must be a list of numbers: {exc}") from exc
-    phi, p = PhiSpec(s=raw["s"]), raw["p"]
+    phi, p = ps.PhiSpec(s=raw["s"]), raw["p"]
     config = {"bound": "gk_moment", "x": x.tolist(), "s": phi.s, "p": p}
     _emit_result(config, bd.gk_moment(x, phi, p), ns.out, ns.format)
     return 0
@@ -256,8 +262,8 @@ def _cmd_norm(ns, _extra) -> int:
             X = np.loadtxt(ns.x_file, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InputError(f"malformed --x-file {ns.x_file!r}: {exc}") from exc
-    config = {"command": "norm", "psi": psi_to_dict(spec), "p": ns.p}
-    vals = psi_p_norm_rows(spec, ns.p, X)
+    config = {"command": "norm", "psi": ps.psi_to_dict(spec), "p": ns.p}
+    vals = ps.psi_p_norm_rows(spec, ns.p, X)
     payload = float(vals[0]) if vals.size == 1 and ns.x is not None else {"norm": vals}
     _emit_result(config, payload, ns.out, ns.format)
     return 0
@@ -268,7 +274,7 @@ def _cmd_conjugate(ns, _extra) -> int:
     spec = _psi(ns, "conjugate")
     if sum([ns.grid is not None, ns.y is not None, ns.support]) != 1:
         raise InputError("choose exactly one of --grid, --y, --support")
-    config = {"command": "conjugate", "psi": psi_to_dict(spec)}
+    config = {"command": "conjugate", "psi": ps.psi_to_dict(spec)}
     if ns.grid is not None:
         ts = _parse_grid(ns.grid)
         config["grid"] = [float(ts[0]), float(ts[-1]), int(len(ts))]
@@ -315,7 +321,7 @@ def _cmd_tensor(ns, _extra) -> int:
         spec = _psi(ns, "chaos")
         if ns.p is None:
             raise InputError("chaos requires --p")
-        config.update({"psi": psi_to_dict(spec), "p": ns.p,
+        config.update({"psi": ps.psi_to_dict(spec), "p": ns.p,
                        "restarts": ns.restarts, "seed": ns.seed})
         result = tn.chaos_deterministic_term(A, spec, ns.p, restarts=ns.restarts, seed=ns.seed)
     _emit_result(config, result, ns.out, ns.format)
@@ -331,7 +337,7 @@ def _family(ns):
     if ns.family == "nu":
         return ms.NuMeasure()
     if ns.family == "phi_tail":
-        return ms.ProductPhiTail(PhiSpec(s=ns.phi_s), n=ns.n)
+        return ms.ProductPhiTail(ps.PhiSpec(s=ns.phi_s), n=ns.n)
     return ms.StandardGaussian(n=ns.n)
 
 
@@ -349,7 +355,6 @@ def _cmd_sample(ns, _extra) -> int:
 
 def _build_function(ns, dim: int) -> em.TestFunction:
     from . import empirics as em
-    from . import tensors as tn
     kind = ns.function
     if kind in ("linear", "tilt"):
         if ns.theta is None:
@@ -361,6 +366,7 @@ def _build_function(ns, dim: int) -> em.TestFunction:
     if kind == "quadratic":
         if ns.matrix is None:
             raise InputError("quadratic requires --matrix")
+        from . import tensors as tn
         A = tn.load_matrix(ns.matrix)
         if A.n != dim:
             raise InputError(f"--matrix has side {A.n}, expected {dim}")
@@ -392,7 +398,7 @@ def _cmd_verify(ns, _extra) -> int:
     if scenario == "nu-logp":
         rep = em.verify_nu_logp(_parse_vector(ns.p_grid), ns.N, ns.seed)
     elif scenario == "comparison":
-        rep = em.comparison_check(family, PhiSpec(s=ns.phi_s), _build_function(ns, family.n),
+        rep = em.comparison_check(family, ps.PhiSpec(s=ns.phi_s), _build_function(ns, family.n),
                                   _parse_vector(ns.p_grid), ns.N, ns.seed)
     elif scenario == "mlsi":
         rep = em.mlsi_report(family, _build_function(ns, spec.dim), spec, params["D"], ns.N,
@@ -504,6 +510,7 @@ def main(argv=None) -> int:
         ns, extra = parser.parse_known_args(argv)
         if extra and ns.run is not _cmd_bound:  # bound reads '--key value' pairs
             raise InputError(f"unrecognized arguments: {extra}")
+        _load_core()  # outside the filter: a warning on import is not exit 3
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             return ns.run(ns, extra)

@@ -17,14 +17,11 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .bounds import centered_moment_bound, enlargement_bound, l_constant
-from .conjugacy import conjugate_ray_radius
 from .errors import InputError
 from .measures import Family, NuMeasure, ProductPhiTail, SamplerSpec, map_streams
 from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, _row_max, env_to_dict, eval_psi_rows,
                   psi_p_norm_rows, psi_to_dict)
 from .tables import write_table
-from .tensors import MultiIndexMatrix
 
 BATCHES = 32
 TOP_K = 10  # magnitudes in top_mass_fraction's numerator
@@ -79,7 +76,8 @@ def linear(theta) -> TestFunction:
     )
 
 
-def quadratic_form(A: MultiIndexMatrix) -> TestFunction:
+def quadratic_form(A) -> TestFunction:
+    """x^T A x for a symmetric 2-index MultiIndexMatrix A."""
     if A.k != 2:
         raise InputError(f"quadratic_form requires k = 2, got {A.k}")
     if not A.symmetric:
@@ -367,6 +365,7 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
     lhs / G over the grid.  Each chunk's gradient rows take one gauge call
     for the whole grid; a gradient with a fixed `direction` takes one call
     for the direction, the values every row would give."""
+    from .bounds import centered_moment_bound, l_constant
     family = _family_of(sampler, seed, N)
     p_grid = _validate_p_grid(p_grid, env.beta)
     if family.n != spec.dim:
@@ -435,6 +434,8 @@ def enlargement_mc(sampler, m: float, spec: PsiSpec, u_grid, N: int,
                    C_impl: float = 1.0) -> EnlargementCurve:
     """Empirical mass of {x_1 < m + s(u)} with s(u) the coordinate reach of
     {Psi* < u}, against the closed-form enlargement lower bound."""
+    from .bounds import enlargement_bound
+    from .conjugacy import conjugate_ray_radius
     family = _family_of(sampler, seed, N)
     u_grid = np.asarray(sorted(float(u) for u in u_grid))
     if u_grid.size == 0 or u_grid[0] <= 0.0:

@@ -21,8 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import PartitionNorms
-from .conjugacy import _check_support, _support_argmax_rows, support_function
 from .errors import InputError, NumericalError
 from .psi import PsiSpec, _row_dots, _row_power_norms
 
@@ -36,13 +34,13 @@ _ALT_MAX_ITERS = 500
 _CHAOS_MAX_ITERS = 200
 
 
-def _is_symmetric(data: np.ndarray, rng: np.random.Generator) -> bool:
+def _is_symmetric(data: np.ndarray) -> bool:
     k = data.ndim
     if k == 1:
         return True
     perms = list(itertools.permutations(range(k)))
-    if len(perms) > 9:
-        idx = rng.choice(len(perms) - 1, size=8, replace=False) + 1
+    if len(perms) > 9:  # k > 3: eight permutations drawn by a fixed seed
+        idx = np.random.default_rng(0).choice(len(perms) - 1, size=8, replace=False) + 1
         perms = [perms[i] for i in idx]
     return all(np.allclose(data, np.transpose(data, p), rtol=1e-10, atol=1e-12)
                for p in perms)
@@ -73,14 +71,14 @@ class MultiIndexMatrix:
             raise InputError(f"data shape {self.data.shape} does not match (n,)*k = {(self.n,) * self.k}")
         if not np.all(np.isfinite(self.data)):
             raise InputError("all entries must be finite")
-        if self.symmetric and not _is_symmetric(self.data, np.random.default_rng(0)):
+        if self.symmetric and not _is_symmetric(self.data):
             raise InputError("symmetric flag set but entries are not permutation-invariant")
 
     @classmethod
     def from_flat(cls, k: int, n: int, flat, symmetric: bool = None) -> "MultiIndexMatrix":
         data = np.asarray(flat, dtype=float).reshape((n,) * k)
         if symmetric is None:
-            symmetric = _is_symmetric(data, np.random.default_rng(0))
+            symmetric = _is_symmetric(data)
         return cls(k=k, n=n, data=data, symmetric=symmetric)
 
     def as_flat(self) -> np.ndarray:
@@ -212,6 +210,7 @@ def partition_norms(A: MultiIndexMatrix, r: float, restarts: int = 32,
     over `restarts` seeded starts each, and `capped` counts the runs that
     stopped at _ALT_MAX_ITERS; for r >= 2 the unit l_{r*} ball lies in
     the unit l_2 ball, so mixed_2_rstar is at least rstar_rstar."""
+    from .bounds import PartitionNorms
     if A.k != 2:
         raise InputError(f"partition norms require k = 2, got k = {A.k}")
     if not r >= 2.0:
@@ -243,6 +242,7 @@ def chaos_deterministic_term(A: MultiIndexMatrix, spec: PsiSpec, p: float,
     {Psi* <= p}; exact support function for k = 1 (Psi is even, so the ball
     is symmetric and one solve covers both signs), alternating maximization
     with exact ball-constrained inner steps for k = 2."""
+    from .conjugacy import _check_support, _support_argmax_rows, support_function
     if A.k > 2:
         raise InputError(f"supported for k <= 2 only, got k = {A.k}")
     if A.n != spec.dim:

@@ -69,20 +69,48 @@ def test_startup_imports_neither_scipy_nor_thread_pool(code):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["norm", "--psi", PSI2, "--p", "4", "--x", "3,4"]],
-                         ids=["help", "norm"])
-def test_startup_imports_no_layer_the_subcommand_does_not_use(argv):
-    # a subcommand imports its layers when it runs: norm needs psi alone
-    probe = (f"import runpy, sys; sys.argv[1:] = {argv!r}\ntry:\n"
+def _startup(argv):
+    """(exit code, the numpy and orlicz_conc modules loaded) of one CLI run in
+    a fresh interpreter."""
+    probe = (f"import json, runpy, sys; sys.argv[1:] = {argv!r}\nrc = 0\ntry:\n"
              "    runpy.run_module('orlicz_conc.cli', run_name='__main__')\n"
-             "except SystemExit:\n    pass\n"
-             "print(sorted(m for m in sys.modules if m.startswith('orlicz_conc.')))")
+             "except SystemExit as exc:\n    rc = exc.code\n"
+             "print(json.dumps([rc, sorted(m for m in sys.modules\n"
+             "                             if m.split('.')[0] in ('numpy', 'orlicz_conc'))]))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1]
-    assert "orlicz_conc.psi" in loaded
-    for layer in ("bounds", "conjugacy", "empirics", "measures", "tensors"):
-        assert f"orlicz_conc.{layer}'" not in loaded
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return rc, set(loaded)
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["--help"], 0), (["norm", "--help"], 0), (["norm", "--bogus"], 2),
+    (["verify", "nu-logp", "--N", "many"], 2), ([], 2),
+], ids=["help", "norm_help", "unknown_flag", "bad_type", "no_command"])
+def test_help_and_usage_errors_load_neither_numpy_nor_a_layer(argv, rc):
+    got_rc, loaded = _startup(argv)
+    assert got_rc == rc
+    assert loaded <= {"orlicz_conc", "orlicz_conc.errors"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["norm", "--psi", PSI2, "--p", "4", "--x", "3,4"], {"psi", "tables"}),
+    (["tensor", "--matrix", "m.txt", "--op", "eval", "--x", "1,2"], {"psi", "tables", "tensors"}),
+    (["tensor", "--matrix", "m.txt", "--op", "gradient", "--x", "1,2"],
+     {"psi", "tables", "tensors"}),
+    (["bound", "l_constant", *ENV_FLAGS], {"bounds", "psi", "tables"}),
+    (["verify", "nu-logp", "--N", "2000", "--p-grid", "2,4"],
+     {"empirics", "measures", "psi", "tables"}),
+], ids=["norm", "tensor_eval", "tensor_gradient", "bound_l_constant", "verify_nu_logp"])
+def test_startup_imports_no_layer_the_subcommand_does_not_use(argv, layers, tmp_path):
+    # a subcommand imports its layers when it runs, and only sampling loads
+    # numpy.random: a 2-index form's symmetry check draws no permutation
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1 0.5\n0.5 2\n")
+    rc, loaded = _startup([str(matrix) if a == "m.txt" else a for a in argv])
+    assert rc == 0
+    assert {m.split(".")[1] for m in loaded if m.startswith("orlicz_conc.")} == layers | {"errors"}
+    assert "numpy.random" not in loaded or argv[0] == "verify"
 
 
 def test_cli_layers_are_the_imported_modules():

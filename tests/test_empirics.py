@@ -361,14 +361,35 @@ def test_enlargement_requires_half_mass_start():
                        np.array([0.25]), 5000, 7)
 
 
-def test_enlargement_radius_and_mass():
-    curve = enlargement_mc(StandardGaussian(n=2), 0.0, SPEC2,
-                           np.array([0.25, 1.0]), 50000, 8)
-    np.testing.assert_allclose(curve.radius, [1.0, 2.0], rtol=1e-9)
-    assert np.all(np.isnan(curve.bound))
-    from scipy import stats
-    for u, emp, se in zip(curve.u_grid, curve.emp, curve.se):
-        assert abs(emp - stats.norm.cdf(2.0 * math.sqrt(u))) <= 4.0 * se
+def _two_level_reach(u, r):
+    # sup{c : H*(c) <= u} for H = u^2 on [0, 1], |u|^r above: H*(c) is c^2/4
+    # for c <= 2, c - 1 on [2, r] (the kink at 1) and (r - 1)(c/r)^{r*} above
+    if u <= 1.0:
+        return 2.0 * math.sqrt(u)
+    if u <= r - 1.0:
+        return u + 1.0
+    return r * (u / (r - 1.0)) ** ((r - 1.0) / r)
+
+
+@pytest.mark.parametrize("spec, reach", [
+    (SPEC2, lambda u: 2.0 * math.sqrt(u)),
+    (SeparableTwoLevel(dim=2, r=3.0), lambda u: _two_level_reach(u, 3.0)),
+], ids=["power_l2_a2", "two_level_r3"])
+def test_enlargement_masses_match_the_exact_gaussian_masses(spec, reach):
+    # enlargement_mc reads x_1 alone, so under the Gaussian each mass is
+    # exactly Phi(m + s(u)), with s(u) the conjugate's reach in closed form
+    m, u_grid = 0.25, np.array([0.25, 1.0, 1.5, 2.5])
+    curve = enlargement_mc(StandardGaussian(n=2), m, spec, u_grid, 200_000, 5)
+
+    def gauss_cdf(z):
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+    reaches = [reach(u) for u in u_grid]
+    np.testing.assert_allclose(curve.radius, reaches, rtol=1e-9)
+    assert np.all(np.isnan(curve.bound))  # no envelope, no bound
+    assert abs(curve.base_mass - gauss_cdf(m)) <= 4.0 * curve.base_se
+    for s_u, emp, se in zip(reaches, curve.emp, curve.se):
+        assert 0.0 < se and abs(emp - gauss_cdf(m + s_u)) <= 4.0 * se
 
 
 def test_mlsi_report_gaussian_tilt_is_tight():

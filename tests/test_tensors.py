@@ -15,6 +15,7 @@ from orlicz_conc import (BobkovLedouxCap, InputError, MultiIndexMatrix, Numerica
                          eval_form, form_gradient, load_matrix,
                          partition_norms, save_matrix, support_argmax,
                          support_function, symmetrize)
+from orlicz_conc.conjugacy import _support_argmax_rows
 from orlicz_conc.psi import _row_dots, _row_power_norms
 
 
@@ -336,7 +337,7 @@ def test_block_support_steps_match_one_theta_at_a_time(spec):
     Theta[3] = 1.0
     Theta[4, :3] = -Theta[4, 3]
     for p in (0.5, 4.0, 16.0):
-        values, Y = tn._support_argmax_rows(spec, p, Theta)
+        values, Y = _support_argmax_rows(spec, p, Theta)
         for theta, value, y in zip(Theta, values, Y):
             want_value, want_y = _closed_argmax_oracle(spec, p, theta)
             assert value == want_value
