@@ -63,6 +63,10 @@ class TestFunction:
     grad: Callable = field(repr=False)     # (N, n) -> (N, n)
     direction: Optional[np.ndarray] = field(default=None, repr=False)
 
+    def dot(self, X, Z) -> np.ndarray:
+        """Per row, <grad f(X), Z>; Z, the caller's own chunk, may be overwritten."""
+        return np.sum(np.multiply(self.grad(X), Z, out=Z), axis=1)
+
 
 def linear(theta) -> TestFunction:
     theta = np.asarray(theta, dtype=float)
@@ -100,13 +104,19 @@ def euclidean_norm() -> TestFunction:
                         f=lambda X: np.linalg.norm(X, axis=1), grad=grad)
 
 
+class _MaxCoordinate(TestFunction):
+    def dot(self, X, Z):
+        # the one-hot row sum is its one nonzero term, Z at the argmax, bit for bit
+        return Z[np.arange(len(X)), np.argmax(X, axis=1)]
+
+
 def max_coordinate() -> TestFunction:
     def grad(X):
         out = np.zeros_like(X)
         out[np.arange(X.shape[0]), np.argmax(X, axis=1)] = 1.0
         return out
 
-    return TestFunction(name="max_coordinate", f=_row_max, grad=grad)
+    return _MaxCoordinate(name="max_coordinate", f=_row_max, grad=grad)
 
 
 def exp_tilt(theta) -> TestFunction:
@@ -141,9 +151,10 @@ def _logsumexp(a: np.ndarray) -> float:
         return float(np.log1p(s) + np.log(m) + a_max)
 
 
-def _log_abs(values) -> np.ndarray:
-    """log|v| of a flat float column, in a new array (-inf at zeros)."""
-    logs = np.abs(np.asarray(values, dtype=float).ravel())
+def _log_abs(values, out=None) -> np.ndarray:
+    """log|v| of a 1-D float column, strided or not, into `out` (the column
+    itself, when the caller owns it) or a new contiguous array; -inf at zeros."""
+    logs = np.abs(values, out=out)
     with np.errstate(divide="ignore"):
         return np.log(logs, out=logs)
 
@@ -154,38 +165,56 @@ def _lse_grid(logs: np.ndarray, grid: np.ndarray) -> list:
     return [_logsumexp(np.multiply(logs, p, out=work)) for p in grid]
 
 
+def _moments_of_logs(logs: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """empirical_moment of the values whose _log_abs is `logs`, per p of the grid."""
+    top = float(np.max(logs))
+    if math.isinf(top):  # every |v| is 0, or one is inf
+        return np.full(grid.size, math.exp(top))
+    lses = np.array(_lse_grid(logs, grid)) - math.log(logs.size)
+    return np.array([math.exp(x) for x in lses / grid])
+
+
+def _top_mass_of_logs(logs: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """top_mass_fraction of the values whose _log_abs is `logs`."""
+    if not np.any(logs > -math.inf):
+        return np.zeros(grid.size)
+    # p > 0 keeps the order, so p times the top logs are the top of p * logs
+    total, top = _lse_grid(logs, grid), _lse_grid(np.sort(logs)[-TOP_K:], grid)
+    return np.array([math.exp(t - s) for t, s in zip(top, total)])
+
+
+def _flat(values, name: str) -> np.ndarray:
+    """values as a non-empty flat float array; a 1-D column, strided or
+    not, is not copied."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if values.size == 0:
+        raise InputError(f"{name} requires a non-empty value vector")
+    return values
+
+
 def empirical_moment(values, p):
     """(mean |v|^p)^{1/p}, max-shifted in the log domain so large p (up to
     the 256 design range) cannot overflow.  For a p grid (a 1-D array) it
     is the array of those moments, each bit-identical to its own call:
     |v| and its log are taken once, and every p shares one work buffer."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        raise InputError("empirical_moment requires a non-empty value vector")
+    values = _flat(values, "empirical_moment")
     grid = np.atleast_1d(np.asarray(p, dtype=float))
     if not np.all(grid >= 1.0):
         raise InputError(f"requires p >= 1, got {p}")
-    logs = _log_abs(values)
-    top = float(np.max(logs))
-    if math.isinf(top):  # every |v| is 0, or one is inf
-        moments = np.full(grid.size, math.exp(top))
-    else:
-        lses = np.array(_lse_grid(logs, grid)) - math.log(values.size)
-        moments = np.array([math.exp(x) for x in lses / grid])
+    moments = _moments_of_logs(_log_abs(values), grid)
     return moments if np.ndim(p) else float(moments[0])
 
 
 def empirical_entropy(values) -> float:
     """mean(v log v) - mean(v) log(mean(v)) with 0 log 0 = 0."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        raise InputError("empirical_entropy requires a non-empty value vector")
+    values = _flat(values, "empirical_entropy")
     if np.any(values < 0.0):
         raise InputError("entropy requires nonnegative values")
     mean = float(np.mean(values))
     if mean == 0.0:
         return 0.0
-    vlogv = np.log(values, out=np.zeros_like(values), where=values > 0.0)
+    vlogv = values.copy()  # 0 where v is 0: log only where v > 0, in place
+    np.log(vlogv, out=vlogv, where=vlogv > 0.0)
     vlogv *= values
     return float(np.mean(vlogv)) - mean * math.log(mean)
 
@@ -209,12 +238,7 @@ def top_mass_fraction(values, p_grid) -> np.ndarray:
     largest magnitudes, from one log pass; the effective-sample-size
     diagnostic attached to high-p estimates."""
     grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
-    logs = _log_abs(values)
-    if not np.any(logs > -math.inf):
-        return np.zeros(grid.size)
-    # p > 0 keeps the order, so p times the top logs are the top of p * logs
-    total, top = _lse_grid(logs, grid), _lse_grid(np.sort(logs)[-TOP_K:], grid)
-    return np.array([math.exp(t - s) for t, s in zip(top, total)])
+    return _top_mass_of_logs(_log_abs(np.asarray(values, dtype=float).reshape(-1)), grid)
 
 
 def _estimate(values, stat: Callable) -> tuple:
@@ -342,15 +366,33 @@ def _validate_p_grid(p_grid, lo: float) -> np.ndarray:
     return p_grid
 
 
+def _map_columns(N: int, streams, job) -> list:
+    """map_streams of a job that returns a tuple of per-row values: each
+    entry fills its own contiguous N-row column, chunk by chunk."""
+    cols, filled = [], 0
+
+    def store(parts):
+        nonlocal filled
+        cols.extend(np.empty(N) for _ in parts[len(cols):])
+        for col, part in zip(cols, parts):
+            col[filled:filled + len(part)] = part
+        filled += len(parts[0])
+
+    map_streams(N, streams, job, sink=store)
+    return cols
+
+
 def _moment_report(p_grid, f_values, rhs, bound_of, meta) -> MomentReport:
     """Per p: ||f - mean f||_p and its batch SE against the p's rhs moment,
-    the bound bound_of(rhs moment, p) and, above HIGH_P_FLAG, a flag."""
-    centered = f_values - float(np.mean(f_values))
-    lhs, lhs_se = _estimate(centered, lambda b: empirical_moment(b, p_grid))
+    the bound bound_of(rhs moment, p) and, above HIGH_P_FLAG, a flag.
+    f_values, a contiguous column the caller gives up, is centred and
+    turned into its logs in place; the batch statistics slice those logs."""
+    logs = _log_abs(np.subtract(f_values, float(np.mean(f_values)), out=f_values), out=f_values)
+    lhs, lhs_se = _estimate(logs, lambda b: _moments_of_logs(b, p_grid))
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(rhs > 0.0, lhs / rhs, 0.0)
     high = p_grid[p_grid > HIGH_P_FLAG]
-    flags = dict(zip(high.tolist(), top_mass_fraction(centered, high).tolist())) if high.size else {}
+    flags = dict(zip(high.tolist(), _top_mass_of_logs(logs, high).tolist())) if high.size else {}
     return MomentReport(p_grid=p_grid, lhs=lhs, lhs_se=lhs_se, rhs=rhs,
                         bound=np.array([bound_of(g, p) for g, p in zip(rhs, p_grid)]),
                         ratio=ratio, fitted=float(np.max(ratio)) if ratio.size else 0.0,
@@ -374,18 +416,19 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
 
     def job(X):
         if fixed is not None:
-            return f.f(X)
-        return np.column_stack([f.f(X), psi_p_norm_rows(spec, p_grid, f.grad(X))])
+            return (f.f(X),)
+        return (f.f(X), *psi_p_norm_rows(spec, p_grid, f.grad(X)).T)
 
-    data = map_streams(N, [(family, seed)], job)
+    f_values, *cols = _map_columns(N, [(family, seed)], job)
     meta = {"scenario": "centered", "function": f.name, "psi": _psi_meta(spec),
             "env": env_to_dict(env), "sampler": family.meta(),
             "seed": seed, "N": N, "C": C, "l_constant": l_constant(env)}
-    # a fixed gauge g enters as the moment of a constant column, not as g: its
-    # log-sum-exp rounds as the per-row gauges' column does, one column at a time
-    f_values, cols = ((data[:, 0], data[:, 1:].T) if fixed is None
-                      else (data, (np.full(N, g) for g in fixed)))
-    rhs = np.array([empirical_moment(col, p) for col, p in zip(cols, p_grid)])
+    if fixed is not None:
+        # a fixed gauge g enters as the moment of a constant column, not as g: its
+        # log-sum-exp rounds as the per-row gauges' column does, one column at a time
+        cols = (np.full(N, g) for g in fixed)
+    rhs = np.array([_moments_of_logs(_log_abs(col, out=col), np.atleast_1d(p))[0]
+                    for col, p in zip(cols, p_grid)])
     return _moment_report(p_grid, f_values, rhs,
                           lambda g, p: centered_moment_bound(g, env, p, C), meta)
 
@@ -396,7 +439,9 @@ def verify_nu_logp(p_grid, N: int, seed: int) -> NuLogPReport:
     p_grid = _validate_p_grid(p_grid, 2.0)
     family = _family_of(NuMeasure(), seed, N)
     x = map_streams(N, [(family, seed)], lambda X: X[:, 0])
-    est, se = _estimate(x, lambda b: empirical_moment(b, np.r_[1.0, p_grid]))
+    grid = np.r_[1.0, p_grid]
+    # the sample becomes its logs, which the batch statistics slice
+    est, se = _estimate(_log_abs(x, out=x), lambda b: _moments_of_logs(b, grid))
     (l1, emp), (l1_se, emp_se) = (float(est[0]), est[1:]), (float(se[0]), se[1:])
     lower = np.log(p_grid) / (2.0 * math.e)
     upper = l1 + np.log(p_grid)
@@ -419,14 +464,13 @@ def comparison_check(samplerX, phi: PhiSpec, f: TestFunction, p_grid,
     famZ = ProductPhiTail(phi, famX.n)
     seed_z = (seed + _SEED_OFFSET) % 2 ** 64
 
-    def job(X, Z):
-        return np.column_stack([f.f(X), np.sum(f.grad(X) * Z, axis=1)])
-
-    data = map_streams(N, [(famX, seed), (famZ, seed_z)], job)
+    f_values, dots = _map_columns(N, [(famX, seed), (famZ, seed_z)],
+                                  lambda X, Z: (f.f(X), f.dot(X, Z)))
+    rhs = _moments_of_logs(_log_abs(dots, out=dots), p_grid)
+    del dots
     meta = {"scenario": "comparison", "function": f.name, "phi": famZ.meta()["phi"],
             "sampler": famX.meta(), "seed": seed, "N": N}
-    return _moment_report(p_grid, data[:, 0], empirical_moment(data[:, 1], p_grid),
-                          lambda g, p: g, meta)
+    return _moment_report(p_grid, f_values, rhs, lambda g, p: g, meta)
 
 
 def enlargement_mc(sampler, m: float, spec: PsiSpec, u_grid, N: int,

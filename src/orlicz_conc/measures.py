@@ -9,6 +9,7 @@ bit-identical however generation is scheduled across workers.
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -61,15 +62,20 @@ class ProductPhiTail(Family):
             raise InputError("phi must be a PhiSpec")
 
     def _draw(self, rng, rows):
-        # every uniform is drawn, as they position the sign draws after them;
-        # a short chunk copies its rows, so it holds none of the others
-        z = _uniform_open(rng, (CHUNK, self.n))[:rows]
-        z = z.copy() if rows < CHUNK else z
+        size = rows * self.n
+        z = _uniform_open(rng, (rows, self.n))
+        # the sign draws follow all CHUNK * n uniforms, one 64-bit word each;
+        # Philox advances in blocks of four words, and a partly read block
+        # counts whole, so the rest of the chunk is this many blocks
+        rng.bit_generator.advance((CHUNK - rows) * self.n // 4)
         z = _phi_inv_array(self.phi, np.negative(np.log(z, out=z), out=z))  # |Z|, in place
-        # a sign draw k = 0 negates: (k ^ 1) << 63 is the sign bit, or'ed into |Z| in place
-        k = rng.integers(0, 2, size=(rows, self.n))
-        np.left_shift(np.bitwise_xor(k, 1, out=k), 63, out=k)
-        np.bitwise_or(z.view(np.int64), k, out=z.view(np.int64))
+        # the sign draw rng.integers(0, 2) is bit 31 of each 32-bit half of a
+        # 64-bit word, low half first; a draw of 0 sets the sign bit, in
+        # place in the high half of each float
+        signs = rng.bit_generator.random_raw(-(-size // 2)).astype("<u8", copy=False).view("<u4")
+        signs = np.bitwise_and(np.invert(signs, out=signs), 1 << 31, out=signs)[:size]
+        high = z.reshape(-1).view(np.uint32)[int(sys.byteorder == "little")::2]
+        np.bitwise_or(high, signs, out=high)
         return z
 
     def meta(self) -> dict:
@@ -175,10 +181,11 @@ def map_streams(count: int, streams, fn: Callable, sink: Optional[Callable] = No
                 yield part
 
     with closing(parts()) as results:
-        for j, part in enumerate(results):
+        for j in range(n_chunks):
             if sink is not None:
-                sink(part)
+                sink(next(results))  # no chunk's result is held while the next is drawn
                 continue
+            part = next(results)
             if j == 0:
                 out = np.empty((count, *part.shape[1:]), dtype=part.dtype)
             out[j * CHUNK:j * CHUNK + len(part)] = part

@@ -12,8 +12,8 @@ import orlicz_conc.empirics as em
 import orlicz_conc.measures as ms
 from orlicz_conc import (CHUNK, BobkovLedouxCap, Family, GrowthEnvelope,
                          InputError, MultiIndexMatrix, PhiSpec,
-                         PowerNorm, SamplerSpec, SeparableFromPhi, SeparableTwoLevel,
-                         StandardGaussian,
+                         PowerNorm, ProductPhiTail, SamplerSpec, SeparableFromPhi,
+                         SeparableTwoLevel, StandardGaussian,
                          UserSeparable, batch_se, comparison_check,
                          empirical_entropy, empirical_moment, enlargement_mc,
                          euclidean_norm, exp_tilt, linear, max_coordinate,
@@ -53,6 +53,16 @@ def test_empirical_entropy_two_point_value():
     want = math.e / 2.0 - (1.0 + math.e) / 2.0 * math.log((1.0 + math.e) / 2.0)
     assert empirical_entropy(np.array([1.0, math.e])) == pytest.approx(want, rel=1e-9)
     assert empirical_entropy(np.full(64, 3.7)) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_empirical_entropy_equals_the_copying_formula():
+    # bit for bit on a strided column with zeros, which is no longer copied
+    rows = np.abs(np.random.default_rng(3).standard_normal((5000, 2)))
+    rows[::9, 0] = 0.0
+    flat = rows[:, 0].copy()
+    vlogv = np.log(flat, out=np.zeros_like(flat), where=flat > 0.0) * flat
+    mean = float(np.mean(flat))
+    assert empirical_entropy(rows[:, 0]) == float(np.mean(vlogv)) - mean * math.log(mean)
 
 
 def test_batch_se_basics():
@@ -146,17 +156,44 @@ def test_verify_nu_logp_equals_the_per_p_oracles():
                                    for p in p_grid]
 
 
-def test_verify_nu_logp_holds_about_three_columns():
-    # the sample column, its logs and one work buffer: under 4 column sizes
-    # for a 4-point grid (an estimate per p and batch once held about 6)
-    N = 2 ** 20
+def _peak_columns(run, N: int) -> float:
+    """run()'s tracemalloc peak in N-row float column sizes."""
     tracemalloc.start()
     try:
-        verify_nu_logp(np.array([2.0, 4.0, 8.0, 16.0]), N, 0)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 8 * N
+    return peak / (8 * N)
+
+
+def test_verify_nu_logp_holds_about_two_columns():
+    # the sample turned into its logs in place, and one work buffer: 2.1
+    # column sizes for a 4-point grid (with the logs in a new column, 3.1;
+    # an estimate per p and batch once held about 6)
+    N = 2 ** 20
+    assert _peak_columns(lambda: verify_nu_logp(np.array([2.0, 4.0, 8.0, 16.0]), N, 0), N) <= 2.5
+
+
+def test_comparison_check_holds_no_n_by_n_temporary():
+    # f and <grad f, Z> in two columns beside one chunk of X and of Z, then
+    # each column's logs in place and one work buffer: 3.3 column sizes for
+    # a phi-tail X with n = 8 (the one-hot gradient, its product with Z and
+    # int64 sign draws per chunk, and a copy of each column, once held 5.1)
+    N = 2 ** 20
+    fam = ProductPhiTail(PhiSpec(s=1.5), n=8)
+    peak = _peak_columns(lambda: comparison_check(fam, PhiSpec(s=1.5), max_coordinate(),
+                                                  np.array([4.0, 8.0, 16.0]), N, 0), N)
+    assert peak <= 3.75
+
+
+def test_mlsi_report_holds_no_copy_of_its_columns():
+    # the (g, term) rows and the entropy's v log v column: 3.1 column sizes
+    # (a flat copy of the strided g column once made it 4.1)
+    N = 2 ** 20
+    peak = _peak_columns(lambda: mlsi_report(StandardGaussian(n=2), exp_tilt(np.array([0.5, 0.0])),
+                                             SPEC2, 4.0, N, 0), N)
+    assert peak <= 3.75
 
 
 def _logsumexp_cases():
@@ -228,9 +265,10 @@ def test_linear_takes_one_gauge_per_p_bit_for_bit(spec, monkeypatch):
 
 
 def test_linear_centered_holds_no_gauge_columns():
-    # f, then one constant gauge column with its logs and work buffer at a
-    # time: under 5 column sizes for a 4-point grid (one per p once stood
-    # beside f, about 8)
+    # f, then one constant gauge column turned into its logs in place and a
+    # work buffer at a time, then f centred in place: 3.1 column sizes for a
+    # 4-point grid (with new log and centred columns, 4.1; one gauge column
+    # per p once stood beside f, about 8)
     N = 2 ** 20
     env = GrowthEnvelope(K=1.0, alpha=2.0, beta=2.0, D=2.0, d=0.0)
     tracemalloc.start()
@@ -240,7 +278,7 @@ def test_linear_centered_holds_no_gauge_columns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 8 * N
+    assert peak <= 3.5 * 8 * N
 
 
 def test_norm_and_max_builtins():
@@ -352,6 +390,45 @@ def test_comparison_check_linear_map_is_exact_in_law():
                            np.array([2.0, 4.0]), 30000, 6)
     assert np.all(np.isfinite(rep.ratio))
     assert np.all((rep.ratio > 0.3) & (rep.ratio < 3.0))
+
+
+def _comparison_columns(fam, phi, f, N, seed):
+    """f(X) and the row sums of grad f(X) * Z, the way comparison_check once
+    built them, from whole samples of both streams."""
+    X = sample(SamplerSpec(fam, seed, N))
+    Z = sample(SamplerSpec(ProductPhiTail(phi, fam.n), (seed + em._SEED_OFFSET) % 2 ** 64, N))
+    return f.f(X), np.sum(f.grad(X) * Z, axis=1)
+
+
+@pytest.mark.parametrize("fam, f", [
+    (ProductPhiTail(PhiSpec(s=1.5), n=4), max_coordinate()),
+    (StandardGaussian(n=3), linear([1.0, 2.0, -2.0])),
+], ids=["max_phi_tail", "linear_gaussian"])
+def test_comparison_report_equals_the_per_p_oracles(fam, f):
+    # bit for bit, over three chunks: the gathered or in-place <grad f, Z>
+    # and the in-place logs change no value
+    p_grid, N, seed = np.array([1.0, 2.0, 7.0, 65.0]), 2 * CHUNK + 17, 4
+    rep = comparison_check(fam, PhiSpec(s=1.5), f, p_grid, N, seed)
+    f_col, dots = _comparison_columns(fam, PhiSpec(s=1.5), f, N, seed)
+    centered = f_col - float(np.mean(f_col))
+    assert rep.lhs.tolist() == [_moment_oracle(centered, p) for p in p_grid]
+    assert rep.lhs_se.tolist() == [_batch_se_oracle(centered, lambda b, p=p: _moment_oracle(b, p))
+                                   for p in p_grid]
+    assert rep.rhs.tolist() == [_moment_oracle(dots, p) for p in p_grid]
+    assert rep.flags == {65.0: _top_mass_oracle(centered, 65.0)}
+
+
+def test_comparison_rhs_of_the_max_coordinate_is_a_phi_tail_moment():
+    # <grad f, Z> = Z_j at the row's argmax j, which is independent of Z, so
+    # it is a phi-tail variable: E|Z_j|^p = Gamma(1 + p/s)
+    s, p_grid, N, seed = 1.5, np.array([1.0, 2.0, 4.0, 8.0]), 200_000, 2
+    fam = ProductPhiTail(PhiSpec(s=s), n=4)
+    rep = comparison_check(fam, PhiSpec(s=s), max_coordinate(), p_grid, N, seed)
+    dots = _comparison_columns(fam, PhiSpec(s=s), max_coordinate(), N, seed)[1]
+    se = batch_se(dots, lambda b: empirical_moment(b, p_grid))
+    exact = np.array([math.gamma(1.0 + p / s) ** (1.0 / p) for p in p_grid])
+    assert np.all(se > 0.0)
+    assert np.all(np.abs(rep.rhs - exact) <= 4.0 * se), (rep.rhs, exact, se)
 
 
 def test_enlargement_requires_half_mass_start():

@@ -153,9 +153,12 @@ def _old_phi_tail_draw(family, rng, rows):
 @pytest.mark.parametrize("family", [
     ProductPhiTail(PhiSpec(s=1.5), n=3), ProductPhiTail(PhiSpec(s=2.0), n=2),
     ProductPhiTail(PhiSpec(fn=lambda t: 0.5 * (t * t + t)), n=1),
-], ids=["power", "power_sqrt", "custom"])
+    ProductPhiTail(PhiSpec(s=1.5), n=8),
+], ids=["power", "power_sqrt", "custom", "power_n8"])
 def test_phi_tail_draw_equals_the_old_formula(family):
-    for j, rows in enumerate((1, 777, ms.CHUNK - 1, ms.CHUNK)):
+    # a short chunk draws only its own uniforms and skips the rest of the
+    # chunk's Philox blocks; odd rows * n leaves half a word of sign draws
+    for j, rows in enumerate((1, 3, 777, 5000, 16384, ms.CHUNK - 1, ms.CHUNK)):
         got = sample_chunk(family, 11, j, rows)
         want = _old_phi_tail_draw(family, ms._chunk_rng(11, j), rows)
         assert got.tobytes() == want.tobytes(), rows
