@@ -4,7 +4,9 @@ the chaos and enlargement bounds.  The numeric Legendre transform
 `legendre_1d` they use lives in psi, beside the other solvers.
 
 Each PsiSpec family supplies its closed forms (`_closed_omega`,
-`_closed_conjugate`, `_closed_support`, ...); this module holds only the
+`_closed_conjugate`, `_closed_support`, ...), a separable piecewise-power
+family through its piece table (`psi.PieceTable`), which gives omega and the
+component conjugate h* from one description; this module holds only the
 family-independent numeric fallbacks.  omega(t) = sup{Psi(tx)/Psi(x) :
 Psi(x) finite, x != 0} has closed forms for every built-in family;
 user-supplied components fall back to a grid supremum, which is a lower

@@ -178,8 +178,10 @@ def _top_mass_of_logs(logs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """top_mass_fraction of the values whose _log_abs is `logs`."""
     if not np.any(logs > -math.inf):
         return np.zeros(grid.size)
-    # p > 0 keeps the order, so p times the top logs are the top of p * logs
-    total, top = _lse_grid(logs, grid), _lse_grid(np.sort(logs)[-TOP_K:], grid)
+    # p > 0 keeps the order, so p times the top logs are the top of p * logs;
+    # a partition finds them, and only they are sorted
+    top = np.sort(np.partition(logs, max(logs.size - TOP_K, 0))[-TOP_K:])
+    total, top = _lse_grid(logs, grid), _lse_grid(top, grid)
     return np.array([math.exp(t - s) for t, s in zip(top, total)])
 
 

@@ -12,11 +12,12 @@ gauge
     |x|_{Psi_p} = inf{a > 0 : Psi(p x / a) <= p},
 
 which is non-decreasing in p and is the gradient norm appearing in the
-moment bounds of `bounds`.  PowerNorm and BobkovLedouxCap gauges, and that of
-SeparableFromPhi s=1, a rescaled cap, are closed forms.  SeparableTwoLevel and
-SeparableFromPhi 1 < s <= 2 have components of two power pieces, and
-SeparableFromPhi s > 2 one of three (quadratic, linear, power): their gauge
-is one sort per row and a Newton solve on the root's segment.  For the other
+moment bounds of `bounds`.  SeparableTwoLevel, SeparableFromPhi with a power
+Phi and BobkovLedouxCap describe their component h by a PieceTable, h(v) =
+a v^e + c piece by piece, and take its value, omega, conjugate and gauge
+from it: under a cap (BobkovLedouxCap, SeparableFromPhi s=1) the gauge is a
+closed form, as PowerNorm's is, and without one it is one sort per row, a
+search for the root's segment and a Newton solve on it.  For the other
 families the predicate Psi(px/a) <= p, monotone in a, is bracketed
 geometrically and the bracket narrowed by Chandrupatla's method.  Every
 gauge takes a whole p grid at once, so the work that does not depend on p
@@ -30,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache, cached_property, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,8 +44,9 @@ _BRACKET_MAX = 200  # doublings/halvings before giving up (condition C3 failure)
 _SOLVE_MAX = 100    # Chandrupatla steps; bisection needs 35 (tol 1e-10) to 52 (float resolution)
 _NUDGE_MAX = 16     # doubling steps, at most 2^16 ulps, that repair a rounded closed form
 _BLOCK = 8192       # rows per gauge block, bounding its per-row temporaries
-_NEWTON_MAX = 64    # Newton steps of the piecewise gauges; they take 2-8
-_NEWTON_TOL = 1e-14  # last log-step of the piecewise gauges (over 1 + |log s| for two pieces)
+_NEWTON_MAX = 64    # Newton steps of the piece-table gauge; it takes 2-8
+_NEWTON_TOL = 1e-14  # last relative step of the piece-table gauge
+_LIFT = 1.0 + 4.0 * np.finfo(float).eps  # the piece-table gauge's rise to the feasible side
 _FOLD_MAX = 16      # columns up to which a row max folds column by column
 _SUP_TOL = 1e-13    # relative width of the profile, radius and level solves
 
@@ -55,43 +58,103 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
-# scalar building blocks shared by the two-level family and PhiSpec
+# piece tables
 
-def _sup_linear_minus_quad(v):
-    # sup_{0 <= u <= 1} (u v - u^2) for v >= 0; v^2 may overflow where v > 2
-    v = np.asarray(v, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.where(v <= 2.0, 0.25 * v * v, v - 1.0)
+def _pow(v, e):
+    """v^e, as v * v where e = 2 and v itself where e = 1."""
+    if e == 2.0:
+        return v * v
+    return v if e == 1.0 else np.power(v, e)
 
 
-def _sup_linear_minus_power(v, s):
-    # sup_{u >= 1} (u v - u^s) for v >= 0; unbounded when s == 1 and v > 1
-    v = np.asarray(v, dtype=float)
-    if s == 1.0:
-        return np.where(v <= 1.0, v - 1.0, np.inf)
-    s_conj = s / (s - 1.0)
-    c = (s - 1.0) * s ** (-s_conj)
-    u = np.maximum(v, s)
-    try:
-        with np.errstate(over="raise"):
-            tail = c * np.power(u, s_conj)
-    except FloatingPointError:  # c v^{s*} may be finite where v^{s*} is not
+class PieceTable:
+    """A component given piece by piece: h(v) = a v^e + c on piece i, with
+    (a, e, c) = pieces[i], which spans [knots[i-1], knots[i]] (knots[-1]
+    read as 0).  The last piece runs to +inf, or with `cap`, h = +inf above
+    the last knot; a capped table is one piece a v^2.  h is continuous and
+    increasing, h(0) = 0, and every a > 0 and e >= 1.  A separable family
+    whose component is such a table takes its component, omega, conjugate
+    and gauge from it."""
+
+    def __init__(self, knots: tuple, pieces: tuple, cap: bool = False):
+        self.knots, self.pieces, self.cap = knots, pieces, cap
+
+    @cached_property
+    def _spans(self):
+        # (a, e, c, lo, hi) per piece
+        ends = self.knots if self.cap else self.knots + (math.inf,)
+        return [(*piece, lo, hi) for piece, lo, hi in zip(self.pieces, (0.0,) + self.knots, ends)]
+
+    def value(self, u):
+        """h(u) for u >= 0."""
+        out = np.inf
         with np.errstate(over="ignore"):
-            tail = c * np.power(u, s_conj)
-            tail = np.where(np.isinf(tail), np.power(c ** (1.0 / s_conj) * u, s_conj), tail)
-    return np.where(v <= s, v - 1.0, tail)
+            for a, e, c, _, hi in reversed(self._spans):
+                h = _pow(u, e) if (a, c) == (1.0, 0.0) else a * _pow(u, e) + c
+                out = h if hi == math.inf else np.where(u <= hi, h, out)
+        return out
+
+    def omega(self, t):
+        """sup_u h(tu)/h(u): the larger of t^e for the first and the last
+        piece, between which every piece's growth lies; under a cap, t^e of
+        the first piece up to t = 1 and +inf beyond."""
+        first, last = self.pieces[0][1], self.pieces[-1][1]
+        if self.cap:
+            return np.where(t <= 1.0, _pow(t, first), np.inf)
+        return np.maximum(_pow(t, first), _pow(t, last))
+
+    def conjugate(self, v):
+        """h*(|v|) = sup_u (u |v| - h(u)): the largest over the pieces of the
+        sup on each, the maximiser clamped to the piece, and at least 0.
+        For a non-convex h that is the transform of its convex envelope."""
+        v = np.abs(np.asarray(v, dtype=float))
+        with np.errstate(over="ignore"):
+            sups = [_piece_sup(v, *piece) for piece in self._sup_terms]
+        return np.maximum(reduce(np.maximum, sups), 0.0)
+
+    @cached_property
+    def _sup_terms(self):
+        # per piece: e* (None where e = 1), the coefficient of v^{e*}, c, the
+        # ends, the slope a e u^(e-1) and h at each end
+        out = []
+        for a, e, c, lo, hi in self._spans:
+            e_conj = None if e == 1.0 else e / (e - 1.0)
+            k = None if e == 1.0 else (e - 1.0) * (a * e) ** (-e_conj) * a
+            ends = [(a * e * _pow(u, e - 1.0), a * _pow(u, e) + c) for u in (lo, hi)]
+            out.append((e_conj, k, c, lo, hi, *ends[0], *ends[1]))
+        return out
 
 
-def two_level_component_conjugate(v, s):
-    """Legendre transform of u -> u^2 (|u| <= 1), |u|^s (|u| > 1), at v.
+def _piece_sup(v, e_conj, k, c, lo, hi, slope_lo, h_lo, slope_hi, h_hi):
+    # sup (u v - h(u)) over lo <= u <= hi for v >= 0: at lo where v is at most
+    # the slope there, at hi where it is at least the slope there, and else at
+    # the u where the slope is v, k v^{e*} - c
+    if e_conj is None:
+        inner = np.full(v.shape, np.inf) if hi == math.inf else (v if hi == 1.0 else hi * v) - h_hi
+    else:
+        if e_conj == 2.0:
+            inner = k * v * v
+        else:
+            try:
+                with np.errstate(over="raise"):
+                    inner = k * np.power(v, e_conj)
+            except FloatingPointError:  # k v^{e*} may be finite where v^{e*} is not
+                inner = k * np.power(v, e_conj)
+                inner = np.where(np.isinf(inner), np.power(k ** (1.0 / e_conj) * v, e_conj), inner)
+        if c:
+            inner = inner - c
+        if hi < math.inf:
+            inner = np.where(v <= slope_hi, inner, (v if hi == 1.0 else hi * v) - h_hi)
+    if lo > 0.0:
+        inner = np.where(v <= slope_lo, (v if lo == 1.0 else lo * v) - h_lo, inner)
+    return inner
 
-    Valid for s >= 1.  For s < 2 the base function is non-convex and the
-    transform returned is that of its convex envelope, which is what every
-    downstream use (conjugate balls, omega-star sandwich) needs.
-    """
-    v = np.abs(np.asarray(v, dtype=float))
-    out = np.maximum(_sup_linear_minus_quad(v), _sup_linear_minus_power(v, s))
-    return np.maximum(out, 0.0)
+
+@cache
+def _two_level(r: float) -> PieceTable:
+    # u^2 up to 1 and u^r above: SeparableTwoLevel's component and, for a
+    # power Phi with s = r, PhiSpec.tilde, whose transform is tilde-Phi*
+    return PieceTable((1.0,), ((1.0, 2.0, 0.0), (1.0, r, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +203,9 @@ class PhiSpec:
         return np.where(u <= 1.0, u * u, self.phi(u))
 
     def tilde_star(self, v):
-        v = np.abs(np.asarray(v, dtype=float))
         if self.fn is None:
-            return two_level_component_conjugate(v, self.s)
-        return legendre_1d(self.tilde, v)
+            return _two_level(self.s).conjugate(v)
+        return legendre_1d(self.tilde, np.abs(np.asarray(v, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +219,9 @@ class PsiSpec:
     method returns None where the family has none, and the caller then runs
     a family-independent numeric fallback.  The 1-D conjugate at c >= 0 is
     the component conjugate h*(c) for a separable family, and Psi*(c e) for
-    e a unit vector of the dual norm otherwise.
+    e a unit vector of the dual norm otherwise.  A separable family whose
+    component is a PieceTable returns it from `_table`, and its component,
+    omega, conjugate and gauge come from the table.
     """
 
     dim: int
@@ -172,8 +236,10 @@ class PsiSpec:
     separable = True
     convex = False
 
+    _table = None  # a family's PieceTable, a cached property where it has one
+
     def _component(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._table.value(u)
 
     def _eval_rows(self, X: np.ndarray) -> np.ndarray:
         vals = self._component(np.abs(X))
@@ -182,15 +248,26 @@ class PsiSpec:
     def _closed_gauge(self, ps: list, X: np.ndarray) -> Optional[np.ndarray]:
         """|row|_{Psi_p} for the non-zero rows of X: row j of the
         (len(ps), rows) array is the gauge at ps[j]."""
-        return None
+        table = self._table
+        if table is None:
+            return None
+        if not table.cap:
+            return _piece_gauge(ps, X, table)
+        # one piece a v^2 up to the cap b: Psi(px/g) <= p iff p|x|_inf/g <= b
+        # and a p^2|x|_2^2/g^2 <= p
+        ((a, _, _),), (b,) = table.pieces, table.knots
+        top, l2 = _row_max(np.abs(X)), np.linalg.norm(X, axis=-1)
+        return np.array([np.maximum(p * top / b, math.sqrt(a * p) * l2) for p in ps])
 
     def _closed_omega(self, t: np.ndarray) -> Optional[np.ndarray]:
         """omega(t) = sup Psi(tx)/Psi(x), elementwise."""
-        return None
+        table = self._table
+        return None if table is None else table.omega(t)
 
     def _closed_conjugate(self, c) -> Optional[np.ndarray]:
         """The 1-D conjugate, elementwise."""
-        return None
+        table = self._table
+        return None if table is None else table.conjugate(c)
 
     def _closed_support(self, p: float, theta: np.ndarray) -> Optional[float]:
         """sup{<theta, y> : Psi*(y) <= p}: the value of _closed_support_argmax,
@@ -309,18 +386,9 @@ class SeparableTwoLevel(PsiSpec):
         if not (self.r > 1.0 and math.isfinite(self.r)):
             raise InputError(f"two-level exponent must satisfy r > 1, got {self.r}")
 
-    def _component(self, u):
-        with np.errstate(over="ignore"):
-            return np.where(u <= 1.0, u * u, np.power(u, self.r))
-
-    def _closed_gauge(self, ps, X):
-        return _two_piece_gauge(ps, X, (1.0, 2.0, 1.0, 1.0, self.r))
-
-    def _closed_omega(self, t):
-        return np.maximum(t * t, np.power(t, self.r))
-
-    def _closed_conjugate(self, c):
-        return two_level_component_conjugate(c, self.r)
+    @cached_property
+    def _table(self):
+        return _two_level(self.r)
 
     def _require_convex(self):
         if self.r < 2.0:
@@ -350,42 +418,36 @@ class SeparableFromPhi(PsiSpec):
 
     def _cap(self) -> Optional["BobkovLedouxCap"]:
         # Phi(t) = t makes the component v^2/4 on |v| <= 1 and +inf beyond, so
-        # Psi(x) is BobkovLedouxCap(threshold=1/2) at x/2: its gauge and
-        # support halve, and its conjugate is taken at 2c
+        # Psi(x) is BobkovLedouxCap(threshold=1/2) at x/2: its support halves
         if self.phi.fn is None and self.phi.s == 1.0:
             return BobkovLedouxCap(dim=self.dim, threshold=0.5)
         return None
 
-    def _closed_gauge(self, ps, X):
-        cap, s = self._cap(), self.phi.s
-        if cap is not None:
-            return 0.5 * cap._closed_gauge(ps, X)
+    @cached_property
+    def _table(self):
+        # tilde-Phi* for a power Phi: v^2/4, v - 1 from 2 and c v^{s*} from s for
+        # s > 2; v^2/4 and c v^{s*} from v0 for 1 < s <= 2 (v0 = 2 at s = 2); v^2/4
+        # up to a cap at 1 for s = 1.  The component stays the two-level table's
+        # transform, which rounds apart from this table near its knots
+        s = self.phi.s
         if self.phi.fn is not None:
             return None
+        if s == 1.0:
+            return PieceTable((1.0,), ((0.25, 2.0, 0.0),), cap=True)
         s_conj = s / (s - 1.0)
         c = (s - 1.0) * s ** (-s_conj)
         if s > 2.0:
-            return _three_piece_gauge(ps, X, s, s_conj, c)
-        # for 1 < s <= 2 the component is the convex envelope v^2/4 up to
-        # v0, where it meets c v^{s*} (v0 -> 2 as s -> 2, where both are v^2/4)
+            return PieceTable((2.0, s), ((0.25, 2.0, 0.0), (1.0, 1.0, -1.0), (c, s_conj, 0.0)))
         v0 = 2.0 if s == 2.0 else (0.25 / c) ** (1.0 / (s_conj - 2.0))
-        return _two_piece_gauge(ps, X, (0.25, 2.0, v0, c, s_conj))
-
-    def _closed_omega(self, t):
-        cap, s = self._cap(), self.phi.s
-        if cap is not None:
-            return cap._closed_omega(t)
-        if self.phi.fn is None:
-            return np.maximum(t * t, np.power(t, s / (s - 1.0)))
+        return PieceTable((v0,), ((0.25, 2.0, 0.0), (c, s_conj, 0.0)))
 
     def _closed_conjugate(self, c):
-        cap = self._cap()
-        if cap is not None:
-            return cap._closed_conjugate(2.0 * c)
-        # tilde-Phi is convex for a power Phi with s >= 2, so the biconjugate
-        # is tilde-Phi itself; otherwise only the numeric transform applies
+        # tilde-Phi is convex for a power Phi with s >= 2, so the biconjugate is
+        # tilde-Phi, the two-level table; s = 1 is its own table's transform,
+        # and for 1 < s < 2 only the numeric transform applies
         if self.phi.fn is None and self.phi.s >= 2.0:
-            return self.phi.tilde(c)
+            return _two_level(self.phi.s).value(np.abs(c))
+        return super()._closed_conjugate(c) if self.phi.s == 1.0 else None
 
     def _closed_support_argmax(self, p, Theta):
         cap = self._cap()
@@ -418,20 +480,9 @@ class BobkovLedouxCap(PsiSpec):
         if not (self.threshold > 0):
             raise InputError(f"threshold must be positive, got {self.threshold}")
 
-    def _component(self, u):
-        return np.where(u <= self.threshold, u * u, np.inf)
-
-    def _closed_gauge(self, ps, X):
-        # Psi(px/a) <= p iff p|x|_inf/a <= threshold and p^2|x|_2^2/a^2 <= p
-        top, l2 = _row_max(np.abs(X)), np.linalg.norm(X, axis=-1)
-        return np.array([np.maximum(p * top / self.threshold, math.sqrt(p) * l2) for p in ps])
-
-    def _closed_omega(self, t):
-        return np.where(t <= 1.0, t * t, np.inf)
-
-    def _closed_conjugate(self, c):
-        thr = self.threshold
-        return np.where(c <= 2.0 * thr, 0.25 * c * c, thr * c - thr * thr)
+    @cached_property
+    def _table(self):
+        return PieceTable((self.threshold,), ((1.0, 2.0, 0.0),), cap=True)
 
     def _closed_support_argmax(self, p, Theta):
         # Psi(theta/lam) = |theta|^2/lam^2 on lam >= max|theta|/thr, so the dual
@@ -718,18 +769,6 @@ def _row_power_norms(A: np.ndarray, r: float) -> np.ndarray:
     return np.array([total ** (1.0 / r) for total in np.sum(A ** r, axis=1).tolist()])
 
 
-def _sorted_rows(X: np.ndarray, pad: int = 0):
-    """(top, y): each row's max |x_i| and its |x_i| / top, sorted in
-    decreasing order and followed by `pad` zeros."""
-    m, n = X.shape
-    buf = np.zeros((m, pad + n))
-    ax = np.abs(X, out=buf[:, pad:])
-    top = _row_max(ax)
-    ax /= top[:, None]
-    ax.sort(axis=1)
-    return top, buf[:, ::-1]
-
-
 def _newton(update, x: np.ndarray, coefs: tuple, what: str) -> np.ndarray:
     """Per row, x, coefs -> update(x, *coefs) = (new x, done) until the row
     is done; rows leave as they finish.  NumericalError after _NEWTON_MAX
@@ -746,48 +785,6 @@ def _newton(update, x: np.ndarray, coefs: tuple, what: str) -> np.ndarray:
                          f"for {idx.size} rows")
 
 
-def _two_piece_gauge(ps: list, X: np.ndarray, pieces: tuple) -> np.ndarray:
-    """|row|_{Psi_p} at each p of ps for the nonzero rows of X, for a
-    separable Psi whose component is two homogeneous pieces, h(v) = c1 v^e1
-    on [0, b] and c2 v^e2 above, continuous at b, with e1, e2 > 1.
-
-    The gauge is 1-homogeneous, so each row is divided by its max |x_i| and
-    the gauge is p max|x_i| / s* with s* the root of F(s) = sum_i h(s y_i) = p,
-    y the sorted |x_i| / max|x_i|.  Coordinate k crosses the knot at
-    t_k = b / y_k, and F(t_k) follows from prefix sums of y^e1 and y^e2, so
-    the root's segment is #{k : F(t_k) <= p}: only that count and the Newton
-    solve depend on p.  On the segment F(s) = A s^e1 + B s^e2,
-    and G(tau) = log(F(e^tau) / p) is convex and increasing: Newton on tau,
-    started at the least s where one term alone reaches p, an upper bound of
-    the root, falls monotonically to it.  Each row stops on its own, once its
-    step is at most _NEWTON_TOL (1 + |tau|)."""
-    c1, e1, b, c2, e2 = pieces
-    top, y = _sorted_rows(X)
-    m, n = y.shape
-    ye1, ye2 = y ** e1, y ** e2
-    below, above = np.zeros((m, n + 1)), np.zeros((m, n + 1))
-    below[:, :n] = np.cumsum(ye1[:, ::-1], axis=1)[:, ::-1]  # sum_{i >= k} y_i^e1
-    np.cumsum(ye2, axis=1, out=above[:, 1:])                 # sum_{i < k} y_i^e2
-
-    def update(tau, lA, lB):
-        z1, z2 = lA + e1 * tau, lB + e2 * tau
-        slope = e1 + (e2 - e1) / (1.0 + np.exp(z1 - z2))
-        step = np.logaddexp(z1, z2) / slope
-        tau = tau - step
-        return tau, np.abs(step) <= _NEWTON_TOL * (1.0 + np.abs(tau))
-
-    out, rows = np.empty((len(ps), m)), np.arange(m)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # F(t_k); a zero y_k gives nan or +inf, never counted
-        at_knots = c1 * b ** e1 * (above[:, :n] / ye2 + below[:, :n] / ye1)
-        for j, p in enumerate(ps):
-            k, log_p = np.count_nonzero(at_knots <= p, axis=1), math.log(p)
-            lA, lB = np.log(c1 * below[rows, k]) - log_p, np.log(c2 * above[rows, k]) - log_p
-            tau = _newton(update, np.minimum(-lA / e1, -lB / e2), (lA, lB), "two-piece")
-            out[j] = p * (top * np.exp(-tau))
-    return out
-
-
 def _leading(pred, m: int, n: int) -> np.ndarray:
     """Per row of m, the count of leading k in range(n) where pred holds,
     pred(k) taking one k per row and monotone in k (true, then false):
@@ -800,70 +797,99 @@ def _leading(pred, m: int, n: int) -> np.ndarray:
     return k
 
 
-def _three_piece_gauge(ps: list, X: np.ndarray, s: float, s_conj: float, c: float) -> np.ndarray:
-    """|row|_{Psi_p} at each p of ps for the nonzero rows of X, for
-    SeparableFromPhi s > 2: h(v) = v^2/4 on [0, 2], v - 1 on [2, s] and
-    c v^{s*} above.  As for two pieces, the gauge is p max|x_i| / sig with
-    F(sig) = sum_i h(sig y_i) = p.  With kp coordinates at or above the knot
-    s and kl at or above 2, F(sig) = c P sig^{s*} + B sig - C + D sig^2 / 4,
-    from prefix sums of y^{s*}, y and y^2, and C = kl - kp.  Per p, binary
-    searches count the knots below the root: ks = #{k : F(s/y_k) <= p},
-    each step finding its kl by a search of its own, then k2 = #{k :
-    F(2/y_k) <= p}.  On that segment F is convex and increasing, and each
-    term alone reaches p above the root, within a factor 3: Newton from the
-    least of those points falls monotonically to it, a row stopping once its
-    relative step is at most _NEWTON_TOL."""
-    top, yp = _sorted_rows(X, pad=1)  # yp[:, n] = 0: the knots past the last are +inf
+def _piece_gauge(ps: list, X: np.ndarray, table: PieceTable) -> np.ndarray:
+    """|row|_{Psi_p} at each p of ps for the nonzero rows of X, for Psi(x) =
+    sum_i h(x_i) with h the uncapped piece table `table`: p max|x_i| / sig,
+    F(sig) = sum_i h(sig y_i) = p, y the |x_i| / max|x_i| in decreasing
+    order.  With M_j coordinates at or above knot b_j, F sums a S sig^e + c N
+    over the pieces, S the sum of y^e over the piece's coordinates and N
+    their count.  Per p, binary lifting (`_leading`) finds M_j = #{k :
+    F(b_j / y_k) <= p} from the top knot down: a higher knot's count brackets
+    the search, the knot's own count at b_j / y_k is k + 1, and a lower
+    knot's is a search of its own (one knot's F(b / y_k) is p-independent and
+    taken at every k once).  On that segment each piece alone reaches p above
+    the root, and Newton from the least of those points, each term a ratio to
+    its own root, falls to it, a row stopping once its relative step is at
+    most _NEWTON_TOL."""
     m, n = X.shape
-    # increasing and contiguous, asc[:, n - k] = y_k: a gather is one take.
-    # In place, P[:, k] = sum_{i < k} y_i^{s*}, L[:, k] = sum_{i < k} y_i and
-    # Q[:, n - k] = sum_{i >= k} y_i^2
-    asc, P, L = yp[:, ::-1], np.zeros((m, n + 1)), np.zeros((m, n + 1))
-    np.cumsum(np.power(asc[:, :0:-1], s_conj, out=P[:, 1:]), axis=1, out=P[:, 1:])
-    np.cumsum(asc[:, :0:-1], axis=1, out=L[:, 1:])
-    Q = np.square(asc)
-    np.cumsum(Q, axis=1, out=Q)
-    asc, P, L, Q = (v.ravel() for v in (asc, P, L, Q))
-    at, root_c = np.arange(m) * (n + 1), c ** (-1.0 / s_conj)
+    knots, pieces, K = table.knots, table.pieces, len(table.knots)
+    exps = [e for _, e, _ in pieces]
+    # y increasing after a zero, asc[:, n - k] = y_k (y_n = 0: the knots past
+    # the last coordinate are +inf), so a gather is one take.  In place,
+    # sums[0][:, n - k] = sum_{i >= k} y_i^e of the first piece and
+    # sums[j][:, k] = sum_{i < k} y_i^e of piece j > 0
+    asc = np.zeros((m, n + 1))
+    top = _row_max(np.abs(X, out=asc[:, 1:]))
+    asc[:, 1:] /= top[:, None]
+    asc.sort(axis=1)
+    first = _pow(asc, exps[0])
+    sums = [np.cumsum(first, axis=1, out=None if first is asc else first)]
+    for e in exps[1:]:
+        sums.append(np.zeros((m, n + 1)))
+        part, desc = sums[-1][:, 1:], asc[:, :0:-1]
+        np.cumsum(desc if e == 1.0 else np.power(desc, e, out=part), axis=1, out=part)
+    asc, sums = asc.ravel(), [v.ravel() for v in sums]
+    at = np.arange(m) * (n + 1)
     rev = at + n
+    # a piece's term at sig = b_j / y_k is scale[j][i] S / y_k^e
+    scale = [[a * _pow(b, e) for a, e, _ in pieces] for b in knots]
 
-    def segment(kp, kl):  # P, B, C and D of F on a segment
-        return P.take(at + kp), L.take(at + kl) - L.take(at + kp), kl - kp, Q.take(rev - kl)
+    def segment(M):  # S and c N per piece from the counts M[j] at knot j, M[K + 1] = 0
+        S = [sums[0].take(rev - M[1])] + [sums[j].take(at + M[j]) for j in range(1, K + 1)]
+        S[1:K] = [S[j] - sums[j].take(at + M[j + 1]) for j in range(1, K)]
+        return S, [c * (M[j] - M[j + 1]) for j, (_, _, c) in enumerate(pieces) if c]
 
-    def F(v, k, kp, kl):  # F at the knot v / y_k
-        (Pk, B, C, D), yk = segment(kp, kl), asc.take(rev - k)
-        sig = v / yk
-        return c * v ** s_conj * Pk / yk ** s_conj + sig * B - C + 0.25 * (D * sig) * sig
+    def knot_value(j, k, yk, M):  # F(b_j / y_k), given M[l] for l > j
+        M = M[:j] + [k + 1 if j == K else np.maximum(k + 1, M[j + 1])] + M[j + 1:]
+        for low in range(j - 1, 0, -1):  # at least M[low + 1], as thr < y_k
+            thr = knots[low - 1] / knots[j - 1] * yk
+            M[low] = _leading(lambda t: asc.take(rev - t) >= thr, m, n)
+        S, CN = segment(M)
+        return sum(w * s / _pow(yk, e) for w, s, e in zip(scale[j - 1], S, exps)) + sum(CN)
 
-    def above(thr):  # per row, #{i : y_i >= thr}
-        return _leading(lambda k: asc.take(rev - k) >= thr, m, n)
+    def update(sig, K1, *roots):
+        # f(sig) = F(sig) / p - 1 and sig f'(sig), each term a ratio to its own root
+        ts = [_pow(sig / r, e) for r, e in zip(roots, exps)]
+        slopes = [t if e == 1.0 else e * t for e, t in zip(exps, ts)]
+        step = (sum(ts[1:], ts[0]) - K1) / sum(slopes[1:], slopes[0])
+        return sig - sig * step, np.abs(step) <= _NEWTON_TOL
 
     out = np.empty((len(ps), m))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j, p in enumerate(ps):
-            def at_s(k):
-                return F(s, k, k + 1, np.maximum(above(2.0 / s * asc.take(rev - k)), k + 1)) <= p
+        if K == 1:  # F(b / y_k) at column n - 1 - k, y increasing
+            yk = asc.reshape(m, n + 1)[:, 1:]
+            S = sums[0].reshape(m, n + 1)[:, :n], sums[1].reshape(m, n + 1)[:, n:0:-1]
+            one_knot = sum(w * s / _pow(yk, e) for w, s, e in zip(scale[0], S, exps)).ravel()
+            one_rev = np.arange(m) * n + (n - 1)
+        for i, p in enumerate(ps):
+            M, lo, hi = [None] * (K + 1) + [0], 0.0, np.inf
+            for j in range(K, 0, -1):
+                def at_knot(k, j=j):  # F(b_j / y_k) <= p, inside the bracket
+                    if K == 1:
+                        return one_knot.take(one_rev - k) <= p
+                    yk = asc.take(rev - k)
+                    if j == K:
+                        return knot_value(j, k, yk, M) <= p
+                    sig = knots[j - 1] / yk
+                    return (sig < lo) | ((sig < hi) & (knot_value(j, k, yk, M) <= p))
 
-            ks = _leading(at_s, m, n)
-            lo = np.where(ks > 0, s / asc.take(np.minimum(rev - ks + 1, rev)), 0.0)
-            hi = s / asc.take(rev - ks)
-
-            def at_2(k):
-                sig = 2.0 / asc.take(rev - k)
-                return (sig < lo) | ((sig < hi) & (F(2.0, k, ks, np.maximum(k + 1, ks)) <= p))
-
-            P_, B, C, D = segment(ks, _leading(at_2, m, n))
-            # each term alone reaches p at sP, sQ or (p + C) / B, +inf or nan without it
-            sP, sQ, C = root_c * (p / P_) ** (1.0 / s_conj), 2.0 * np.sqrt(p / D), C.astype(float)
-
-            def update(sig, sP, sQ, B, C):
-                # f(sig) = F(sig) / p - 1 and sig f'(sig), each term as a ratio to its own root
-                tP, tQ, lin = (sig / sP) ** s_conj, (sig / sQ) ** 2, B * sig / p
-                step = (tP + tQ + lin - C / p - 1.0) / (s_conj * tP + 2.0 * tQ + lin)
-                return sig - sig * step, np.abs(step) <= _NEWTON_TOL
-
-            sig = np.fmin(np.fmin(sP, sQ), (p + C) / B)
-            out[j] = p * (top / _newton(update, sig, (sP, sQ, B, C), "three-piece"))
+                M[j] = _leading(at_knot, m, n)
+                if j > 1:
+                    prev = asc.take(np.minimum(rev - M[j] + 1, rev))
+                    lo = np.maximum(lo, np.where(M[j] > 0, knots[j - 1] / prev, 0.0))
+                    hi = np.minimum(hi, knots[j - 1] / asc.take(rev - M[j]))
+            S, CN = segment(M)
+            # each piece alone reaches p at ((p - c N) / (a S))^(1/e), +inf without
+            # coordinates: Newton starts at the least of those
+            roots, sig, rest = [], np.inf, iter(CN)
+            for (a, e, c), s in zip(pieces, S):
+                roots.append(_pow(p, 1.0 / e) / _pow(a * s, 1.0 / e))
+                sig = np.fmin(sig, _pow(p - next(rest), 1.0 / e) / _pow(a * s, 1.0 / e)
+                              if c else roots[-1])
+            K1 = np.zeros(m) + (1.0 - sum(CN) / p)
+            # the iterates fall to the root, so the gauge rises to it: 4 ulps
+            # more leave almost no row for _feasible_gauge to raise
+            out[i] = _LIFT * p * (top / _newton(update, sig, (K1, *roots), "piece-table"))
     return out
 
 

@@ -145,6 +145,28 @@ def test_grid_estimators_equal_the_per_p_oracles(name):
     assert np.float64(empirical_moment(v, 2.0)).tobytes() == want[2].tobytes()
 
 
+def _cut_columns():
+    # around the TOP_K largest |v|: fewer, exactly as many, one more, and a
+    # tie at the cut (the 10th and 11th largest equal), with the sign mixed
+    rng = np.random.default_rng(9)
+    v = rng.standard_normal(40)
+    tied = np.abs(v)
+    tied[np.argsort(tied)[-14:-6]] = 0.75 * tied.max()
+    return {"below": v[: em.TOP_K - 3], "at": v[: em.TOP_K], "above": v[: em.TOP_K + 1],
+            "tied": np.where(v < 0.0, -tied, tied)}
+
+
+@pytest.mark.parametrize("name", list(_cut_columns()))
+def test_top_mass_fraction_at_the_top_k_cut_equals_the_oracle(name):
+    v = _cut_columns()[name]
+    with np.errstate(invalid="ignore"):
+        want = np.array([_top_mass_oracle(v, p) for p in GRID])
+    assert top_mass_fraction(v, GRID).tobytes() == want.tobytes()
+    if name == "tied":
+        mags = np.sort(np.abs(v))
+        assert mags[-em.TOP_K] == mags[-em.TOP_K - 1]
+
+
 def test_verify_nu_logp_equals_the_per_p_oracles():
     p_grid = np.array([2.0, 4.0, 16.0])
     rep = verify_nu_logp(p_grid, 5000, 3)

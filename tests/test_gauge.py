@@ -142,7 +142,13 @@ def test_tol_below_float_resolution_still_converges():
 
 TWO_PIECE = ([SeparableTwoLevel(dim=1, r=r) for r in (1.2, 1.5, 2.0, 3.0, 7.0)]
              + [SeparableFromPhi(dim=1, phi=PhiSpec(s=s)) for s in (1.1, 1.5, 1.9, 2.0)])
-TWO_PIECE_P = (0.5, 1.0, 4.0, 33.0, 1e4)
+TABLE_P = (0.5, 1.0, 4.0, 33.0, 1e4)
+TABLE_DIMS = (1, 3, 8, 64, 512)
+# a nearly empty linear piece, s* -> 1 and y^e underflow, on 300 x 8 rows
+EXTREME_TWO_PIECE = ([SeparableTwoLevel(dim=1, r=r) for r in (1.0 + 1e-7, 1e3, 1e300)]
+                     + [SeparableFromPhi(dim=1, phi=PhiSpec(s=1.0 + 1e-10))])
+EXTREME_THREE_PIECE = (2.0 + 1e-7, 1e3, 1e300)
+EXTREME_P = (0.5, 4.0, 1e4)
 
 
 def _with_dim(spec, dim):
@@ -150,32 +156,29 @@ def _with_dim(spec, dim):
             else SeparableFromPhi(dim=dim, phi=spec.phi))
 
 
+def _inverse(table, w):
+    # the v >= 0 with h(v) = w, piece by piece
+    for a, e, c, _, hi in table._spans:
+        if hi == math.inf or w <= a * hi ** e + c:
+            return ((w - c) / a) ** (1.0 / e)
+
+
 def _on_the_knot(spec, p):
-    # x_1 = b/p and h(p x_2) = p - h(b): at the gauge a = 1 coordinate 1 sits
-    # exactly on the knot b, where the two pieces meet
-    if isinstance(spec, SeparableTwoLevel):
-        b, h_b, root = 1.0, 1.0, lambda v: v ** (1.0 / spec.r)
-    else:
-        c1, _, b, c2, e2 = _pieces(spec)
-        h_b, root = c1 * b * b, lambda v: (v / c2) ** (1.0 / e2)
-    return None if p <= 2.0 * h_b else np.array([b / p, root(p - h_b) / p])
+    # per knot b with p > 2 h(b): x_1 = b/p and h(p x_2) = p - h(b), so at
+    # the gauge a = 1 coordinate 1 sits exactly on the knot, where two pieces meet
+    table = spec._table
+    rows = []
+    for b in table.knots:
+        h_b = float(table.value(b))
+        if p > 2.0 * h_b:
+            rows.append(np.array([b / p, _inverse(table, p - h_b) / p]))
+    return rows
 
 
-def _pieces(spec):
-    seen = []
-    real = psi_mod._two_piece_gauge
-    try:
-        psi_mod._two_piece_gauge = lambda ps, X, pieces: seen.append(pieces) or real(ps, X, pieces)
-        spec._closed_gauge([1.0], np.ones((1, spec.dim)))
-    finally:
-        psi_mod._two_piece_gauge = real
-    return seen[0]
-
-
-def _two_piece_rows(dim, seed):
+def _table_rows(dim, seed, m=None):
     rng = np.random.default_rng(seed)
-    m = 60 if dim > 8 else 300
-    X = rng.standard_normal((m, dim)) * np.exp(rng.uniform(-6.0, 6.0, (m, 1)))
+    m = m or (60 if dim > 8 else 300)
+    X = rng.standard_normal((m, dim)) * np.exp(rng.uniform(-20.0, 20.0, (m, 1)))
     X[0] = 0.0                         # a zero row
     X[1] = 0.0
     X[1, -1] = -2.5                    # one nonzero coordinate
@@ -185,106 +188,88 @@ def _two_piece_rows(dim, seed):
     return X
 
 
-@pytest.mark.parametrize("spec", TWO_PIECE, ids=repr)
-def test_two_piece_gauge_matches_bisection_oracle(spec, monkeypatch):
+def _check_table_gauge(spec, dims, ps, monkeypatch, m=None):
+    """Within 2e-12 of the bisection oracle, feasible, and never on the
+    bracketed solve; exact where a coordinate sits on a knot at the gauge."""
     def no_bracket(*args, **kwargs):
-        raise AssertionError("a two-piece family reached the bracketed solve")
+        raise AssertionError("a piece-table family reached the bracketed solve")
 
     monkeypatch.setattr(psi_mod, "_bracket_solve", no_bracket)
-    for dim in (1, 8, 512):
+    for dim in dims:
         sp = _with_dim(spec, dim)
-        for seed, p in enumerate(TWO_PIECE_P):
-            X = _two_piece_rows(dim, seed)
+        for seed, p in enumerate(ps):
+            X = _table_rows(dim, seed, m)
             got = psi_p_norm_rows(sp, p, X)
             want = bisect_gauge(sp, p, X)
             np.testing.assert_array_equal(got == 0.0, want == 0.0)
             nz = want > 0.0
             np.testing.assert_allclose(got[nz], want[nz], rtol=2e-12, atol=0.0)
             assert np.all(eval_psi_rows(sp, p * X[nz] / got[nz, None]) <= p)
-    for p in TWO_PIECE_P:
-        x = _on_the_knot(spec, p)
-        if x is not None:
-            sp = _with_dim(spec, 2)
+    knots = 0
+    sp = _with_dim(spec, 2)
+    for p in ps:
+        for x in _on_the_knot(sp, p):
+            knots += 1
             assert psi_p_norm(sp, p, x) == pytest.approx(1.0, rel=2e-12)
             assert psi_p_norm(sp, p, x) == pytest.approx(bisect_gauge(sp, p, x)[0], rel=2e-12)
+    return knots
 
 
-def test_from_phi_two_pieces_are_its_component():
-    # 1 < s <= 2: v^2/4 up to the knot v0, c v^{s*} above it, and v0 = 2 at s = 2
-    v = np.geomspace(1e-6, 1e6, 200001)
-    band = 0
-    for s in (1.01, 1.1, 1.5, 1.9, 1.99, 2.0):
-        c1, e1, b, c2, e2 = _pieces(SeparableFromPhi(dim=1, phi=PhiSpec(s=s)))
-        got = psi_mod.two_level_component_conjugate(v, s)
-        with np.errstate(over="ignore"):
-            two = np.where(v <= b, c1 * v ** e1, c2 * v ** e2)
-        finite = np.isfinite(two)
-        np.testing.assert_array_equal(two[finite], got[finite])
-        # where v^{s*} overflows, c v^{s*} may not: the component is inf only
-        # where log c + s* log v exceeds log(DBL_MAX)
-        log_h = math.log(c2) + e2 * np.log(v[~finite])
-        over = log_h > math.log(np.finfo(float).max)
-        assert np.all(np.isinf(got[~finite][over]))
-        np.testing.assert_allclose(np.log(got[~finite][~over]), log_h[~over], rtol=1e-13)
-        band += np.count_nonzero(~over)
-        if s == 2.0:
-            assert b == 2.0
-    assert band > 0  # s = 1.01 near v = 1e6
-
-
-def _three_piece_h(s):
-    # the component v^2/4 on [0, 2], v - 1 on [2, s], c v^{s*} above, and its inverse
-    s_conj = s / (s - 1.0)
-    c = (s - 1.0) * s ** (-s_conj)
-
-    def h(v):
-        return v * v / 4.0 if v <= 2.0 else (v - 1.0 if v <= s else c * v ** s_conj)
-
-    def inverse(w):
-        return 2.0 * math.sqrt(w) if w <= 1.0 else (w + 1.0 if w <= s - 1.0 else (w / c) ** (1.0 / s_conj))
-
-    return h, inverse
-
-
-def _three_piece_rows(dim, seed):
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((200, dim)) * np.exp(rng.uniform(-20.0, 20.0, (200, 1)))
-    X[0] = 0.0                         # a zero row
-    X[1, ::2] = 0.0                    # zeros among nonzeros
-    X[2] = -0.75                       # every |x_i| tied
-    X[3, : (dim + 1) // 2] = X[3, 0]   # ties at the top
-    return X
+@pytest.mark.parametrize("spec", TWO_PIECE, ids=repr)
+def test_two_piece_gauge_matches_bisection_oracle(spec, monkeypatch):
+    assert len(spec._table.pieces) == 2
+    _check_table_gauge(spec, TABLE_DIMS, TABLE_P, monkeypatch)
 
 
 @pytest.mark.parametrize("s", (2.5, 3.0, 7.0))
 def test_three_piece_gauge_matches_bisection_oracle(s, monkeypatch):
-    def no_bracket(*args, **kwargs):
-        raise AssertionError("a three-piece family reached the bracketed solve")
+    spec = SeparableFromPhi(dim=1, phi=PhiSpec(s=s))
+    assert len(spec._table.pieces) == 3
+    assert _check_table_gauge(spec, TABLE_DIMS, TABLE_P, monkeypatch) >= 3
 
-    monkeypatch.setattr(psi_mod, "_bracket_solve", no_bracket)
-    for dim in (1, 3, 8, 64):
-        spec = SeparableFromPhi(dim=dim, phi=PhiSpec(s=s))
-        for seed, p in enumerate((0.5, 2.0, 4.0, 16.0, 64.0)):
-            X = _three_piece_rows(dim, seed)
-            got = psi_p_norm_rows(spec, p, X)
-            want = bisect_gauge(spec, p, X)
-            np.testing.assert_array_equal(got == 0.0, want == 0.0)
-            nz = want > 0.0
-            np.testing.assert_allclose(got[nz], want[nz], rtol=1e-9, atol=0.0)
-            assert np.all(eval_psi_rows(spec, p * X[nz] / got[nz, None]) <= p)
-    # at the gauge a = 1 the first coordinate sits exactly on the knot v:
-    # x_1 = v/p and h(p x_2) = p - h(v)
-    h, inverse = _three_piece_h(s)
-    spec = SeparableFromPhi(dim=2, phi=PhiSpec(s=s))
-    knots = 0
-    for p in (4.0, 16.0, 64.0):
-        for v in (2.0, s):
-            if p > 2.0 * h(v):
-                knots += 1
-                x = np.array([v / p, inverse(p - h(v)) / p])
-                assert psi_p_norm(spec, p, x) == pytest.approx(1.0, rel=1e-12)
-                assert psi_p_norm(spec, p, x) == pytest.approx(bisect_gauge(spec, p, x)[0], rel=1e-9)
-    assert knots >= 3
+
+@pytest.mark.parametrize("spec", EXTREME_TWO_PIECE
+                         + [SeparableFromPhi(dim=1, phi=PhiSpec(s=s)) for s in EXTREME_THREE_PIECE],
+                         ids=repr)
+def test_gauge_at_extreme_exponents_matches_bisection_oracle(spec, monkeypatch):
+    _check_table_gauge(spec, (8,), EXTREME_P, monkeypatch, m=300)
+
+
+def test_from_phi_table_is_its_component():
+    # The gauge reads FromPhi's own table: v^2/4 up to the knot v0 and
+    # c v^{s*} above for 1 < s <= 2 (v0 = 2 at s = 2), and v^2/4, v - 1 and
+    # c v^{s*} with knots 2 and s for s > 2.  The component is the transform
+    # of the two-level table, a largest of sups: the two round apart only
+    # within a relative 3e-8 of a knot, by at most 16 ulps (13 at v0 for
+    # s = 1.01, one above s for s > 2)
+    v = np.geomspace(1e-6, 1e6, 200001)
+    band = moved = 0
+    for s in (1.01, 1.1, 1.5, 1.9, 1.99, 2.0, 2.0 + 1e-7, 2.5, 3.0, 7.0):
+        spec = SeparableFromPhi(dim=1, phi=PhiSpec(s=s))
+        table = spec._table
+        if s == 2.0:
+            assert table.knots == (2.0,)
+        near = np.concatenate([b * (1.0 + np.linspace(-1e-7, 1e-7, 20001)) for b in table.knots])
+        u = np.concatenate([v, near])
+        got = spec._component(u)
+        with np.errstate(over="ignore"):
+            two = table.value(u)
+        finite = np.isfinite(two)
+        diff = finite & (two != got)
+        knot_dist = np.min([np.abs(u / b - 1.0) for b in table.knots], axis=0)
+        assert np.all(knot_dist[diff] <= 3e-8)
+        assert np.all(np.abs(two[diff] - got[diff]) <= 16 * np.spacing(got[diff]))
+        moved += np.count_nonzero(diff)
+        # where v^{s*} overflows, c v^{s*} may not: the component is inf only
+        # where log c + s* log v exceeds log(DBL_MAX)
+        a, e, c = table.pieces[-1]
+        log_h = math.log(a) + e * np.log(u[~finite])
+        over = log_h > math.log(np.finfo(float).max)
+        assert np.all(np.isinf(got[~finite][over]))
+        np.testing.assert_allclose(np.log(got[~finite][~over]), log_h[~over], rtol=1e-13)
+        band += np.count_nonzero(~over)
+    assert band > 0   # s = 1.01 near v = 1e6
+    assert moved > 0  # the band is not vacuous
 
 
 GRID = np.array([0.5, 2.0, 4.0, 33.0])
