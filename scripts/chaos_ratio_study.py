@@ -45,17 +45,8 @@ def main():
 
     # the N rows of one stream are drawn once, a chunk at a time, and each
     # chunk's forms for every matrix go straight into that matrix's column
-    cols = [np.empty(args.N) for _ in mats]
-    filled = 0
-
-    def store(forms):
-        nonlocal filled
-        for col, form in zip(cols, forms):
-            col[filled:filled + len(form)] = form
-        filled += len(forms[0])
-
-    oc.map_streams(args.N, [(family, args.seed + 1)],
-                   lambda X: [quadratic_forms(X, A) for A in mats.values()], sink=store)
+    cols = oc.map_streams(args.N, [(family, args.seed + 1)],
+                          lambda X: tuple(quadratic_forms(X, A) for A in mats.values()))
 
     print(f"n={args.n} N={args.N} r={args.r}")
     print(f"{'matrix':>10s} " + " ".join(f"p={p:<5g}" for p in p_grid))

@@ -3,36 +3,24 @@ sample, verify.
 
 Exit codes: 0 success, 1 verification band failure, 2 input error,
 3 numerical error, which includes any RuntimeWarning such as an overflow
-(expected ones are silenced where they arise). Errors are emitted as JSON
-objects on stderr. Every run echoes its fully resolved configuration into
+(expected ones are silenced where they arise). An error is one JSON
+object on stderr. Every run echoes its fully resolved configuration into
 the output header ('# config:' line for text/CSV, a "config" field for
 JSON), and output for a fixed configuration is byte-identical across runs.
 The parser, --help and every usage error (exit 2) run on the standard
 library alone: numpy, psi and tables load once argparse has accepted a
-command, and each subcommand imports the other layers it uses when it runs.
+command, and each subcommand imports the layer modules it calls as it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import math
 import sys
 import warnings
 
 from .errors import InputError, NumericalError
-
-_LAYERS = {"bd": "bounds", "cj": "conjugacy", "em": "empirics", "ms": "measures",
-           "ps": "psi", "tb": "tables", "tn": "tensors"}
-
-
-def __getattr__(name):
-    # cli.bd and the rest are the layer modules themselves, imported on first use
-    if name in _LAYERS:
-        return importlib.import_module("." + _LAYERS[name], __package__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def _load_core():
     """Bind numpy, psi and tables, which every subcommand uses, as this
@@ -259,9 +247,13 @@ def _cmd_norm(ns, _extra) -> int:
         X = _parse_vector(ns.x)[None, :]
     else:
         try:
-            X = np.loadtxt(ns.x_file, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: refused below
+                X = np.loadtxt(ns.x_file, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InputError(f"malformed --x-file {ns.x_file!r}: {exc}") from exc
+        if X.size == 0:
+            raise InputError(f"--x-file {ns.x_file!r} has no rows")
     config = {"command": "norm", "psi": ps.psi_to_dict(spec), "p": ns.p}
     vals = ps.psi_p_norm_rows(spec, ns.p, X)
     payload = float(vals[0]) if vals.size == 1 and ns.x is not None else {"norm": vals}

@@ -368,22 +368,6 @@ def _validate_p_grid(p_grid, lo: float) -> np.ndarray:
     return p_grid
 
 
-def _map_columns(N: int, streams, job) -> list:
-    """map_streams of a job that returns a tuple of per-row values: each
-    entry fills its own contiguous N-row column, chunk by chunk."""
-    cols, filled = [], 0
-
-    def store(parts):
-        nonlocal filled
-        cols.extend(np.empty(N) for _ in parts[len(cols):])
-        for col, part in zip(cols, parts):
-            col[filled:filled + len(part)] = part
-        filled += len(parts[0])
-
-    map_streams(N, streams, job, sink=store)
-    return cols
-
-
 def _moment_report(p_grid, f_values, rhs, bound_of, meta) -> MomentReport:
     """Per p: ||f - mean f||_p and its batch SE against the p's rhs moment,
     the bound bound_of(rhs moment, p) and, above HIGH_P_FLAG, a flag.
@@ -421,7 +405,7 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
             return (f.f(X),)
         return (f.f(X), *psi_p_norm_rows(spec, p_grid, f.grad(X)).T)
 
-    f_values, *cols = _map_columns(N, [(family, seed)], job)
+    f_values, *cols = map_streams(N, [(family, seed)], job)
     meta = {"scenario": "centered", "function": f.name, "psi": _psi_meta(spec),
             "env": env_to_dict(env), "sampler": family.meta(),
             "seed": seed, "N": N, "C": C, "l_constant": l_constant(env)}
@@ -466,8 +450,8 @@ def comparison_check(samplerX, phi: PhiSpec, f: TestFunction, p_grid,
     famZ = ProductPhiTail(phi, famX.n)
     seed_z = (seed + _SEED_OFFSET) % 2 ** 64
 
-    f_values, dots = _map_columns(N, [(famX, seed), (famZ, seed_z)],
-                                  lambda X, Z: (f.f(X), f.dot(X, Z)))
+    f_values, dots = map_streams(N, [(famX, seed), (famZ, seed_z)],
+                                 lambda X, Z: (f.f(X), f.dot(X, Z)))
     rhs = _moments_of_logs(_log_abs(dots, out=dots), p_grid)
     del dots
     meta = {"scenario": "comparison", "function": f.name, "phi": famZ.meta()["phi"],

@@ -146,11 +146,12 @@ def sample_chunk(family: Family, seed: int, j: int, rows: int) -> np.ndarray:
 def map_streams(count: int, streams, fn: Callable, sink: Optional[Callable] = None):
     """fn(*chunks) over the chunks of the first `count` rows of each
     (family, seed) stream in `streams`: chunk j of every stream goes in
-    together, and each result lands at chunk j's rows of one array, which is
-    returned; with `sink`, each result goes to sink(result) instead, in chunk
-    order on the calling thread, and nothing is kept. Every chunk is keyed
-    by (seed, j), so the ORLICZ_CONC_THREADS worker threads (default 1)
-    change the schedule only, never the result."""
+    together, and each result goes to sink(result), in chunk order on the
+    calling thread.  Without a sink the results are returned: each lands at
+    chunk j's rows of one array, or each entry of a tuple result at those
+    rows of its own contiguous array.  Every chunk is keyed by (seed, j), so
+    the ORLICZ_CONC_THREADS worker threads (default 1) change the schedule
+    only, never the result."""
     specs = [SamplerSpec(family, seed, count) for family, seed in streams]
     if not specs:
         raise InputError("map_streams needs at least one (family, seed) stream")
@@ -180,16 +181,22 @@ def map_streams(count: int, streams, fn: Callable, sink: Optional[Callable] = No
                     ahead.append(pool.submit(job, j))
                 yield part
 
+    cols, filled, tupled = [], 0, False
+
+    def collect(part):
+        nonlocal filled, tupled
+        tupled = isinstance(part, tuple)
+        for i, e in enumerate(part if tupled else (part,)):
+            if i == len(cols):  # the first chunk's entries size the arrays
+                cols.append(np.empty((count, *e.shape[1:]), dtype=e.dtype))
+            cols[i][filled:filled + len(e)] = e
+        filled += len(e)
+
     with closing(parts()) as results:
-        for j in range(n_chunks):
-            if sink is not None:
-                sink(next(results))  # no chunk's result is held while the next is drawn
-                continue
-            part = next(results)
-            if j == 0:
-                out = np.empty((count, *part.shape[1:]), dtype=part.dtype)
-            out[j * CHUNK:j * CHUNK + len(part)] = part
-    return out if sink is None else None
+        for _ in range(n_chunks):
+            (sink or collect)(next(results))  # no result is held while the next is drawn
+    if sink is None:
+        return tuple(cols) if tupled else cols[0]
 
 
 def sample(spec: SamplerSpec) -> np.ndarray:

@@ -15,13 +15,13 @@ which is non-decreasing in p and is the gradient norm appearing in the
 moment bounds of `bounds`.  SeparableTwoLevel, SeparableFromPhi with a power
 Phi and BobkovLedouxCap describe their component h by a PieceTable, h(v) =
 a v^e + c piece by piece, and take its value, omega, conjugate and gauge
-from it: under a cap (BobkovLedouxCap, SeparableFromPhi s=1) the gauge is a
-closed form, as PowerNorm's is, and without one it is one sort per row, a
-search for the root's segment and a Newton solve on it.  For the other
-families the predicate Psi(px/a) <= p, monotone in a, is bracketed
-geometrically and the bracket narrowed by Chandrupatla's method.  Every
-gauge takes a whole p grid at once, so the work that does not depend on p
-is done once per block of rows.
+from it: under a cap (BobkovLedouxCap, SeparableFromPhi s=1) the gauge and
+the support are closed forms, as PowerNorm's are, and without one the gauge
+is one sort per row, a search for the root's segment and a Newton solve on
+it.  For the other families the predicate Psi(px/a) <= p, monotone in a, is
+bracketed geometrically and the bracket narrowed by Chandrupatla's method.
+Every gauge takes a whole p grid at once, so the work that does not depend
+on p is done once per block of rows.
 The golden-section maximiser and the numeric Legendre transform at the end
 serve conjugacy's profiles and a custom Phi's component alike.
 """
@@ -205,7 +205,13 @@ class PhiSpec:
     def tilde_star(self, v):
         if self.fn is None:
             return _two_level(self.s).conjugate(v)
-        return legendre_1d(self.tilde, np.abs(np.asarray(v, dtype=float)))
+        # a convex Phi with Phi(0) = 0 and Phi(1) = 1 has Phi(u) >= u from 1
+        # on, so the sup of u v - tilde(u) is v^2/4, at u = v/2, for v <= 1
+        v = np.abs(np.asarray(v, dtype=float))
+        out = np.array(0.25 * v * v)
+        big = v > 1.0
+        out[big] = legendre_1d(self.tilde, v[big])
+        return _shaped(out, v)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +227,7 @@ class PsiSpec:
     the component conjugate h*(c) for a separable family, and Psi*(c e) for
     e a unit vector of the dual norm otherwise.  A separable family whose
     component is a PieceTable returns it from `_table`, and its component,
-    omega, conjugate and gauge come from the table.
+    omega, conjugate, gauge and, under a cap, support come from the table.
     """
 
     dim: int
@@ -276,8 +282,27 @@ class PsiSpec:
         return None if closed is None else float(closed[0][0])
 
     def _closed_support_argmax(self, p: float, Theta: np.ndarray) -> Optional[tuple]:
-        """(values, maximizers Y) of that supremum, row by row, for non-zero rows."""
-        return None
+        """(values, maximizers Y) of that supremum, row by row, for non-zero
+        rows: in closed form for a capped table, one piece a v^2 up to b."""
+        table = self._table
+        if table is None or not table.cap:
+            return None
+        ((a, _, _),), (b,) = table.pieces, table.knots
+        # Psi(theta/lam) = a|theta|^2/lam^2 on lam >= max|theta|/b, so the dual
+        # min_lam lam (p + Psi(theta/lam)) sits at lam*; off the cap the
+        # maximizer is y = grad Psi(theta/lam*) = 2a theta/lam*
+        mags = np.abs(Theta)
+        top = _row_max(mags)
+        lam_star = np.maximum(np.sqrt(_row_dots(Theta, Theta)) / math.sqrt(p / a), top / b)
+        Y = 2.0 * a * Theta / lam_star[:, None]
+        # where the cap binds, the subdifferential of h at b is the ray
+        # [2ab, inf): the tied top coordinates share what the others leave of
+        # the budget p on h*'s linear piece (complementary slackness)
+        ties = mags == top[:, None]
+        rest = np.array([np.sum(np.square(y[~t])) for y, t in zip(Y, ties)]) / (4.0 * a)
+        c = ((p - rest) / np.count_nonzero(ties, axis=1) + a * b * b) / b
+        Y = np.where(ties & (c > 2.0 * a * b)[:, None], np.copysign(c[:, None], Theta), Y)
+        return _row_dots(Theta, Y), Y
 
     def _require_convex(self):
         if not self.convex:
@@ -416,13 +441,6 @@ class SeparableFromPhi(PsiSpec):
     def _component(self, u):
         return self.phi.tilde_star(u)
 
-    def _cap(self) -> Optional["BobkovLedouxCap"]:
-        # Phi(t) = t makes the component v^2/4 on |v| <= 1 and +inf beyond, so
-        # Psi(x) is BobkovLedouxCap(threshold=1/2) at x/2: its support halves
-        if self.phi.fn is None and self.phi.s == 1.0:
-            return BobkovLedouxCap(dim=self.dim, threshold=0.5)
-        return None
-
     @cached_property
     def _table(self):
         # tilde-Phi* for a power Phi: v^2/4, v - 1 from 2 and c v^{s*} from s for
@@ -448,12 +466,6 @@ class SeparableFromPhi(PsiSpec):
         if self.phi.fn is None and self.phi.s >= 2.0:
             return _two_level(self.phi.s).value(np.abs(c))
         return super()._closed_conjugate(c) if self.phi.s == 1.0 else None
-
-    def _closed_support_argmax(self, p, Theta):
-        cap = self._cap()
-        if cap is not None:
-            values, Y = cap._closed_support_argmax(p, Theta)
-            return 0.5 * values, 0.5 * Y
 
     def _params(self):
         if self.phi.fn is not None:
@@ -483,23 +495,6 @@ class BobkovLedouxCap(PsiSpec):
     @cached_property
     def _table(self):
         return PieceTable((self.threshold,), ((1.0, 2.0, 0.0),), cap=True)
-
-    def _closed_support_argmax(self, p, Theta):
-        # Psi(theta/lam) = |theta|^2/lam^2 on lam >= max|theta|/thr, so the dual
-        # min_lam lam (p + Psi(theta/lam)) sits at lam*; off the cap the
-        # maximizer is y = grad Psi(theta/lam*) = 2 theta/lam*
-        thr, mags = self.threshold, np.abs(Theta)
-        top = _row_max(mags)
-        lam_star = np.maximum(np.sqrt(_row_dots(Theta, Theta)) / math.sqrt(p), top / thr)
-        Y = 2.0 * Theta / lam_star[:, None]
-        # where the cap binds, the subdifferential of h at thr is the ray
-        # [2 thr, inf): the tied top coordinates share what the others leave of
-        # the budget p on h*'s linear piece (complementary slackness)
-        ties = mags == top[:, None]
-        rest = 0.25 * np.array([np.sum(np.square(y[~t])) for y, t in zip(Y, ties)])
-        c = ((p - rest) / np.count_nonzero(ties, axis=1) + thr * thr) / thr
-        Y = np.where(ties & (c > 2.0 * thr)[:, None], np.copysign(c[:, None], Theta), Y)
-        return _row_dots(Theta, Y), Y
 
     def _params(self):
         return {"threshold": self.threshold}

@@ -65,6 +65,24 @@ def cap_gauge(ps, X, thr):
     return np.array([np.maximum(p * top / thr, math.sqrt(p) * l2) for p in ps])
 
 
+def cap_support_argmax(p, Theta, thr):
+    """(values, Y) of sup{<theta, y> : Psi*(y) <= p} per non-zero row, as
+    BobkovLedouxCap wrote it before its table took the closed form over."""
+    mags = np.abs(Theta)
+    top = np.max(mags, axis=1)
+    lam_star = np.maximum(np.sqrt(_row_dots(Theta, Theta)) / math.sqrt(p), top / thr)
+    Y = 2.0 * Theta / lam_star[:, None]
+    ties = mags == top[:, None]
+    rest = 0.25 * np.array([np.sum(np.square(y[~t])) for y, t in zip(Y, ties)])
+    c = ((p - rest) / np.count_nonzero(ties, axis=1) + thr * thr) / thr
+    Y = np.where(ties & (c > 2.0 * thr)[:, None], np.copysign(c[:, None], Theta), Y)
+    return _row_dots(Theta, Y), Y
+
+
+def _row_dots(A, B):
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
 def from_phi_omega(t, s):
     if s == 1.0:
         return cap_omega(t)

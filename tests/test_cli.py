@@ -10,9 +10,9 @@ import pytest
 
 import orlicz_conc as oc
 import orlicz_conc.cli as cli
-from orlicz_conc import (GrowthEnvelope, SeparableTwoLevel, bcg_tail, chebyshev_level,
-                         enlargement_bound, hanson_wright_tail, lipschitz_profile,
-                         two_level_tail)
+from orlicz_conc import (GrowthEnvelope, SeparableTwoLevel, bcg_tail, bounds,
+                         chebyshev_level, conjugacy, enlargement_bound, hanson_wright_tail,
+                         lipschitz_profile, tensors, two_level_tail)
 from orlicz_conc.errors import NumericalError
 
 PSI2 = '{"family":"PowerNorm","params":{"norm":"l2","a":2},"dim":2}'
@@ -113,14 +113,6 @@ def test_startup_imports_no_layer_the_subcommand_does_not_use(argv, layers, tmp_
     assert "numpy.random" not in loaded or argv[0] == "verify"
 
 
-def test_cli_layers_are_the_imported_modules():
-    # what a test patches on cli.bd is what the subcommand runs
-    import orlicz_conc.bounds as bounds
-    assert cli.bd is bounds and cli.cj is oc.conjugacy and cli.tn is oc.tensors
-    with pytest.raises(AttributeError):
-        cli.no_such_layer
-
-
 # ---------------------------------------------------------------------------
 # exit codes and error objects
 
@@ -153,7 +145,7 @@ def test_malformed_psi_json_rejected(capsys):
 def test_numerical_failures_exit_three(capsys, monkeypatch):
     def boom(env):
         raise NumericalError("synthetic bracket failure")
-    monkeypatch.setattr(cli.bd, "l_constant", boom)
+    monkeypatch.setattr(bounds, "l_constant", boom)
     rc, _, err = run(capsys, "bound", "l_constant", "--K", "1", "--alpha", "2",
                      "--beta", "2")
     assert rc == 3
@@ -374,8 +366,21 @@ def test_overflow_prints_one_json_line_and_no_warning(tmp_path):
                                        "message": "overflow encountered in multiply"}
 
 
+@pytest.mark.parametrize("text", ["", "# a comment\n\n"], ids=["empty", "comment_only"])
+def test_x_file_with_no_rows_prints_one_json_line_and_no_warning(tmp_path, text):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "orlicz_conc.cli", "norm", "--psi", PSI2, "--p", "2",
+         "--x-file", str(path)], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {"error": "input",
+                                       "message": f"--x-file {str(path)!r} has no rows"}
+
+
 def test_chaos_iteration_cap_exits_three(capsys, monkeypatch, matrix_file):
-    monkeypatch.setattr(cli.tn, "_CHAOS_MAX_ITERS", 1)
+    monkeypatch.setattr(tensors, "_CHAOS_MAX_ITERS", 1)
     rc, out, err = run(capsys, "tensor", "--matrix", matrix_file, "--op", "chaos",
                        "--psi", PSI2, "--p", "2", "--restarts", "1")
     assert rc == 3 and out == ""
@@ -384,7 +389,7 @@ def test_chaos_iteration_cap_exits_three(capsys, monkeypatch, matrix_file):
 
 @pytest.mark.parametrize("cap", ["_ARGMAX_GOLDEN_MAX", "_MULTIPLIER_GOLDEN_MAX"])
 def test_chaos_support_golden_cap_exits_three(capsys, monkeypatch, matrix_file, cap):
-    monkeypatch.setattr(cli.cj, cap, 1)
+    monkeypatch.setattr(conjugacy, cap, 1)
     rc, out, err = run(capsys, "tensor", "--matrix", matrix_file, "--op", "chaos",
                        "--psi", '{"family":"SeparableTwoLevel","params":{"r":3},"dim":2}',
                        "--p", "2", "--restarts", "1")
@@ -558,14 +563,14 @@ UNSWEPT = {
 
 
 def test_registry_tests_cover_every_bound():
-    assert set(SWEPT) == {n for n, b in cli.bd._BOUNDS.items() if b.swept}
-    assert set(UNSWEPT) == {n for n, b in cli.bd._BOUNDS.items() if not b.swept}
+    assert set(SWEPT) == {n for n, b in bounds._BOUNDS.items() if b.swept}
+    assert set(UNSWEPT) == {n for n, b in bounds._BOUNDS.items() if not b.swept}
 
 
 @pytest.mark.parametrize("name", UNSWEPT)
 def test_every_unswept_bound_matches_its_direct_call(capsys, name):
     flags, direct = UNSWEPT[name]
-    env = ENV23_FLAGS if cli.bd._BOUNDS[name].needs_env else ()
+    env = ENV23_FLAGS if bounds._BOUNDS[name].needs_env else ()
     rc, out, _ = run(capsys, "bound", name, *flags, *env)
     assert rc == 0
     assert float(value_lines(out)[0]) == direct()

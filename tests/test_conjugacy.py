@@ -11,7 +11,7 @@ import orlicz_conc.conjugacy as cj
 import orlicz_conc.psi as psi_mod
 from orlicz_conc import (BobkovLedouxCap, GrowthEnvelope, InputError, NumericalError,
                          PhiSpec, PowerNorm, SeparableFromPhi, SeparableTwoLevel,
-                         UserSeparable, conjugate_ray_radius, lam, legendre_1d,
+                         UserSeparable, conjugate_ray_radius, eval_psi, lam, legendre_1d,
                          lipschitz_profile, omega, omega_inv, omega_star,
                          omega_values, profile_table, psi_star, support_argmax,
                          support_function)
@@ -443,8 +443,6 @@ def test_suprema_of_only_unbounded_values_are_all_infinite():
     assert np.all(np.isposinf(cj.omega_ray_sup(BL1, np.array([1.5, 2.0, 40.0]))))
 
 
-# the transform's grid starts at GRID_LO, so below v = 2 GRID_LO it returns
-# 0 where the closed form is v^2/4 < 1e-12: hence the absolute tolerance
 V_UP_TO_1E3 = np.concatenate(([0.0], np.geomspace(1e-9, 1e3, 300), np.linspace(0.0, 1e3, 301)))
 
 
@@ -452,7 +450,20 @@ V_UP_TO_1E3 = np.concatenate(([0.0], np.geomspace(1e-9, 1e3, 300), np.linspace(0
 def test_custom_power_tilde_star_equals_the_closed_form(s):
     custom = PhiSpec(fn=lambda t: np.abs(t) ** s)
     np.testing.assert_allclose(custom.tilde_star(V_UP_TO_1E3),
-                               PhiSpec(s=s).tilde_star(V_UP_TO_1E3), rtol=1e-12, atol=1e-12)
+                               PhiSpec(s=s).tilde_star(V_UP_TO_1E3), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("s", [1.5, 3.0])
+def test_custom_phi_component_is_exact_below_one(s):
+    # Phi(u) >= u from 1 on, so tilde-Phi* is v^2/4 on [0, 1], also below the
+    # numeric transform's grid: the built-in's value bit for bit, and
+    # positive for v > 0, as condition (C2) asks
+    v = np.geomspace(1e-9, 1.0, 10001)
+    assert np.array_equal(PhiSpec(fn=lambda t: np.abs(t) ** s).tilde_star(v),
+                          PhiSpec(s=s).tilde_star(v))
+    custom = SeparableFromPhi(dim=1, phi=PhiSpec(fn=lambda t: np.abs(t) ** s))
+    builtin = SeparableFromPhi(dim=1, phi=PhiSpec(s=s))
+    assert eval_psi(custom, [1e-7]) == eval_psi(builtin, [1e-7]) > 0.0
 
 
 def test_custom_phi_with_a_bounded_domain_needs_no_domain_bound():
@@ -460,7 +471,7 @@ def test_custom_phi_with_a_bounded_domain_needs_no_domain_bound():
     capped = PhiSpec(fn=lambda t: np.where(np.abs(t) <= 2.0, np.square(t), np.inf))
     v = V_UP_TO_1E3
     want = np.where(v <= 4.0, 0.25 * v * v, 2.0 * v - 4.0)
-    np.testing.assert_allclose(capped.tilde_star(v), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(capped.tilde_star(v), want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("spec", [TWOLEVEL3, SFP1, SFP3, SFP15, BL1, CUBE],

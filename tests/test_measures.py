@@ -97,6 +97,23 @@ def test_map_streams_raises_a_worker_error(monkeypatch):
         ms.map_streams(2 * ms.CHUNK, [(StandardGaussian(n=1), 0)], fn)
 
 
+@pytest.mark.parametrize("count", [1, ms.CHUNK + 1, 2 * ms.CHUNK + 17])
+def test_a_tuple_job_fills_one_contiguous_column_per_entry(monkeypatch, count):
+    # each entry of a tuple result is its own count-row array, bit for bit
+    # the run of that entry alone, on one thread and on four
+    streams = [(ProductPhiTail(PhiSpec(s=1.5), n=2), 3), (StandardGaussian(n=2), 4)]
+    entries = (lambda X, Z: X[:, 0] * Z[:, 1], lambda X, Z: X + Z, lambda X, Z: np.sum(X, axis=1))
+    for threads in ("1", "4"):
+        monkeypatch.setenv(ms.THREADS_ENV, threads)
+        cols = ms.map_streams(count, streams, lambda X, Z: tuple(e(X, Z) for e in entries))
+        assert isinstance(cols, tuple) and len(cols) == len(entries)
+        for col, entry in zip(cols, entries):
+            assert col.flags.c_contiguous and len(col) == count
+            assert col.tobytes() == ms.map_streams(count, streams, entry).tobytes()
+        (only,) = ms.map_streams(count, streams, lambda X, Z: (entries[0](X, Z),))
+        assert only.tobytes() == cols[0].tobytes()
+
+
 def test_chunks_depend_only_on_seed_and_index():
     one = sample_chunk(StandardGaussian(n=2), 9, 3, 100)
     two = sample_chunk(StandardGaussian(n=2), 9, 3, 100)

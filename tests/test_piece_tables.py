@@ -1,6 +1,6 @@
 """The piece tables of the separable families against the closed forms they
-replaced (`frozen_closed_forms`): component, conjugate, tilde-Phi* and omega
-bit for bit, infinities included."""
+replaced (`frozen_closed_forms`): component, conjugate, tilde-Phi*, omega
+and the capped gauge and support argmax bit for bit, infinities included."""
 
 import numpy as np
 import pytest
@@ -75,6 +75,25 @@ def test_capped_tables_keep_their_closed_form_gauge():
                    frozen.cap_gauge(ps, X, thr))
     _same_bits(SeparableFromPhi(dim=5, phi=PhiSpec(s=1.0))._closed_gauge(ps, X),
                0.5 * frozen.cap_gauge(ps, X, 0.5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+def test_capped_tables_keep_their_closed_form_support_argmax(n):
+    # BobkovLedouxCap's support argmax, and SeparableFromPhi s = 1's as half
+    # that of the cap at 1/2, on rows scaled by e^-20 to e^20: every fourth
+    # with ties of its top magnitude, every fourth after it with all tied
+    rng = np.random.default_rng(n)
+    T = rng.standard_normal((200, n)) * np.exp(rng.uniform(-20.0, 20.0, (200, 1)))
+    T[::4, 1::3] = -T[::4, :1]
+    T[1::4] = np.copysign(T[1::4, :1], T[1::4])
+    for p in (0.01, 0.5, 4.0, 33.0, 1e4):
+        for thr in (0.5, 1.7, 2.0, 1e-3):
+            got = BobkovLedouxCap(dim=n, threshold=thr)._closed_support_argmax(p, T)
+            for g, w in zip(got, frozen.cap_support_argmax(p, T, thr)):
+                _same_bits(g, w)
+        got = SeparableFromPhi(dim=n, phi=PhiSpec(s=1.0))._closed_support_argmax(p, T)
+        for g, w in zip(got, frozen.cap_support_argmax(p, T, 0.5)):
+            _same_bits(g, 0.5 * w)
 
 
 def test_a_scalar_argument_gives_a_scalar():

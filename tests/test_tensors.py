@@ -411,6 +411,18 @@ def test_chaos_term_k2_identity_closed_form():
         assert got == pytest.approx(4.0 * p, rel=1e-6)
 
 
+def test_separable_from_phi_s1_is_the_cap_at_a_half_rescaled_exactly():
+    # Psi(x) is BobkovLedouxCap(1/2) at x/2, so the support halves and both
+    # factors of the chaos term halve; every rescaling is a power of two
+    cap, sfp1 = BobkovLedouxCap(dim=6, threshold=0.5), SeparableFromPhi(dim=6, phi=PhiSpec(s=1.0))
+    for seed in range(20):
+        A = _wigner(6, seed)
+        theta = A.data[0]
+        assert support_function(sfp1, 4.0, theta) == 0.5 * support_function(cap, 4.0, theta)
+        assert (chaos_deterministic_term(A, sfp1, 4.0, restarts=2, seed=seed)
+                == 0.25 * chaos_deterministic_term(A, cap, 4.0, restarts=2, seed=seed))
+
+
 def test_chaos_term_raises_at_its_iteration_cap(monkeypatch):
     spec = PowerNorm(dim=4, norm=2.0, a=2.0)
     A = _sym(2, 4, 21)
