@@ -12,7 +12,7 @@ import numpy as np
 
 import orlicz_conc as oc
 
-BLOCK = 1024  # rows per X @ A product, bounding its temporary
+BLOCK = 1024  # rows per X @ A product, a temporary that stays in cache
 
 
 def quadratic_forms(X, A):
@@ -43,8 +43,8 @@ def main():
     p_grid = np.array([2.0, 4.0, 8.0, 16.0, 32.0])
     family = oc.StandardGaussian(n=args.n)
 
-    # the N rows of one stream are drawn once, a chunk at a time, and each
-    # chunk's forms for every matrix go straight into that matrix's column
+    # the N rows of one stream are drawn once, a block at a time, and each
+    # block's forms for every matrix go straight into that matrix's column
     cols = oc.map_streams(args.N, [(family, args.seed + 1)],
                           lambda X: tuple(quadratic_forms(X, A) for A in mats.values()))
 

@@ -2,8 +2,8 @@
 verification harness comparing empirical quantities against the closed-form
 bound evaluators.
 
-All estimators are chunked over the counter-based sample streams from
-measures; the chunk partition and reduction order are fixed, so results are
+All estimators run block by block over the counter-based sample streams
+from measures; the blocks and reduction order are fixed, so results are
 bit-identical for a given (family, seed, N) regardless of the worker count
 (ORLICZ_CONC_THREADS affects speed only). Standard errors use BATCHES = 32
 contiguous batch means; verification bands are set at 3 SE.
@@ -64,7 +64,7 @@ class TestFunction:
     direction: Optional[np.ndarray] = field(default=None, repr=False)
 
     def dot(self, X, Z) -> np.ndarray:
-        """Per row, <grad f(X), Z>; Z, the caller's own chunk, may be overwritten."""
+        """Per row, <grad f(X), Z>; Z, the caller's own block, may be overwritten."""
         return np.sum(np.multiply(self.grad(X), Z, out=Z), axis=1)
 
 
@@ -390,7 +390,7 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
                     C: float = 1.0) -> MomentReport:
     """Estimate ||f - mean f||_p against G(p) = || |grad f|_{Psi_p} ||_p and
     the closed-form bound C L G(p); the fitted constant is the largest ratio
-    lhs / G over the grid.  Each chunk's gradient rows take one gauge call
+    lhs / G over the grid.  Each block's gradient rows take one gauge call
     for the whole grid; a gradient with a fixed `direction` takes one call
     for the direction, the values every row would give."""
     from .bounds import centered_moment_bound, l_constant

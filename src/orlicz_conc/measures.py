@@ -3,7 +3,8 @@ streams), closed-form CDF/density/quantile for the heavy-tailed measure nu,
 and its isoperimetric-type profile; `save_samples`, the sample writer.
 
 Chunk j of a stream is generated from key (seed, j), so samples are
-bit-identical however generation is scheduled across workers.
+bit-identical however generation is scheduled across workers; its blocks
+of psi._BLOCK rows, drawn one after another, carry a whole-chunk draw's bits.
 """
 
 from __future__ import annotations
@@ -17,17 +18,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
-from .psi import PhiSpec, _bracket_solve
+from .psi import _BLOCK, PhiSpec, _bracket_solve
 from .tables import _out_stream, write_table
 
-CHUNK = 65536
+CHUNK = 65536  # rows keyed as one Philox stream
 THREADS_ENV = "ORLICZ_CONC_THREADS"
 
 
 class Family:
     """A reference measure on R^n with an exact chunked sampler. A subclass
-    is a frozen dataclass with a field n; it owns `_draw`, which turns one
-    chunk's Philox stream into the first `rows` of its CHUNK rows, and
+    is a frozen dataclass with a field n; it owns `_draw`, which draws the
+    next `rows` rows of a chunk from that chunk's Philox generator, and
     `meta`, its JSON form."""
 
     def __post_init__(self):
@@ -36,6 +37,11 @@ class Family:
 
     def _draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
         raise NotImplementedError
+
+    def _drawer(self, seed: int, j: int) -> Callable[[int], np.ndarray]:
+        """draw(rows), which returns chunk j's next `rows` rows at each call."""
+        rng = _chunk_rng(seed, j)
+        return lambda rows: self._draw(rng, rows)
 
     def meta(self) -> dict:
         return {"family": type(self).__name__, "n": self.n}
@@ -61,18 +67,22 @@ class ProductPhiTail(Family):
         if not isinstance(self.phi, PhiSpec):
             raise InputError("phi must be a PhiSpec")
 
-    def _draw(self, rng, rows):
+    def _drawer(self, seed, j):
+        # the sign words follow the chunk's CHUNK * n uniforms, one 64-bit word
+        # each: a second stream of the chunk, advanced past them in 4-word blocks
+        rng, sign_rng = _chunk_rng(seed, j), _chunk_rng(seed, j)
+        sign_rng.bit_generator.advance(CHUNK * self.n // 4)
+        return lambda rows: self._draw(rng, rows, sign_rng)
+
+    def _draw(self, rng, rows, sign_rng):
         size = rows * self.n
         z = _uniform_open(rng, (rows, self.n))
-        # the sign draws follow all CHUNK * n uniforms, one 64-bit word each;
-        # Philox advances in blocks of four words, and a partly read block
-        # counts whole, so the rest of the chunk is this many blocks
-        rng.bit_generator.advance((CHUNK - rows) * self.n // 4)
         z = _phi_inv_array(self.phi, np.negative(np.log(z, out=z), out=z))  # |Z|, in place
         # the sign draw rng.integers(0, 2) is bit 31 of each 32-bit half of a
         # 64-bit word, low half first; a draw of 0 sets the sign bit, in
-        # place in the high half of each float
-        signs = rng.bit_generator.random_raw(-(-size // 2)).astype("<u8", copy=False).view("<u4")
+        # place in the high half of each float (only a chunk's last draw may
+        # have an odd size, whose last half word goes unread)
+        signs = sign_rng.bit_generator.random_raw(-(-size // 2)).astype("<u8", copy=False).view("<u4")
         signs = np.bitwise_and(np.invert(signs, out=signs), 1 << 31, out=signs)[:size]
         high = z.reshape(-1).view(np.uint32)[int(sys.byteorder == "little")::2]
         np.bitwise_or(high, signs, out=high)
@@ -140,18 +150,19 @@ def sample_chunk(family: Family, seed: int, j: int, rows: int) -> np.ndarray:
     a bit-exact prefix of the full chunk, with only those rows computed."""
     if not 0 < rows <= CHUNK:
         raise InputError(f"rows must lie in (0, {CHUNK}], got {rows}")
-    return family._draw(_chunk_rng(seed, j), rows)
+    return family._drawer(seed, j)(rows)
 
 
 def map_streams(count: int, streams, fn: Callable, sink: Optional[Callable] = None):
-    """fn(*chunks) over the chunks of the first `count` rows of each
-    (family, seed) stream in `streams`: chunk j of every stream goes in
-    together, and each result goes to sink(result), in chunk order on the
-    calling thread.  Without a sink the results are returned: each lands at
-    chunk j's rows of one array, or each entry of a tuple result at those
-    rows of its own contiguous array.  Every chunk is keyed by (seed, j), so
-    the ORLICZ_CONC_THREADS worker threads (default 1) change the schedule
-    only, never the result."""
+    """fn(*blocks) over the first `count` rows of each (family, seed) stream
+    in `streams`, in blocks of psi._BLOCK rows: block i of every stream goes
+    in together, and each result goes to sink(result), in block order on the
+    calling thread.  fn's result for a row must depend on it alone.  Without
+    a sink the results are returned: each lands at its block's rows of one
+    array, or each entry of a tuple result at those rows of its own
+    contiguous array.  Every chunk is keyed by (seed, j), so the
+    ORLICZ_CONC_THREADS worker threads (default 1), each drawing one chunk's
+    blocks at a time, change the schedule only, never the result."""
     specs = [SamplerSpec(family, seed, count) for family, seed in streams]
     if not specs:
         raise InputError("map_streams needs at least one (family, seed) stream")
@@ -162,24 +173,27 @@ def map_streams(count: int, streams, fn: Callable, sink: Optional[Callable] = No
         raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     n_chunks = -(-count // CHUNK)
 
-    def job(j):
+    def blocks(j):  # fn on each block of chunk j, drawn as the one before is taken
         rows = min(CHUNK, count - j * CHUNK)
-        return fn(*(sample_chunk(s.family, s.seed, j, rows) for s in specs))
+        draws = [s.family._drawer(s.seed, j) for s in specs]
+        for i in range(0, rows, _BLOCK):
+            yield fn(*(draw(min(_BLOCK, rows - i)) for draw in draws))
 
     def parts():
         if workers == 1 or n_chunks == 1:
-            yield from map(job, range(n_chunks))
+            for j in range(n_chunks):
+                yield from blocks(j)
             return
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:  # closed on an error too
             # chunk j + 2 workers starts as chunk j is taken: at most that
-            # many results wait, and no chunk waits for a slower one to start
-            ahead = [pool.submit(job, j) for j in range(min(2 * workers, n_chunks))]
+            # many chunks' results wait, and no chunk waits for a slower one to start
+            ahead = [pool.submit(list, blocks(j)) for j in range(min(2 * workers, n_chunks))]
             for j in range(len(ahead), n_chunks + len(ahead)):
                 part = ahead.pop(0).result()
                 if j < n_chunks:
-                    ahead.append(pool.submit(job, j))
-                yield part
+                    ahead.append(pool.submit(list, blocks(j)))
+                yield from part
 
     cols, filled, tupled = [], 0, False
 
@@ -187,26 +201,27 @@ def map_streams(count: int, streams, fn: Callable, sink: Optional[Callable] = No
         nonlocal filled, tupled
         tupled = isinstance(part, tuple)
         for i, e in enumerate(part if tupled else (part,)):
-            if i == len(cols):  # the first chunk's entries size the arrays
+            if i == len(cols):  # the first block's entries size the arrays
                 cols.append(np.empty((count, *e.shape[1:]), dtype=e.dtype))
             cols[i][filled:filled + len(e)] = e
         filled += len(e)
 
     with closing(parts()) as results:
-        for _ in range(n_chunks):
-            (sink or collect)(next(results))  # no result is held while the next is drawn
+        for part in results:
+            (sink or collect)(part)
+            del part  # no result is held while the next is drawn
     if sink is None:
         return tuple(cols) if tupled else cols[0]
 
 
 def sample(spec: SamplerSpec) -> np.ndarray:
-    """Full (count x n) sample matrix, filled chunk by chunk."""
+    """Full (count x n) sample matrix, filled block by block."""
     return map_streams(spec.count, [(spec.family, spec.seed)], lambda X: X)
 
 
 def stream_samples(spec: SamplerSpec, path, fmt: str = "bin", header_lines=()) -> None:
     """save_samples(sample(spec), path, fmt, header_lines) byte for byte, with
-    one chunk in memory at a time: the header, then each chunk as it is drawn."""
+    one block in memory at a time: the header, then each block as it is drawn."""
     with _out_stream(path, binary=fmt == "bin") as fh:
         save_samples(np.empty((0, spec.family.n)), fh, fmt, header_lines)  # the header alone
         map_streams(spec.count, [(spec.family, spec.seed)], lambda X: X,

@@ -43,7 +43,7 @@ DEFAULT_TOL = 1e-10
 _BRACKET_MAX = 200  # doublings/halvings before giving up (condition C3 failure)
 _SOLVE_MAX = 100    # Chandrupatla steps; bisection needs 35 (tol 1e-10) to 52 (float resolution)
 _NUDGE_MAX = 16     # doubling steps, at most 2^16 ulps, that repair a rounded closed form
-_BLOCK = 8192       # rows per gauge block, bounding its per-row temporaries
+_BLOCK = 8192       # rows per gauge and Monte Carlo block, bounding per-row temporaries
 _NEWTON_MAX = 64    # Newton steps of the piece-table gauge; it takes 2-8
 _NEWTON_TOL = 1e-14  # last relative step of the piece-table gauge
 _LIFT = 1.0 + 4.0 * np.finfo(float).eps  # the piece-table gauge's rise to the feasible side

@@ -647,11 +647,11 @@ def test_sample_runs_are_byte_identical(capsys, tmp_path):
 
 
 def test_sample_bin_requires_out(capsys, monkeypatch):
-    # refused before any chunk is drawn
+    # refused before any chunk's stream is made
     def boom(*args):
         raise AssertionError("a chunk was drawn")
 
-    monkeypatch.setattr(oc.measures, "sample_chunk", boom)
+    monkeypatch.setattr(oc.measures, "_chunk_rng", boom)
     rc, _, err = run(capsys, "sample", "--family", "nu", "--seed", "1",
                      "--count", "8", "--format", "bin")
     assert rc == 2

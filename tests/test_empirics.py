@@ -198,15 +198,27 @@ def test_verify_nu_logp_holds_about_two_columns():
 
 
 def test_comparison_check_holds_no_n_by_n_temporary():
-    # f and <grad f, Z> in two columns beside one chunk of X and of Z, then
-    # each column's logs in place and one work buffer: 3.3 column sizes for
-    # a phi-tail X with n = 8 (the one-hot gradient, its product with Z and
-    # int64 sign draws per chunk, and a copy of each column, once held 5.1)
+    # f and <grad f, Z> in two columns beside one block of X and of Z, then
+    # each column's logs in place and one work buffer: 3.13 column sizes for
+    # a phi-tail X with n = 8 (one chunk of X and of Z made it 3.25; the
+    # one-hot gradient, its product with Z and int64 sign draws per chunk,
+    # and a copy of each column, once held 5.1)
     N = 2 ** 20
     fam = ProductPhiTail(PhiSpec(s=1.5), n=8)
     peak = _peak_columns(lambda: comparison_check(fam, PhiSpec(s=1.5), max_coordinate(),
                                                   np.array([4.0, 8.0, 16.0]), N, 0), N)
-    assert peak <= 3.75
+    assert peak <= 3.2
+
+
+def test_centered_at_n_256_holds_less_than_one_chunk():
+    # one block of X, its gradient and the gauge's block temporaries: 87 MB
+    # at n = 256, below the 134 MB of one chunk of X (with a chunk of X and
+    # of its gradient at a time, 404 MB)
+    n, N = 256, CHUNK
+    spec = PowerNorm(dim=n, norm=2.0, a=2.0)
+    peak = _peak_columns(lambda: verify_centered(StandardGaussian(n=n), euclidean_norm(), spec,
+                                                 ENV22, [2.0, 4.0, 8.0, 16.0], N, 1), N)
+    assert peak < n  # one chunk of X is n column sizes
 
 
 def test_mlsi_report_holds_no_copy_of_its_columns():
@@ -278,7 +290,8 @@ def test_linear_takes_one_gauge_per_p_bit_for_bit(spec, monkeypatch):
                         lambda sp, p, X: rows.append(len(X)) or gauge(sp, p, X))
     want = verify_centered(StandardGaussian(n=3), per_row, spec, env, [3.0, 8.0],
                            CHUNK + 50, 4)
-    assert rows == [CHUNK, 50]  # one call per chunk, for the whole grid
+    # one call per block, for the whole grid
+    assert rows == [ms._BLOCK] * (CHUNK // ms._BLOCK) + [50]
     rows.clear()
     got = verify_centered(StandardGaussian(n=3), f, spec, env, [3.0, 8.0], CHUNK + 50, 4)
     assert rows == [1]  # one call on the direction, for the whole grid

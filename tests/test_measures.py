@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+import frozen_chunk_draw
 import orlicz_conc as oc
 import orlicz_conc.measures as ms
 from orlicz_conc import (InputError, NuMeasure, PhiSpec, ProductPhiTail,
@@ -181,6 +182,48 @@ def test_phi_tail_draw_equals_the_old_formula(family):
         assert got.tobytes() == want.tobytes(), rows
 
 
+BLOCKED_FAMILIES = [
+    StandardGaussian(n=1), StandardGaussian(n=3), StandardGaussian(n=8),
+    ProductPhiTail(PhiSpec(s=1.0), n=3), ProductPhiTail(PhiSpec(s=1.5), n=3),
+    ProductPhiTail(PhiSpec(s=3.0), n=1),
+    ProductPhiTail(PhiSpec(fn=lambda t: 0.5 * (t * t + t)), n=1), NuMeasure(),
+]
+
+
+@pytest.mark.parametrize("count", [ms.CHUNK - 1, ms.CHUNK, ms.CHUNK + 1, 2 * ms.CHUNK + 777])
+@pytest.mark.parametrize("family", BLOCKED_FAMILIES, ids=["gaussian1", "gaussian3", "gaussian8",
+                                                     "phi_s1", "phi_s1.5", "phi_s3",
+                                                     "phi_custom", "nu"])
+def test_blocked_draws_equal_whole_chunk_draws(monkeypatch, tmp_path, family, count):
+    # every block is the next rows of its chunk's stream: map_streams,
+    # sample and stream_samples give the whole-chunk draws byte for byte,
+    # an odd last rows * n included, on one thread and on two
+    want = frozen_chunk_draw.sample(family, 7, count)
+    other = frozen_chunk_draw.sample(StandardGaussian(n=2), 8, count)
+    spec = SamplerSpec(family, 7, count)
+    for threads in ("1", "2"):
+        monkeypatch.setenv(ms.THREADS_ENV, threads)
+        sizes = []
+        X, Z = ms.map_streams(count, [(family, 7), (StandardGaussian(n=2), 8)],
+                              lambda X, Z: sizes.append(len(X)) or (X, Z))
+        assert X.tobytes() == want.tobytes() and Z.tobytes() == other.tobytes(), threads
+        full, last = divmod(count, ms._BLOCK)
+        assert sorted(sizes) == sorted([ms._BLOCK] * full + [last] * (last > 0))
+        assert sample(spec).tobytes() == want.tobytes(), threads
+        ms.stream_samples(spec, str(tmp_path / "s.bin"))
+        assert (tmp_path / "s.bin").read_bytes() == want.tobytes(), threads
+
+
+@pytest.mark.parametrize("count", [1, ms._BLOCK + 1, 2 * ms._BLOCK + 777])
+def test_blocked_draws_at_n_512_equal_whole_chunk_draws(count):
+    # within one chunk, as a chunk of 512 columns holds 268 MB
+    want = frozen_chunk_draw.sample(StandardGaussian(n=512), 2, count)
+    blocks = []
+    ms.map_streams(count, [(StandardGaussian(n=512), 2)], lambda X: X, sink=blocks.append)
+    assert [len(b) for b in blocks] == [ms._BLOCK] * (count // ms._BLOCK) + [count % ms._BLOCK]
+    assert b"".join(b.tobytes() for b in blocks) == want.tobytes()
+
+
 def test_chaos_ratio_study_reads_every_requested_row(monkeypatch, capsys):
     sizes = []
     moment = oc.empirical_moment
@@ -311,14 +354,17 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_streamed_samples_hold_one_chunk(tmp_path):
-    # the peak does not grow with the count: 8 chunks peak within one chunk
-    # of 2 chunks, where the whole matrix would be 6 chunks more
+def test_streamed_samples_hold_one_block(tmp_path):
+    # the peak does not grow with the count: 8 chunks peak within one block
+    # of 2 chunks, where the whole matrix would be 6 chunks more, and below
+    # two blocks, where one chunk would be 8 blocks
     family = StandardGaussian(n=4)
+    block = ms._BLOCK * family.n * 8
     peaks = [_peak_bytes(lambda: ms.stream_samples(SamplerSpec(family, 1, chunks * ms.CHUNK),
                                                    str(tmp_path / "s.bin")))
              for chunks in (2, 8)]
-    assert peaks[1] - peaks[0] <= ms.CHUNK * family.n * 8
+    assert peaks[1] - peaks[0] <= block
+    assert peaks[1] <= 2 * block
 
 
 def test_sampler_spec_validation():
