@@ -4,7 +4,7 @@ the chaos and enlargement bounds.  The numeric Legendre transform
 `legendre_1d` they use lives in psi, beside the other solvers.
 
 Each PsiSpec family supplies its closed forms (`_closed_omega`,
-`_closed_conjugate`, `_closed_support`, ...), a separable piecewise-power
+`_closed_conjugate`, `_closed_support_argmax`, ...), a separable piecewise-power
 family through its piece table (`psi.PieceTable`), which gives omega and the
 component conjugate h* from one description; this module holds only the
 family-independent numeric fallbacks.  omega(t) = sup{Psi(tx)/Psi(x) :
@@ -170,9 +170,8 @@ def support_function(spec: PsiSpec, p: float, theta) -> float:
     theta = _as_vector(spec, theta)
     if not np.any(theta):
         return 0.0
-    value = spec._closed_support(p, theta)
-    if value is None:
-        value = _support_multiplier(spec, p, theta)[1]
+    closed = spec._closed_support_argmax(p, theta[None, :])
+    value = _support_multiplier(spec, p, theta)[1] if closed is None else float(closed[0][0])
     if not math.isfinite(value):
         raise NumericalError(f"support function overflowed to {value}")
     return value

@@ -157,12 +157,13 @@ def map_streams(count: int, streams, fn: Callable, sink: Optional[Callable] = No
     """fn(*blocks) over the first `count` rows of each (family, seed) stream
     in `streams`, in blocks of psi._BLOCK rows: block i of every stream goes
     in together, and each result goes to sink(result), in block order on the
-    calling thread.  fn's result for a row must depend on it alone.  Without
-    a sink the results are returned: each lands at its block's rows of one
-    array, or each entry of a tuple result at those rows of its own
-    contiguous array.  Every chunk is keyed by (seed, j), so the
-    ORLICZ_CONC_THREADS worker threads (default 1), each drawing one chunk's
-    blocks at a time, change the schedule only, never the result."""
+    calling thread.  Without a sink the results are returned: each lands at
+    its block's rows of one array, or each entry of a tuple result at those
+    rows of its own contiguous array.  Every chunk is keyed by (seed, j) and
+    the block boundaries depend on `count` alone, so the ORLICZ_CONC_THREADS
+    worker threads (default 1), each drawing one chunk's blocks at a time,
+    change the schedule only, never the result.  A row's result may depend
+    on how many rows its block has, as BLAS rounds a product by its shape."""
     specs = [SamplerSpec(family, seed, count) for family, seed in streams]
     if not specs:
         raise InputError("map_streams needs at least one (family, seed) stream")

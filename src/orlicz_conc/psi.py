@@ -275,15 +275,10 @@ class PsiSpec:
         table = self._table
         return None if table is None else table.conjugate(c)
 
-    def _closed_support(self, p: float, theta: np.ndarray) -> Optional[float]:
-        """sup{<theta, y> : Psi*(y) <= p}: the value of _closed_support_argmax,
-        unless the family has a value of its own."""
-        closed = self._closed_support_argmax(p, theta[None, :])
-        return None if closed is None else float(closed[0][0])
-
     def _closed_support_argmax(self, p: float, Theta: np.ndarray) -> Optional[tuple]:
-        """(values, maximizers Y) of that supremum, row by row, for non-zero
-        rows: in closed form for a capped table, one piece a v^2 up to b."""
+        """(values, maximizers Y) of sup{<theta, y> : Psi*(y) <= p}, row by
+        row, for non-zero rows: the family's one support hook, in closed form
+        for a capped table, one piece a v^2 up to b."""
         table = self._table
         if table is None or not table.cap:
             return None
@@ -370,25 +365,11 @@ class PowerNorm(PsiSpec):
         a_conj, coef = self._conjugate_power()
         return (p / coef) ** (1.0 / a_conj)
 
-    def _closed_support(self, p, theta):
-        # R ||theta||_q, which rounds differently from <theta, y> at the argmax
-        return self._conjugate_radius(p) * float(np.linalg.norm(theta, ord=self.norm))
-
     def _closed_support_argmax(self, p, Theta):
+        # R times the l_q witness: {Psi* <= p} is the l_{q*} ball of radius R
         R = self._conjugate_radius(p)
-        q = self.norm
-        mags = np.abs(Theta)
-        if math.isinf(q):
-            Y = np.zeros(Theta.shape)
-            rows, j = np.arange(len(Theta)), np.argmax(mags, axis=1)
-            Y[rows, j] = np.copysign(R, Theta[rows, j])
-        elif q == 1.0:
-            Y = R * np.sign(Theta)
-        else:
-            W, q_dual = mags ** (q - 1.0), q / (q - 1.0)
-            norms = np.sqrt(_row_dots(W, W)) if q_dual == 2.0 else _row_power_norms(W, q_dual)
-            Y = R * (np.sign(Theta) * W) / norms[:, None]
-        return _row_dots(Theta, Y), Y
+        norms, Y = _ball_witness(Theta, self.norm)
+        return R * norms, R * Y
 
     def _params(self):
         return {"norm": _norm_descriptor(self.norm), "a": self.a}
@@ -758,10 +739,23 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
 
-def _row_power_norms(A: np.ndarray, r: float) -> np.ndarray:
-    """(sum_i a_i^r)^{1/r} for each row of a non-negative A, the 1/r power
-    taken per row; for r != 2 it is np.linalg.norm(a, r) bit for bit."""
-    return np.array([total ** (1.0 / r) for total in np.sum(A ** r, axis=1).tolist()])
+def _ball_witness(Z: np.ndarray, r: float) -> tuple:
+    """(|z|_r, the maximizer of <z, y> over the unit l_{r*} ball) for each
+    row z of Z: the norm is np.linalg.norm(z, r) bit for bit, and the
+    maximizer sign(z) (|z|/|z|_r)^{r-1}, or at r = inf the signed unit
+    vector at the first argmax of |z|; a zero row has the zero witness."""
+    mags = np.abs(Z)
+    if math.isinf(r):
+        rows, j = np.arange(len(Z)), np.argmax(mags, axis=1)
+        Y = np.zeros(Z.shape)
+        Y[rows, j] = np.sign(Z[rows, j])
+        return _row_max(mags), Y
+    if r == 2.0:
+        norms = np.sqrt(_row_dots(Z, Z))
+    else:  # the 1/r power taken per row, as np.linalg.norm takes it
+        norms = np.array([total ** (1.0 / r) for total in np.sum(mags ** r, axis=1).tolist()])
+    ratio = mags / np.where(norms == 0.0, 1.0, norms)[:, None]  # a zero row stays zero
+    return norms, np.sign(Z) * ratio ** (r - 1.0)
 
 
 def _newton(update, x: np.ndarray, coefs: tuple, what: str) -> np.ndarray:

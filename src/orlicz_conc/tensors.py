@@ -5,8 +5,8 @@ deterministic chaos terms built on conjugate-ball support functions.
 Mixed partition norms and the quadratic chaos term are non-convex
 maximizations of a bilinear form over two balls. One alternating exact
 maximizer, `_alternate`, serves both: each half-step is an exact argmax over
-one ball (a closed-form dual-norm witness for the partition norms, a
-conjugate-ball support argmax for the chaos term). Runs start from seeded
+one ball (the l_r-ball witness `psi._ball_witness` for the partition
+norms, a conjugate-ball support argmax for the chaos term). Runs start from seeded
 random restarts, all advanced in lockstep as one block of rows, and the best
 value, a certified lower bound, is reported.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .psi import PsiSpec, _row_dots, _row_power_norms
+from .psi import PsiSpec, _ball_witness
 
 MAX_ENTRIES = 10 ** 7
 MAX_SYM_ORDER = 6  # k! permutation guard
@@ -126,20 +126,6 @@ def form_gradient(A: MultiIndexMatrix, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # partition norms
 
-def _lr_witness(Z: np.ndarray, r: float):
-    """(|z|_r, argmax of <z, y> over the unit l_{r*} ball) for each row z of
-    Z; a zero row has the zero witness."""
-    mags = np.abs(Z)
-    nr = _row_power_norms(mags, r)
-    ratio = np.divide(mags, nr[:, None], out=np.zeros_like(Z), where=nr[:, None] != 0.0)
-    return nr, np.sign(Z) * ratio ** (r - 1.0)
-
-
-def _l2_witness(Z: np.ndarray):
-    n2 = np.sqrt(_row_dots(Z, Z))  # np.linalg.norm of each row, bit for bit
-    return n2, np.divide(Z, n2[:, None], out=np.zeros_like(Z), where=n2[:, None] != 0.0)
-
-
 def _top_singular(M: np.ndarray, rng: np.random.Generator) -> float:
     """Largest singular value by power iteration on M^T M, best of three
     random starts, each stopped at a relative change or residual below
@@ -221,7 +207,7 @@ def partition_norms(A: MultiIndexMatrix, r: float, restarts: int = 32,
     hs = math.sqrt(math.fsum((M * M).ravel()))
     entry_lr = math.fsum((np.abs(M) ** r).ravel()) ** (1.0 / r)
     op = _top_singular(M, np.random.default_rng([seed, 0xA]))
-    lr = functools.partial(_lr_witness, r=r)
+    lr = functools.partial(_ball_witness, r=r)
 
     def best_of(tag, left):
         # the best value over the seeded restarts, and how many hit the cap
@@ -230,7 +216,7 @@ def partition_norms(A: MultiIndexMatrix, r: float, restarts: int = 32,
         values, converged = _alternate(M, M.T, left, lr, G, _ALT_MAX_ITERS)
         return max(0.0, *values.tolist()), int(np.count_nonzero(~converged))
 
-    mixed, capped_l2 = best_of(0xB, _l2_witness)
+    mixed, capped_l2 = best_of(0xB, functools.partial(_ball_witness, r=2.0))
     rstar, capped_lr = best_of(0xC, lr)
     return PartitionNorms(hs=hs, op=op, entry_lr=entry_lr, mixed_2_rstar=max(mixed, rstar),
                           rstar_rstar=rstar, r=r, capped=capped_l2 + capped_lr)

@@ -1,6 +1,8 @@
 """The closed forms of the separable families as they were written out by
 hand, family by family, before their piece tables: the reference that the
-tables' component, omega, conjugate and capped gauge must equal bit for bit."""
+tables' component, omega, conjugate and capped gauge must equal bit for bit.
+Also PowerNorm's support value as it was computed before its maximizer's
+witness took it over."""
 
 import math
 
@@ -77,6 +79,11 @@ def cap_support_argmax(p, Theta, thr):
     c = ((p - rest) / np.count_nonzero(ties, axis=1) + thr * thr) / thr
     Y = np.where(ties & (c > 2.0 * thr)[:, None], np.copysign(c[:, None], Theta), Y)
     return _row_dots(Theta, Y), Y
+
+
+def power_norm_support(spec, p, theta):
+    # R ||theta||_q, R the radius of the dual-norm ball {Psi* <= p}
+    return spec._conjugate_radius(p) * float(np.linalg.norm(theta, ord=spec.norm))
 
 
 def _row_dots(A, B):

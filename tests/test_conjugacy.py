@@ -1,11 +1,14 @@
 """Growth profiles, Legendre machinery, conjugate balls, support functions."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import frozen_closed_forms as frozen
 
 import orlicz_conc.conjugacy as cj
 import orlicz_conc.psi as psi_mod
@@ -234,11 +237,11 @@ def test_separable_from_phi_s1_support_matches_the_numeric_dual():
         assert support_function(SFP1, p, theta) == value
 
 
-@pytest.mark.parametrize("spec", [BobkovLedouxCap(dim=4, threshold=0.5), SFP1],
-                         ids=["blcap", "sfp1"])
+@pytest.mark.parametrize("spec", [BobkovLedouxCap(dim=4, threshold=0.5), SFP1, POWER2,
+                                  PowerNorm(dim=4, norm=3.0, a=1.5)],
+                         ids=["blcap", "sfp1", "power2", "power3"])
 def test_support_function_is_the_closed_argmax_value_bit_for_bit(spec):
-    # only PowerNorm has a support value of its own; these take the value of
-    # their closed-form argmax
+    # every family has one support hook: the value is its closed argmax's
     rng = np.random.default_rng(18)
     for _ in range(50):
         p = float(rng.uniform(0.2, 60.0))
@@ -256,6 +259,20 @@ def test_support_function_power_norm_closed_form():
     assert support_function(spec, 4.0, theta) == pytest.approx(12.0, rel=1e-9)
     spec1 = PowerNorm(dim=3, norm=2.0, a=1.0)
     assert support_function(spec1, 4.0, theta) == pytest.approx(3.0, rel=1e-9)
+
+
+def test_power_norm_support_is_the_frozen_closed_form_bit_for_bit():
+    # R ||theta||_q, now the witness's norm times R, over q, a, n and
+    # |theta| from e^-20 to e^20: 1,440 cases
+    scales = np.exp(np.linspace(-20.0, 20.0, 20))
+    for q, a, n in itertools.product((1.0, 1.5, 2.0, 3.0, 4.0, math.inf),
+                                     (1.0, 1.5, 2.0), (1, 3, 16, 64)):
+        spec = PowerNorm(dim=n, norm=q, a=a)
+        rng = np.random.default_rng(n)
+        for i, scale in enumerate(scales):
+            p = (0.5, 4.0, 37.0)[i % 3]
+            theta = rng.standard_normal(n) * scale
+            assert support_function(spec, p, theta) == frozen.power_norm_support(spec, p, theta)
 
 
 def test_support_function_duality_certificate():

@@ -377,16 +377,22 @@ def test_verify_centered_flags_heavy_tail_estimates():
 
 
 def test_verify_centered_deterministic_and_thread_invariant(monkeypatch):
-    fam = StandardGaussian(n=2)
-    args = (fam, linear(np.array([0.0, 1.0])), SPEC2, ENV22,
-            np.array([2.0, 4.0]), 30000, 5)
-    monkeypatch.setenv(ms.THREADS_ENV, "1")
-    one = verify_centered(*args)
-    monkeypatch.setenv(ms.THREADS_ENV, "4")
-    four = verify_centered(*args)
-    np.testing.assert_array_equal(one.lhs, four.lhs)
-    np.testing.assert_array_equal(one.lhs_se, four.lhs_se)
-    assert one.fitted == four.fitted
+    # N = 30,000 is one chunk, so it runs serially at any thread count;
+    # N = CHUNK + 1 runs the pool, and chunk 1 is a one-row block whose
+    # quadratic-form gradient BLAS rounds by its shape, the same on any thread
+    G = np.random.default_rng(27).standard_normal((8, 8))
+    quad = quadratic_form(MultiIndexMatrix(2, 8, G + G.T, symmetric=True))
+    for args in ((StandardGaussian(n=2), linear(np.array([0.0, 1.0])), SPEC2, ENV22,
+                  np.array([2.0, 4.0]), 30000, 5),
+                 (StandardGaussian(n=8), quad, SeparableTwoLevel(dim=8, r=3.0), ENV22,
+                  np.array([4.0, 8.0]), CHUNK + 1, 5)):
+        monkeypatch.setenv(ms.THREADS_ENV, "1")
+        one = verify_centered(*args)
+        monkeypatch.setenv(ms.THREADS_ENV, "4")
+        four = verify_centered(*args)
+        for field in ("lhs", "lhs_se", "rhs"):
+            assert getattr(one, field).tobytes() == getattr(four, field).tobytes()
+        assert one.fitted == four.fitted
 
 
 def test_threaded_chunk_map_matches_one_worker(monkeypatch):

@@ -381,3 +381,40 @@ def test_row_max_is_numpys_bit_for_bit(n):
     A[1] = 1.75                                                     # a row of ties
     for M in (A, np.abs(A), A[:, ::-1], np.abs(A) * 1e-310):
         assert psi_mod._row_max(M).tobytes() == np.max(M, axis=1).tobytes()
+
+
+def _witness_rows(n, seed):
+    # scales e^-20 to e^20, a zero row, a row with zeros, and the top
+    # magnitude tied by the first and last entries or by all
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((40, n)) * np.exp(rng.uniform(-20.0, 20.0, (40, 1)))
+    Z[0] = 0.0
+    Z[1, ::2] = 0.0
+    Z[2, 0] = np.max(np.abs(Z[2]))
+    Z[2, -1] = -Z[2, 0]
+    Z[3] = 1.0
+    Z[4] = -Z[4, 0]
+    return Z
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+def test_ball_witness_against_the_norm_and_the_dual_ball(r):
+    # the norm is numpy's bit for bit; the maximizer y of <z, y> over the
+    # unit l_{r*} ball attains |z|_r and has |y|_{r*} = 1.  Both hold to
+    # 1e-15 relative times 1 + |ln |z|_r|: numpy's 1/r power rounds the
+    # exponent, which costs |ln |z|_r| ulps at large and small scales
+    r_dual = math.inf if r == 1.0 else (1.0 if math.isinf(r) else r / (r - 1.0))
+    for n in (1, 3, 16, 64):
+        for seed in range(5):
+            Z = _witness_rows(n, seed)
+            norms, Y = psi_mod._ball_witness(Z, r)
+            for z, norm, y in zip(Z, norms, Y):
+                assert norm == np.linalg.norm(z, ord=r)
+                if not np.any(z):
+                    assert norm == 0.0 and not np.any(y)
+                    continue
+                tol = 1e-15 * (1.0 + abs(math.log(norm)))
+                assert abs(math.fsum(z * y) - norm) <= tol * norm
+                assert abs(np.linalg.norm(y, ord=r_dual) - 1.0) <= tol
+                if math.isinf(r):  # ties take the first top index
+                    assert np.flatnonzero(y).tolist() == [np.flatnonzero(np.abs(z) == norm)[0]]

@@ -16,7 +16,7 @@ from orlicz_conc import (BobkovLedouxCap, InputError, MultiIndexMatrix, Numerica
                          partition_norms, save_matrix, support_argmax,
                          support_function, symmetrize)
 from orlicz_conc.conjugacy import _support_argmax_rows
-from orlicz_conc.psi import _row_dots, _row_power_norms
+from orlicz_conc.psi import _ball_witness, _row_dots
 
 
 def _wigner(n, seed):
@@ -232,17 +232,17 @@ def _closed_argmax_oracle(spec, p, theta):
             y[ties] = np.copysign(c, theta[ties])
         return float(np.dot(theta, y)), y
     if isinstance(spec, PowerNorm):
+        # R ||theta||_q, and R sign(theta) (|theta|/||theta||_q)^{q-1}, or R
+        # times the signed unit vector at the first top |theta_j| for q = inf
         R, q, mags = spec._conjugate_radius(p), spec.norm, np.abs(theta)
+        norm = np.linalg.norm(theta, ord=q)
         if math.isinf(q):
-            y = np.zeros(spec.dim)
+            u = np.zeros(spec.dim)
             j = int(np.argmax(mags))
-            y[j] = math.copysign(R, theta[j])
-        elif q == 1.0:
-            y = R * np.sign(theta)
+            u[j] = np.sign(theta[j])
         else:
-            w = np.sign(theta) * mags ** (q - 1.0)
-            y = R * w / float(np.linalg.norm(mags ** (q - 1.0), ord=q / (q - 1.0)))
-        return float(np.dot(theta, y)), y
+            u = np.sign(theta) * (mags / norm) ** (q - 1.0)
+        return float(R * norm), R * u
     return support_argmax(spec, p, theta)
 
 
@@ -276,8 +276,8 @@ def test_stacked_products_are_the_row_products_bit_for_bit():
             assert np.array_equal(tn._products(Y, M), np.array([M @ y for y in Y]))
             assert np.array_equal(tn._products(Y, M.T), np.array([M.T @ y for y in Y]))
             assert np.array_equal(_row_dots(Y, Z), [np.dot(y, z) for y, z in zip(Y, Z)])
-            for r in (1.5, 3.0, 4.0):
-                assert np.array_equal(_row_power_norms(np.abs(Y), r),
+            for r in (1.0, 1.5, 2.0, 3.0, 4.0, math.inf):
+                assert np.array_equal(_ball_witness(Y, r)[0],
                                       [np.linalg.norm(y, ord=r) for y in Y])
 
 
