@@ -21,7 +21,7 @@ is one sort per row, a search for the root's segment and a Newton solve on
 it.  For the other families the predicate Psi(px/a) <= p, monotone in a, is
 bracketed geometrically and the bracket narrowed by Chandrupatla's method.
 Every gauge takes a whole p grid at once, so the work that does not depend
-on p is done once per block of rows.
+on p is done once per slice of rows.
 The golden-section maximiser and the numeric Legendre transform at the end
 serve conjugacy's profiles and a custom Phi's component alike.
 """
@@ -43,7 +43,7 @@ DEFAULT_TOL = 1e-10
 _BRACKET_MAX = 200  # doublings/halvings before giving up (condition C3 failure)
 _SOLVE_MAX = 100    # Chandrupatla steps; bisection needs 35 (tol 1e-10) to 52 (float resolution)
 _NUDGE_MAX = 16     # doubling steps, at most 2^16 ulps, that repair a rounded closed form
-_BLOCK = 8192       # rows per gauge and Monte Carlo block, bounding per-row temporaries
+_BLOCK = 8192       # rows per Monte Carlo block and per gauge slice at dim <= 2 (a quarter above)
 _NEWTON_MAX = 64    # Newton steps of the piece-table gauge; it takes 2-8
 _NEWTON_TOL = 1e-14  # last relative step of the piece-table gauge
 _LIFT = 1.0 + 4.0 * np.finfo(float).eps  # the piece-table gauge's rise to the feasible side
@@ -666,9 +666,11 @@ def psi_p_norm(spec: PsiSpec, p: float, x) -> float:
 def psi_p_norm_rows(spec: PsiSpec, p, X) -> np.ndarray:
     """Vector of |row|_{Psi_p} over the rows of X; for a p grid (a 1-D
     array), the (rows, len(p)) array whose column j is the vector at p[j].
-    Each block of rows is scaled once and the family does its p-independent
+    The rows are solved in slices of _BLOCK rows at dim <= 2 and _BLOCK // 4
+    above: each slice is scaled once and the family does its p-independent
     work once for the whole grid.  Each value depends on its row and p
-    alone, so it is bit-identical to psi_p_norm on that row at that p."""
+    alone, so it is bit-identical to psi_p_norm on that row at that p,
+    whatever the slice."""
     grid = np.asarray(p, dtype=float)
     if grid.ndim > 1 or not np.all(grid > 0):
         raise InputError(f"p must be positive (a scalar or a 1-D grid), got {p}")
@@ -681,8 +683,9 @@ def psi_p_norm_rows(spec: PsiSpec, p, X) -> np.ndarray:
 
     out = np.zeros((len(ps), X.shape[0]))
     act = np.flatnonzero(np.any(X != 0.0, axis=1))
-    for i in range(0, act.size, _BLOCK):
-        rows = act[i:i + _BLOCK]
+    step = _BLOCK if spec.dim <= 2 else _BLOCK // 4
+    for i in range(0, act.size, step):
+        rows = act[i:i + step]
         # the gauge is 1-homogeneous, so each row is solved exactly at 2^-e
         # times itself, e its max's exponent: no square or p x under- or overflows
         Y = X[rows]
@@ -774,11 +777,11 @@ def _newton(update, x: np.ndarray, coefs: tuple, what: str) -> np.ndarray:
                          f"for {idx.size} rows")
 
 
-def _leading(pred, m: int, n: int) -> np.ndarray:
-    """Per row of m, the count of leading k in range(n) where pred holds,
-    pred(k) taking one k per row and monotone in k (true, then false):
-    binary lifting, one pred call per bit of n."""
-    k, step = np.zeros(m, dtype=np.intp), 1 << (n.bit_length() - 1)
+def _leading(pred, shape: tuple, n: int) -> np.ndarray:
+    """Per entry of an array of `shape`, the count of leading k in range(n)
+    where pred holds, pred(k) taking one k per entry and monotone in k
+    (true, then false): binary lifting, one pred call per bit of n."""
+    k, step = np.zeros(shape, dtype=np.intp), 1 << (n.bit_length() - 1)
     while step:
         j = k + step
         k += step * ((j <= n) & pred(np.minimum(j, n) - 1))
@@ -792,14 +795,14 @@ def _piece_gauge(ps: list, X: np.ndarray, table: PieceTable) -> np.ndarray:
     F(sig) = sum_i h(sig y_i) = p, y the |x_i| / max|x_i| in decreasing
     order.  With M_j coordinates at or above knot b_j, F sums a S sig^e + c N
     over the pieces, S the sum of y^e over the piece's coordinates and N
-    their count.  Per p, binary lifting (`_leading`) finds M_j = #{k :
-    F(b_j / y_k) <= p} from the top knot down: a higher knot's count brackets
-    the search, the knot's own count at b_j / y_k is k + 1, and a lower
-    knot's is a search of its own (one knot's F(b / y_k) is p-independent and
-    taken at every k once).  On that segment each piece alone reaches p above
-    the root, and Newton from the least of those points, each term a ratio to
-    its own root, falls to it, a row stopping once its relative step is at
-    most _NEWTON_TOL."""
+    their count.  For several p at once, binary lifting (`_leading`) finds
+    M_j = #{k : F(b_j / y_k) <= p} from the top knot down: a higher knot's
+    count brackets the search, the knot's own count at b_j / y_k is k + 1,
+    and a lower knot's is a search of its own (one knot's F(b / y_k) is
+    p-independent and taken at every k once).  On that segment each piece
+    alone reaches p above the root, and Newton from the least of those
+    points, each term a ratio to its own root, falls to it, a row stopping
+    once its relative step is at most _NEWTON_TOL."""
     m, n = X.shape
     knots, pieces, K = table.knots, table.pieces, len(table.knots)
     exps = [e for _, e, _ in pieces]
@@ -815,8 +818,8 @@ def _piece_gauge(ps: list, X: np.ndarray, table: PieceTable) -> np.ndarray:
     sums = [np.cumsum(first, axis=1, out=None if first is asc else first)]
     for e in exps[1:]:
         sums.append(np.zeros((m, n + 1)))
-        part, desc = sums[-1][:, 1:], asc[:, :0:-1]
-        np.cumsum(desc if e == 1.0 else np.power(desc, e, out=part), axis=1, out=part)
+        ye = _pow(asc, e)  # y^e, which the one-knot table reuses
+        np.cumsum(ye[:, :0:-1], axis=1, out=sums[-1][:, 1:])
     asc, sums = asc.ravel(), [v.ravel() for v in sums]
     at = np.arange(m) * (n + 1)
     rev = at + n
@@ -832,7 +835,7 @@ def _piece_gauge(ps: list, X: np.ndarray, table: PieceTable) -> np.ndarray:
         M = M[:j] + [k + 1 if j == K else np.maximum(k + 1, M[j + 1])] + M[j + 1:]
         for low in range(j - 1, 0, -1):  # at least M[low + 1], as thr < y_k
             thr = knots[low - 1] / knots[j - 1] * yk
-            M[low] = _leading(lambda t: asc.take(rev - t) >= thr, m, n)
+            M[low] = _leading(lambda t: asc.take(rev - t) >= thr, thr.shape, n)
         S, CN = segment(M)
         return sum(w * s / _pow(yk, e) for w, s, e in zip(scale[j - 1], S, exps)) + sum(CN)
 
@@ -843,15 +846,19 @@ def _piece_gauge(ps: list, X: np.ndarray, table: PieceTable) -> np.ndarray:
         step = (sum(ts[1:], ts[0]) - K1) / sum(slopes[1:], slopes[0])
         return sig - sig * step, np.abs(step) <= _NEWTON_TOL
 
-    out = np.empty((len(ps), m))
+    # p in groups of at most _BLOCK (row, p) pairs; each iterate is (len(p), m)
+    out, per = np.empty((len(ps), m)), max(1, _BLOCK // m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if K == 1:  # F(b / y_k) at column n - 1 - k, y increasing
             yk = asc.reshape(m, n + 1)[:, 1:]
             S = sums[0].reshape(m, n + 1)[:, :n], sums[1].reshape(m, n + 1)[:, n:0:-1]
-            one_knot = sum(w * s / _pow(yk, e) for w, s, e in zip(scale[0], S, exps)).ravel()
+            ye = _pow(yk, exps[0]), ye[:, 1:]
+            one_knot = sum(w * s / v for w, s, v in zip(scale[0], S, ye)).ravel()
             one_rev = np.arange(m) * n + (n - 1)
-        for i, p in enumerate(ps):
-            M, lo, hi = [None] * (K + 1) + [0], 0.0, np.inf
+        del ye
+        for g in range(0, len(ps), per):
+            p = ps[g] if per == 1 else np.array(ps[g:g + per])[:, None]  # (1, m) runs slower
+            shape, M, lo, hi = np.shape(p)[:1] + (m,), [None] * (K + 1) + [0], 0.0, np.inf
             for j in range(K, 0, -1):
                 def at_knot(k, j=j):  # F(b_j / y_k) <= p, inside the bracket
                     if K == 1:
@@ -862,7 +869,7 @@ def _piece_gauge(ps: list, X: np.ndarray, table: PieceTable) -> np.ndarray:
                     sig = knots[j - 1] / yk
                     return (sig < lo) | ((sig < hi) & (knot_value(j, k, yk, M) <= p))
 
-                M[j] = _leading(at_knot, m, n)
+                M[j] = _leading(at_knot, shape, n)
                 if j > 1:
                     prev = asc.take(np.minimum(rev - M[j] + 1, rev))
                     lo = np.maximum(lo, np.where(M[j] > 0, knots[j - 1] / prev, 0.0))
@@ -875,10 +882,12 @@ def _piece_gauge(ps: list, X: np.ndarray, table: PieceTable) -> np.ndarray:
                 roots.append(_pow(p, 1.0 / e) / _pow(a * s, 1.0 / e))
                 sig = np.fmin(sig, _pow(p - next(rest), 1.0 / e) / _pow(a * s, 1.0 / e)
                               if c else roots[-1])
-            K1 = np.zeros(m) + (1.0 - sum(CN) / p)
+            K1 = np.zeros(shape) + (1.0 - sum(CN) / p)
+            sig = _newton(update, sig.ravel(), tuple(v.ravel() for v in (K1, *roots)),
+                          "piece-table").reshape(shape)
             # the iterates fall to the root, so the gauge rises to it: 4 ulps
             # more leave almost no row for _feasible_gauge to raise
-            out[i] = _LIFT * p * (top / _newton(update, sig, (K1, *roots), "piece-table"))
+            out[g:g + per] = _LIFT * p * (top / sig)
     return out
 
 

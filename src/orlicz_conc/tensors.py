@@ -205,7 +205,8 @@ def partition_norms(A: MultiIndexMatrix, r: float, restarts: int = 32,
         raise InputError(f"restarts must be an integer >= 1, got {restarts!r}")
     M = A.data
     hs = math.sqrt(math.fsum((M * M).ravel()))
-    entry_lr = math.fsum((np.abs(M) ** r).ravel()) ** (1.0 / r)
+    entry_lr = (float(np.max(np.abs(M))) if math.isinf(r)
+                else math.fsum((np.abs(M) ** r).ravel()) ** (1.0 / r))
     op = _top_singular(M, np.random.default_rng([seed, 0xA]))
     lr = functools.partial(_ball_witness, r=r)
 

@@ -131,6 +131,14 @@ def test_diagonal_closed_forms():
     assert pn.entry_lr == pytest.approx(float(np.linalg.norm(d, ord=4.0)), rel=1e-10)
 
 
+def test_entry_norm_at_r_infinity_is_the_largest_entry():
+    # (sum |M_ij|^r)^(1/r) would read inf ** 0 = 1 for every matrix
+    M = np.random.default_rng(1).standard_normal((4, 4))
+    pn = partition_norms(MultiIndexMatrix(2, 4, M), math.inf, restarts=4)
+    assert pn.entry_lr == float(np.max(np.abs(M)))
+    assert round(pn.entry_lr, 3) == 1.303
+
+
 def test_rank_one_mixed_norm_closed_form():
     rng = np.random.default_rng(4)
     u, v = rng.standard_normal(8), rng.standard_normal(8)
