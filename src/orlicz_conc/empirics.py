@@ -5,8 +5,12 @@ bound evaluators.
 All estimators run block by block over the counter-based sample streams
 from measures; the blocks and reduction order are fixed, so results are
 bit-identical for a given (family, seed, N) regardless of the worker count
-(ORLICZ_CONC_THREADS affects speed only). Standard errors use BATCHES = 32
-contiguous batch means; verification bands are set at 3 SE.
+(ORLICZ_CONC_THREADS affects speed only). Their full-sample reductions (each
+p's log-sum-exp, the mean of v log v, the running top of top_mass_fraction)
+take psi._BLOCK rows at a time too, summed in numpy's own order (_tree_sum),
+so an estimate holds its one column and block-sized buffers, never an N-row
+work column. Standard errors use BATCHES = 32 contiguous batch means;
+verification bands are set at 3 SE.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import numpy as np
 
 from .errors import InputError
 from .measures import Family, NuMeasure, ProductPhiTail, SamplerSpec, map_streams
-from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, _row_max, env_to_dict, eval_psi_rows,
-                  psi_p_norm_rows, psi_to_dict)
+from .psi import (_BLOCK, GrowthEnvelope, PhiSpec, PsiSpec, _row_max, env_to_dict,
+                  eval_psi_rows, psi_p_norm_rows, psi_to_dict)
 from .tables import write_table
 
 BATCHES = 32
@@ -135,20 +139,39 @@ def exp_tilt(theta) -> TestFunction:
 # ---------------------------------------------------------------------------
 # estimators
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) for a non-empty real 1-D array, in the order of
-    operations of scipy.special.logsumexp, so results are bit-identical.
+def _tree_sum(fill: Callable, lo: int, n: int) -> np.float64:
+    """np.sum of the n values fill(i, j) returns for [i, j) in [lo, lo + n),
+    bit for bit, one node of at most _BLOCK values at a time.  numpy sums a
+    contiguous float array pairwise (Higham, SIAM J. Sci. Comput. 14, 1993),
+    halving n at n//2 - (n//2) % 8 down to 8-way leaves of <= 128 entries;
+    this takes the same split down to _BLOCK, where np.sum carries it on."""
+    if n <= _BLOCK:
+        return np.sum(fill(lo, lo + n))
+    half = n // 2 - (n // 2) % 8
+    return _tree_sum(fill, lo, half) + _tree_sum(fill, lo + half, n - half)
+
+
+def _logsumexp(a: np.ndarray, p: float) -> float:
+    """log(sum(exp(p * a))) for a non-empty real 1-D array `a` and p > 0, in
+    the order of operations of scipy.special.logsumexp on p * a, so results
+    are bit-identical; p * a is formed a block at a time, and `a` is left
+    as it is.  p > 0 keeps the order, so max(p * a) is p * max(a), exactly.
     The maximal entries are masked out of the sum rather than shifted to
-    -inf, so all -inf input gives -inf (not -inf - -inf = nan).  `a` is
-    overwritten by its shifted exponentials."""
-    a_max = np.max(a)
-    at_max = a == a_max
-    m = np.sum(at_max, dtype=a.dtype)
+    -inf, so all -inf input gives -inf (not -inf - -inf = nan)."""
+    a_max, buf, ties = np.max(a) * p, np.empty(min(a.size, _BLOCK)), [0]
+
+    def shifted(lo, hi):  # exp(p a - a_max) on [lo, hi), 0 at the ties, counted
+        out = np.multiply(a[lo:hi], p, out=buf[:hi - lo])
+        at_max = out == a_max
+        ties[0] += np.count_nonzero(at_max)
+        np.exp(np.subtract(out, a_max, out=out), out=out)
+        out[at_max] = 0.0
+        return out
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.exp(np.subtract(a, a_max, out=a), out=a)
-        a[at_max] = 0.0
-        s = np.sum(a) / m
-        return float(np.log1p(s) + np.log(m) + a_max)
+        s = _tree_sum(shifted, 0, a.size)
+        m = np.float64(ties[0])
+        return float(np.log1p(s / m) + np.log(m) + a_max)
 
 
 def _log_abs(values, out=None) -> np.ndarray:
@@ -159,18 +182,12 @@ def _log_abs(values, out=None) -> np.ndarray:
         return np.log(logs, out=logs)
 
 
-def _lse_grid(logs: np.ndarray, grid: np.ndarray) -> list:
-    """_logsumexp(p * logs) for each p of the grid, through one work buffer."""
-    work = np.empty_like(logs)
-    return [_logsumexp(np.multiply(logs, p, out=work)) for p in grid]
-
-
 def _moments_of_logs(logs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """empirical_moment of the values whose _log_abs is `logs`, per p of the grid."""
     top = float(np.max(logs))
     if math.isinf(top):  # every |v| is 0, or one is inf
         return np.full(grid.size, math.exp(top))
-    lses = np.array(_lse_grid(logs, grid)) - math.log(logs.size)
+    lses = np.array([_logsumexp(logs, p) for p in grid]) - math.log(logs.size)
     return np.array([math.exp(x) for x in lses / grid])
 
 
@@ -179,10 +196,13 @@ def _top_mass_of_logs(logs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     if not np.any(logs > -math.inf):
         return np.zeros(grid.size)
     # p > 0 keeps the order, so p times the top logs are the top of p * logs;
-    # a partition finds them, and only they are sorted
-    top = np.sort(np.partition(logs, max(logs.size - TOP_K, 0))[-TOP_K:])
-    total, top = _lse_grid(logs, grid), _lse_grid(top, grid)
-    return np.array([math.exp(t - s) for t, s in zip(top, total)])
+    # the TOP_K largest of each block join the running top, and only it is sorted
+    top = logs[:0]
+    for i in range(0, logs.size, _BLOCK):
+        top = np.concatenate([top, logs[i:i + _BLOCK]])
+        top = np.partition(top, max(top.size - TOP_K, 0))[-TOP_K:]
+    top = np.sort(top)
+    return np.array([math.exp(_logsumexp(top, p) - _logsumexp(logs, p)) for p in grid])
 
 
 def _flat(values, name: str) -> np.ndarray:
@@ -198,7 +218,8 @@ def empirical_moment(values, p):
     """(mean |v|^p)^{1/p}, max-shifted in the log domain so large p (up to
     the 256 design range) cannot overflow.  For a p grid (a 1-D array) it
     is the array of those moments, each bit-identical to its own call:
-    |v| and its log are taken once, and every p shares one work buffer."""
+    |v| and its log are taken once, into one column that every p reads a
+    block at a time."""
     values = _flat(values, "empirical_moment")
     grid = np.atleast_1d(np.asarray(p, dtype=float))
     if not np.all(grid >= 1.0):
@@ -215,10 +236,15 @@ def empirical_entropy(values) -> float:
     mean = float(np.mean(values))
     if mean == 0.0:
         return 0.0
-    vlogv = values.copy()  # 0 where v is 0: log only where v > 0, in place
-    np.log(vlogv, out=vlogv, where=vlogv > 0.0)
-    vlogv *= values
-    return float(np.mean(vlogv)) - mean * math.log(mean)
+    buf = np.empty(min(values.size, _BLOCK))
+
+    def vlogv(lo, hi):  # 0 where v is 0: log only where v > 0, in place
+        v, out = values[lo:hi], buf[:hi - lo]
+        out[:] = v
+        np.log(out, out=out, where=out > 0.0)
+        return np.multiply(out, v, out=out)
+
+    return float(_tree_sum(vlogv, 0, values.size) / values.size) - mean * math.log(mean)
 
 
 def batch_se(values, stat: Callable):
@@ -409,12 +435,14 @@ def verify_centered(sampler, f: TestFunction, spec: PsiSpec,
     meta = {"scenario": "centered", "function": f.name, "psi": _psi_meta(spec),
             "env": env_to_dict(env), "sampler": family.meta(),
             "seed": seed, "N": N, "C": C, "l_constant": l_constant(env)}
-    if fixed is not None:
+    if fixed is None:
+        logs = (_log_abs(col, out=col) for col in cols)
+    else:
         # a fixed gauge g enters as the moment of a constant column, not as g: its
-        # log-sum-exp rounds as the per-row gauges' column does, one column at a time
-        cols = (np.full(N, g) for g in fixed)
-    rhs = np.array([_moments_of_logs(_log_abs(col, out=col), np.atleast_1d(p))[0]
-                    for col, p in zip(cols, p_grid)])
+        # log-sum-exp rounds as the per-row gauges' column does; the column is
+        # log|g| read N times through a zero stride, so it holds no memory
+        logs = (np.broadcast_to(log, N) for log in _log_abs(fixed))
+    rhs = np.array([_moments_of_logs(log, np.atleast_1d(p))[0] for log, p in zip(logs, p_grid)])
     return _moment_report(p_grid, f_values, rhs,
                           lambda g, p: centered_moment_bound(g, env, p, C), meta)
 

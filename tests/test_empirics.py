@@ -56,13 +56,43 @@ def test_empirical_entropy_two_point_value():
 
 
 def test_empirical_entropy_equals_the_copying_formula():
-    # bit for bit on a strided column with zeros, which is no longer copied
-    rows = np.abs(np.random.default_rng(3).standard_normal((5000, 2)))
+    # bit for bit on a strided column with zeros, which is no longer copied,
+    # over more than three blocks: v log v is summed a block at a time
+    rows = np.abs(np.random.default_rng(3).standard_normal((3 * ms._BLOCK + 1001, 2)))
     rows[::9, 0] = 0.0
     flat = rows[:, 0].copy()
     vlogv = np.log(flat, out=np.zeros_like(flat), where=flat > 0.0) * flat
     mean = float(np.mean(flat))
     assert empirical_entropy(rows[:, 0]) == float(np.mean(vlogv)) - mean * math.log(mean)
+
+
+def _tree_sum_lengths():
+    B = ms._BLOCK
+    rng = np.random.default_rng(11)
+    return [1, 7, 8, 127, 128, 129, B - 1, B, B + 1, 3 * B + 5, 10 ** 6,
+            *rng.integers(1, 40 * B, 8).tolist()]
+
+
+@pytest.mark.parametrize("n", _tree_sum_lengths())
+def test_tree_sum_is_np_sum_bit_for_bit(n):
+    # values over 40 binary orders of magnitude, so the order of the additions
+    # shows in the last bits; the strided column is the mlsi report's g
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((n, 2)) * np.exp2(rng.integers(-20, 20, (n, 2)))
+    buf, calls = np.empty(ms._BLOCK), []
+
+    def copier(col):
+        def fill(lo, hi):
+            calls.append((lo, hi))
+            return np.copyto(buf[:hi - lo], col[lo:hi]) or buf[:hi - lo]
+        return fill
+
+    flat = rows[:, 1].copy()
+    assert em._tree_sum(copier(flat), 0, n).tobytes() == np.sum(flat).tobytes()
+    # the nodes tile [0, n) in order, none longer than a block
+    assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]
+    assert calls[-1][1] == n and max(hi - lo for lo, hi in calls) <= ms._BLOCK
+    assert em._tree_sum(copier(rows[:, 0]), 0, n).tobytes() == np.sum(rows[:, 0].copy()).tobytes()
 
 
 def test_batch_se_basics():
@@ -167,6 +197,42 @@ def test_top_mass_fraction_at_the_top_k_cut_equals_the_oracle(name):
         assert mags[-em.TOP_K] == mags[-em.TOP_K - 1]
 
 
+def _top_mass_partition_oracle(values, p):
+    # the whole-column formula: one partition of the log column finds its
+    # TOP_K largest, and p > 0 keeps them the largest of p * logs
+    from scipy.special import logsumexp
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(values))
+    top = np.sort(np.partition(logs, max(logs.size - em.TOP_K, 0))[-em.TOP_K:])
+    return math.exp(float(logsumexp(p * top)) - float(logsumexp(p * logs)))
+
+
+def _multi_block_columns():
+    # the TOP_K largest |v| spread over four blocks or all in the short last
+    # one, a tie at the cut across two blocks, and zeros
+    B = ms._BLOCK
+    rng = np.random.default_rng(13)
+    heavy = rng.standard_cauchy(3 * B + 77)
+    heavy[::5] = 0.0
+    spread = rng.standard_normal(3 * B + 77)
+    spread[[3, B + 1, B + 2, 2 * B, 3 * B + 1]] = [40.0, -35.0, 30.0, 45.0, -50.0]
+    spread[[B - 1, 2 * B + 9, 3 * B + 76]] = 20.0
+    spread[[7, B + 500, 2 * B + 10]] = -20.0  # 20 is the 6th to 11th largest |v|
+    last = rng.standard_normal(3 * B + 77)
+    last[-12:] = 10.0 + rng.random(12)
+    return {"heavy": heavy, "spread": spread, "last": last}
+
+
+@pytest.mark.parametrize("name", list(_multi_block_columns()))
+def test_running_top_mass_equals_the_partition_formula(name):
+    v = _multi_block_columns()[name]
+    want = np.array([_top_mass_partition_oracle(v, p) for p in GRID])
+    assert top_mass_fraction(v, GRID).tobytes() == want.tobytes()
+    if name == "spread":
+        mags = np.sort(np.abs(v))
+        assert mags[-em.TOP_K] == mags[-em.TOP_K - 1] == 20.0
+
+
 def test_verify_nu_logp_equals_the_per_p_oracles():
     p_grid = np.array([2.0, 4.0, 16.0])
     rep = verify_nu_logp(p_grid, 5000, 3)
@@ -189,25 +255,26 @@ def _peak_columns(run, N: int) -> float:
     return peak / (8 * N)
 
 
-def test_verify_nu_logp_holds_about_two_columns():
-    # the sample turned into its logs in place, and one work buffer: 2.1
-    # column sizes for a 4-point grid (with the logs in a new column, 3.1;
-    # an estimate per p and batch once held about 6)
+def test_verify_nu_logp_holds_about_one_column():
+    # the sample turned into its logs in place, each p summed a block at a
+    # time: 1.1 column sizes for a 4-point grid, most of the 0.1 the sampler's
+    # (with an N-row work buffer, 2.1; with the logs in a new column as well,
+    # 3.1; an estimate per p and batch once held about 6)
     N = 2 ** 20
-    assert _peak_columns(lambda: verify_nu_logp(np.array([2.0, 4.0, 8.0, 16.0]), N, 0), N) <= 2.5
+    assert _peak_columns(lambda: verify_nu_logp(np.array([2.0, 4.0, 8.0, 16.0]), N, 0), N) <= 1.25
 
 
 def test_comparison_check_holds_no_n_by_n_temporary():
     # f and <grad f, Z> in two columns beside one block of X and of Z, then
-    # each column's logs in place and one work buffer: 3.13 column sizes for
-    # a phi-tail X with n = 8 (one chunk of X and of Z made it 3.25; the
-    # one-hot gradient, its product with Z and int64 sign draws per chunk,
-    # and a copy of each column, once held 5.1)
+    # each column's logs in place, summed a block at a time: 2.16 column sizes
+    # for a phi-tail X with n = 8 (an N-row work buffer made it 3.13, and one
+    # chunk of X and of Z 3.25; the one-hot gradient, its product with Z and
+    # int64 sign draws per chunk, and a copy of each column, once held 5.1)
     N = 2 ** 20
     fam = ProductPhiTail(PhiSpec(s=1.5), n=8)
     peak = _peak_columns(lambda: comparison_check(fam, PhiSpec(s=1.5), max_coordinate(),
                                                   np.array([4.0, 8.0, 16.0]), N, 0), N)
-    assert peak <= 3.2
+    assert peak <= 2.3
 
 
 def test_centered_at_n_256_holds_less_than_one_chunk():
@@ -223,12 +290,13 @@ def test_centered_at_n_256_holds_less_than_one_chunk():
 
 
 def test_mlsi_report_holds_no_copy_of_its_columns():
-    # the (g, term) rows and the entropy's v log v column: 3.1 column sizes
-    # (a flat copy of the strided g column once made it 4.1)
+    # the (g, term) rows, with v log v summed a block at a time: 2.1 column
+    # sizes (a v log v column made it 3.1, and a flat copy of the strided g
+    # column as well 4.1)
     N = 2 ** 20
     peak = _peak_columns(lambda: mlsi_report(StandardGaussian(n=2), exp_tilt(np.array([0.5, 0.0])),
                                              SPEC2, 4.0, N, 0), N)
-    assert peak <= 3.75
+    assert peak <= 2.3
 
 
 def _logsumexp_cases():
@@ -251,13 +319,38 @@ def _logsumexp_cases():
     yield np.array([np.inf])
     yield np.array([-4.25])
     yield 128.0 * np.log(np.abs(rng.standard_normal(20000)))  # high-p moments
+    # over several blocks: ties at the maximum in three blocks, -inf runs that
+    # cross a block boundary or fill a block, and entries one ulp below the
+    # maximum that 3 times rounds onto it, so p * a has more ties than a
+    B = ms._BLOCK
+    multi = rng.standard_normal(3 * B + 5)
+    multi[[5, B + 3, 3 * B + 4]] = 4.0
+    yield multi
+    multi = multi.copy()
+    multi[B - 50:B + 50] = -np.inf
+    multi[2 * B:3 * B] = -np.inf
+    yield multi
+    yield np.r_[np.full(B + 1, -np.inf), 2.0, np.full(2 * B, -np.inf)]
+    yield np.full(2 * B + 3, -np.inf)
+    top = -0.699997
+    below = np.nextafter(top, -np.inf)
+    assert 3.0 * top == 3.0 * below
+    near = rng.standard_normal(4 * B) - 30.0
+    near[[9, 2 * B + 1, 4 * B - 1]] = top
+    near[[B - 1, B, 3 * B + 7, 3 * B + 8, 3 * B + 9]] = below
+    yield near
 
 
 def test_logsumexp_is_bit_identical_to_scipy():
+    # scipy on p * a, with a left as it is
     from scipy.special import logsumexp
     for a in _logsumexp_cases():
-        assert em._logsumexp(a.copy()) == float(logsumexp(a)), a[:5]
-    assert em._logsumexp(np.full(5, -np.inf)) == -math.inf
+        before = a.copy()
+        for p in (1.0, 3.0, 65.0, 128.0):
+            with np.errstate(invalid="ignore"):
+                assert em._logsumexp(a, p) == float(logsumexp(p * a)), (p, a[:5])
+        assert a.tobytes() == before.tobytes()
+    assert em._logsumexp(np.full(5, -np.inf), 1.0) == -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +394,11 @@ def test_linear_takes_one_gauge_per_p_bit_for_bit(spec, monkeypatch):
 
 
 def test_linear_centered_holds_no_gauge_columns():
-    # f, then one constant gauge column turned into its logs in place and a
-    # work buffer at a time, then f centred in place: 3.1 column sizes for a
-    # 4-point grid (with new log and centred columns, 4.1; one gauge column
-    # per p once stood beside f, about 8)
+    # f, then each p's constant gauge column as its log read through a zero
+    # stride, then f centred in place: 1.0 column sizes for a 4-point grid
+    # (a full gauge column and an N-row work buffer at a time made it 3.1;
+    # with new log and centred columns, 4.1; one gauge column per p once
+    # stood beside f, about 8)
     N = 2 ** 20
     env = GrowthEnvelope(K=1.0, alpha=2.0, beta=2.0, D=2.0, d=0.0)
     tracemalloc.start()
@@ -314,7 +408,7 @@ def test_linear_centered_holds_no_gauge_columns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 8 * N
+    assert peak <= 1.25 * 8 * N
 
 
 def test_norm_and_max_builtins():
