@@ -19,9 +19,8 @@ _EXPORTS = {
                "enlargement_bound", "enlargement_rate", "gk_moment", "hanson_wright_tail",
                "l_constant", "lipschitz_profile", "moment_interpolation_factor",
                "poincare_beta_bound", "quadratic_chaos_moment", "two_level_tail"),
-    "conjugacy": ("conjugate_ray_radius", "lam", "legendre_1d", "omega", "omega_inv",
-                  "omega_star", "omega_values", "profile_table", "psi_star",
-                  "support_argmax", "support_function"),
+    "conjugacy": ("conjugate_ray_radius", "lam", "omega", "omega_inv", "omega_star",
+                  "profile_table", "psi_star", "support_argmax", "support_function"),
     "empirics": ("EnlargementCurve", "MlsiReport", "MomentReport", "NuLogPReport",
                  "TestFunction", "batch_se", "comparison_check", "empirical_entropy",
                  "empirical_moment", "enlargement_mc", "euclidean_norm", "exp_tilt", "linear",
@@ -30,11 +29,12 @@ _EXPORTS = {
     "errors": ("InputError", "NumericalError"),
     "measures": ("CHUNK", "Family", "NuMeasure", "ProductPhiTail", "SamplerSpec",
                  "StandardGaussian", "isoperimetric_profile_nu", "map_streams", "nu_cdf",
-                 "nu_pdf", "nu_quantile", "sample", "sample_chunk", "save_samples"),
+                 "nu_pdf", "nu_quantile", "sample", "save_samples"),
     "psi": ("BobkovLedouxCap", "GrowthEnvelope", "PhiSpec", "PowerNorm", "PsiSpec",
             "SeparableFromPhi", "SeparableTwoLevel", "UserSeparable", "env_from_dict",
             "env_to_dict", "eval_psi", "eval_psi_rows", "psi_from_dict", "psi_from_json",
             "psi_p_norm", "psi_p_norm_rows", "psi_to_dict"),
+    "solvers": ("legendre_1d",),
     "tables": ("write_table",),
     "tensors": ("MultiIndexMatrix", "chaos_deterministic_term", "eval_form", "form_gradient",
                 "load_matrix", "partition_norms", "save_matrix", "symmetrize"),

@@ -18,8 +18,8 @@ from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import InputError
-from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, SeparableFromPhi, _bracket_sup, _column,
-                  _shaped, psi_p_norm)
+from .psi import GrowthEnvelope, PhiSpec, PsiSpec, SeparableFromPhi, psi_p_norm
+from .solvers import _bracket_sup, _column, _shaped
 
 _E = math.e
 

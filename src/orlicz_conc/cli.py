@@ -327,7 +327,7 @@ def _family(ns):
     """The --family measure on R^n (--n); phi_tail's tails are exp(-t^s) (--phi-s)."""
     from . import measures as ms
     if ns.family == "nu":
-        return ms.NuMeasure()
+        return ms.NuMeasure(n=ns.n)
     if ns.family == "phi_tail":
         return ms.ProductPhiTail(ps.PhiSpec(s=ns.phi_s), n=ns.n)
     return ms.StandardGaussian(n=ns.n)

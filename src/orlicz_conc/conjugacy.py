@@ -1,7 +1,7 @@
 """Convex conjugation machinery: the ray growth function omega and its
 inverse/conjugate profiles, and Psi* with the level sets {Psi* <= p} used by
-the chaos and enlargement bounds.  The numeric Legendre transform
-`legendre_1d` they use lives in psi, beside the other solvers.
+the chaos and enlargement bounds.  The solvers they run, the numeric
+Legendre transform `legendre_1d` among them, live in `solvers`.
 
 Each PsiSpec family supplies its closed forms (`_closed_omega`,
 `_closed_conjugate`, `_closed_support_argmax`, ...), a separable piecewise-power
@@ -26,8 +26,9 @@ import math
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .psi import (_GOLDEN, GRID_HI, GRID_LO, GRID_POINTS, PsiSpec, _as_vector,
-                  _bracket_sup, _column, _grid_sup, _shaped, legendre_1d)
+from .psi import PsiSpec, _as_vector
+from .solvers import (_GOLDEN, GRID_HI, GRID_LO, GRID_POINTS, _bracket_sup, _column, _grid_sup,
+                      _shaped, legendre_1d)
 
 _ARGMAX_GOLDEN_MAX = 120  # golden steps of a coordinate argmax
 _MULTIPLIER_GOLDEN_MAX = 200  # golden steps of the support dual's multiplier
@@ -63,28 +64,24 @@ def omega_ray_sup(spec: PsiSpec, t):
                              lambda r: np.any(np.isinf(r), axis=1), ratio, 60), t)
 
 
-def omega(spec: PsiSpec, t: float) -> float:
-    """Maximal growth ratio of Psi along rays at dilation t > 0."""
-    if not t > 0:
-        raise InputError(f"omega requires t > 0, got {t}")
-    return float(omega_values(spec, np.asarray(float(t))))
+def omega(spec: PsiSpec, t):
+    """Maximal growth ratio of Psi along rays at dilation t > 0, elementwise."""
+    ts = _column(t, lambda v: v > 0, "omega requires t > 0")
+    return _shaped(_omega(spec, ts), ts)
 
 
-def omega_values(spec: PsiSpec, ts: np.ndarray) -> np.ndarray:
-    """omega elementwise: the family's closed form, else omega_ray_sup."""
-    ts = np.asarray(ts, dtype=float)
+def _omega(spec: PsiSpec, ts: np.ndarray) -> np.ndarray:
+    """omega at the solves' own t > 0: the closed form, else omega_ray_sup."""
     with np.errstate(over="ignore"):
         closed = spec._closed_omega(ts)
-    if closed is not None:
-        return closed
-    return omega_ray_sup(spec, ts)
+    return omega_ray_sup(spec, ts) if closed is None else closed
 
 
 def omega_inv(spec: PsiSpec, s):
     """Right-continuous inverse sup{t > 0 : omega(t) <= s}, elementwise."""
     s = _column(s, lambda v: v > 0, "omega_inv requires s > 0")
     ss = s.ravel()
-    return _shaped(_bracket_sup(lambda d, t: omega_values(spec, t) - d, ss, np.ones_like(ss),
+    return _shaped(_bracket_sup(lambda d, t: _omega(spec, t) - d, ss, np.ones_like(ss),
                                 "omega_inv"), s)
 
 
@@ -92,7 +89,7 @@ def omega_star(spec: PsiSpec, t):
     """omega*(t) = t * sup{u > 0 : omega(u)/u <= t}, elementwise."""
     t = _column(t, lambda v: v > 0, "omega_star requires t > 0")
     ts = t.ravel()
-    return _shaped(ts * _bracket_sup(lambda d, u: omega_values(spec, u) / u - d, ts,
+    return _shaped(ts * _bracket_sup(lambda d, u: _omega(spec, u) / u - d, ts,
                                      np.ones_like(ts), "omega_star"), t)
 
 
@@ -100,13 +97,13 @@ def lam(spec: PsiSpec, t):
     """lambda(t) = sup_{y>0} (t y - omega(y)), the Legendre transform of
     omega, elementwise over t; sandwiches omega* via lambda(t) <= omega*(t)
     <= lambda(2t)."""
-    return legendre_1d(lambda ys: omega_values(spec, ys), t)
+    return legendre_1d(lambda ys: _omega(spec, ys), t)
 
 
 def profile_table(spec: PsiSpec, ts) -> np.ndarray:
     """Columns (t, omega, omega_inv, omega*, lambda) for CSV export."""
     ts = _column(ts, lambda v: v > 0, "profile_table requires t > 0")
-    return np.column_stack((ts, omega_values(spec, ts), omega_inv(spec, ts),
+    return np.column_stack((ts, _omega(spec, ts), omega_inv(spec, ts),
                             omega_star(spec, ts), lam(spec, ts)))
 
 
@@ -184,38 +181,33 @@ def _check_support(spec: PsiSpec, p: float):
 
 
 def support_argmax(spec: PsiSpec, p: float, theta) -> tuple:
-    """(value, y) with y a feasible point of {Psi* <= p} attaining (up to
-    numerical tolerance) the supremum of <theta, .>: the one-row case of
-    the family's closed form, else a numeric search."""
+    """(value, y), y a point of {Psi* <= p} attaining the supremum of <theta, .>
+    up to numerical tolerance: the one-row case of _support_argmax_rows."""
     _check_support(spec, p)
-    theta = _as_vector(spec, theta)
-    if not np.any(theta):
-        return 0.0, np.zeros(spec.dim)
-    closed = spec._closed_support_argmax(p, theta[None, :])
-    if closed is not None:
-        return float(closed[0][0]), closed[1][0]
-
-    # separable: multiplier from the dual, then exact per-coordinate argmax
-    y = _coordinate_argmax(spec, theta, _support_multiplier(spec, p, theta)[0])
-    # pull back onto the feasible set (guards multiplier round-off)
-    if psi_star(spec, y) > p:
-        c = _bracket_sup(lambda d, cs: np.sum(_conjugate_1d(spec, cs[:, None] * y), axis=1) - d,
-                         np.array([float(p)]), np.ones(1), "support_argmax")
-        y = float(c[0]) * y
-    return max(float(np.dot(theta, y)), 0.0), y
+    values, Y = _support_argmax_rows(spec, p, _as_vector(spec, theta)[None, :])
+    return float(values[0]), Y[0]
 
 
 def _support_argmax_rows(spec: PsiSpec, p: float, Theta: np.ndarray) -> tuple:
     """(values, Y): support_argmax of each row of Theta, for a p and spec
     that _check_support passed; the exact inner step of alternating chaos
     maximization.  A family's closed form takes the non-zero rows as one
-    block; otherwise each row runs support_argmax's search in turn."""
+    block; otherwise each runs the numeric search in turn, a zero row 0."""
+    values, Y = np.zeros(len(Theta)), np.zeros(Theta.shape)
     nz = np.flatnonzero(np.any(Theta, axis=1))
     closed = spec._closed_support_argmax(p, Theta[nz]) if nz.size else None
-    if closed is None:
-        return tuple(map(np.array, zip(*(support_argmax(spec, p, theta) for theta in Theta))))
-    values, Y = np.zeros(len(Theta)), np.zeros(Theta.shape)
-    values[nz], Y[nz] = closed
+    if closed is not None:
+        values[nz], Y[nz] = closed
+        return values, Y
+    for i, theta in zip(nz, Theta[nz]):
+        # separable: multiplier from the dual, then exact per-coordinate argmax
+        y = _coordinate_argmax(spec, theta, _support_multiplier(spec, p, theta)[0])
+        # pull back onto the feasible set (guards multiplier round-off)
+        if psi_star(spec, y) > p:
+            c = _bracket_sup(lambda d, cs: np.sum(_conjugate_1d(spec, cs[:, None] * y), axis=1) - d,
+                             np.array([float(p)]), np.ones(1), "support_argmax")
+            y = float(c[0]) * y
+        values[i], Y[i] = max(float(np.dot(theta, y)), 0.0), y
     return values, Y
 
 

@@ -7,7 +7,7 @@ from measures; the blocks and reduction order are fixed, so results are
 bit-identical for a given (family, seed, N) regardless of the worker count
 (ORLICZ_CONC_THREADS affects speed only). Their full-sample reductions (each
 p's log-sum-exp, the mean of v log v, the running top of top_mass_fraction)
-take psi._BLOCK rows at a time too, summed in numpy's own order (_tree_sum),
+take solvers._BLOCK rows at a time too, summed in numpy's own order (_tree_sum),
 so an estimate holds its one column and block-sized buffers, never an N-row
 work column. Standard errors use BATCHES = 32 contiguous batch means;
 verification bands are set at 3 SE.
@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import InputError
 from .measures import Family, NuMeasure, ProductPhiTail, SamplerSpec, map_streams
-from .psi import (_BLOCK, GrowthEnvelope, PhiSpec, PsiSpec, _row_max, env_to_dict,
-                  eval_psi_rows, psi_p_norm_rows, psi_to_dict)
+from .psi import (GrowthEnvelope, PhiSpec, PsiSpec, _row_max, env_to_dict, eval_psi_rows,
+                  psi_p_norm_rows, psi_to_dict)
+from .solvers import _BLOCK
 from .tables import write_table
 
 BATCHES = 32
@@ -266,7 +267,9 @@ def top_mass_fraction(values, p_grid) -> np.ndarray:
     largest magnitudes, from one log pass; the effective-sample-size
     diagnostic attached to high-p estimates."""
     grid = np.atleast_1d(np.asarray(p_grid, dtype=float))
-    return _top_mass_of_logs(_log_abs(np.asarray(values, dtype=float).reshape(-1)), grid)
+    if not np.all(grid >= 1.0):
+        raise InputError(f"requires p >= 1, got {p_grid}")
+    return _top_mass_of_logs(_log_abs(_flat(values, "top_mass_fraction")), grid)
 
 
 def _estimate(values, stat: Callable) -> tuple:

@@ -4,7 +4,7 @@ and its isoperimetric-type profile; `save_samples`, the sample writer.
 
 Chunk j of a stream is generated from key (seed, j), so samples are
 bit-identical however generation is scheduled across workers; its blocks
-of psi._BLOCK rows, drawn one after another, carry a whole-chunk draw's bits.
+of solvers._BLOCK rows, drawn one after another, carry a whole-chunk draw's bits.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError
-from .psi import _BLOCK, PhiSpec, _bracket_solve
+from .psi import PhiSpec
+from .solvers import _BLOCK, _bracket_solve
 from .tables import _out_stream, write_table
 
 CHUNK = 65536  # rows keyed as one Philox stream
@@ -145,17 +146,9 @@ def _phi_inv_array(phi: PhiSpec, y: np.ndarray) -> np.ndarray:
                           "phi^{-1}").reshape(y.shape)
 
 
-def sample_chunk(family: Family, seed: int, j: int, rows: int) -> np.ndarray:
-    """First `rows` rows of chunk j of the (family, seed) stream, rows <= CHUNK:
-    a bit-exact prefix of the full chunk, with only those rows computed."""
-    if not 0 < rows <= CHUNK:
-        raise InputError(f"rows must lie in (0, {CHUNK}], got {rows}")
-    return family._drawer(seed, j)(rows)
-
-
 def map_streams(count: int, streams, fn: Callable, sink: Optional[Callable] = None):
     """fn(*blocks) over the first `count` rows of each (family, seed) stream
-    in `streams`, in blocks of psi._BLOCK rows: block i of every stream goes
+    in `streams`, in blocks of solvers._BLOCK rows: block i of every stream goes
     in together, and each result goes to sink(result), in block order on the
     calling thread.  Without a sink the results are returned: each lands at
     its block's rows of one array, or each entry of a tuple result at those

@@ -94,13 +94,14 @@ def test_help_and_usage_errors_load_neither_numpy_nor_a_layer(argv, rc):
 
 
 @pytest.mark.parametrize("argv, layers", [
-    (["norm", "--psi", PSI2, "--p", "4", "--x", "3,4"], {"psi", "tables"}),
-    (["tensor", "--matrix", "m.txt", "--op", "eval", "--x", "1,2"], {"psi", "tables", "tensors"}),
+    (["norm", "--psi", PSI2, "--p", "4", "--x", "3,4"], {"psi", "solvers", "tables"}),
+    (["tensor", "--matrix", "m.txt", "--op", "eval", "--x", "1,2"],
+     {"psi", "solvers", "tables", "tensors"}),
     (["tensor", "--matrix", "m.txt", "--op", "gradient", "--x", "1,2"],
-     {"psi", "tables", "tensors"}),
-    (["bound", "l_constant", *ENV_FLAGS], {"bounds", "psi", "tables"}),
+     {"psi", "solvers", "tables", "tensors"}),
+    (["bound", "l_constant", *ENV_FLAGS], {"bounds", "psi", "solvers", "tables"}),
     (["verify", "nu-logp", "--N", "2000", "--p-grid", "2,4"],
-     {"empirics", "measures", "psi", "tables"}),
+     {"empirics", "measures", "psi", "solvers", "tables"}),
 ], ids=["norm", "tensor_eval", "tensor_gradient", "bound_l_constant", "verify_nu_logp"])
 def test_startup_imports_no_layer_the_subcommand_does_not_use(argv, layers, tmp_path):
     # a subcommand imports its layers when it runs, and only sampling loads
@@ -656,6 +657,15 @@ def test_sample_bin_requires_out(capsys, monkeypatch):
                      "--count", "8", "--format", "bin")
     assert rc == 2
     assert json.loads(err)["error"] == "input"
+
+
+def test_sample_nu_refuses_a_dimension_other_than_one(capsys):
+    # nu is one-dimensional: --n 3 is an input error, not a one-column sample
+    rc, out, err = run(capsys, "sample", "--family", "nu", "--n", "3", "--seed", "1",
+                       "--count", "8")
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "input",
+                               "message": "NuMeasure is one-dimensional; n must be 1"}
 
 
 def test_verify_writes_report_file(capsys, tmp_path):

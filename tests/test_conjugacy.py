@@ -12,12 +12,12 @@ import frozen_closed_forms as frozen
 
 import orlicz_conc.conjugacy as cj
 import orlicz_conc.psi as psi_mod
+import orlicz_conc.solvers as solvers
 from orlicz_conc import (BobkovLedouxCap, GrowthEnvelope, InputError, NumericalError,
                          PhiSpec, PowerNorm, SeparableFromPhi, SeparableTwoLevel,
                          UserSeparable, conjugate_ray_radius, eval_psi, lam, legendre_1d,
-                         lipschitz_profile, omega, omega_inv, omega_star,
-                         omega_values, profile_table, psi_star, support_argmax,
-                         support_function)
+                         lipschitz_profile, omega, omega_inv, omega_star, profile_table,
+                         psi_star, support_argmax, support_function)
 
 POWER2 = PowerNorm(dim=4, norm=2.0, a=2.0)
 POWER15 = PowerNorm(dim=4, norm=2.0, a=1.5)
@@ -42,6 +42,18 @@ def test_omega_closed_forms():
         assert omega(SFP3, t) == pytest.approx(max(t ** 2, t ** 1.5), rel=1e-12)
     assert omega(BL1, 0.5) == pytest.approx(0.25, rel=1e-12)
     assert math.isinf(omega(BL1, 2.0))
+
+
+@pytest.mark.parametrize("spec", [*ALL, SFP15, UserSeparable(dim=2, fn=np.square)],
+                         ids=["power2", "power15", "twolevel3", "sfp1", "sfp3", "bl1", "sfp15",
+                              "user_square"])
+def test_omega_of_an_array_is_the_scalar_calls(spec):
+    ts = np.array([[0.25, 1.0, 3.0], [0.5, 2.0, 40.0]])
+    got = omega(spec, ts)
+    assert got.shape == ts.shape
+    want = [omega(spec, float(t)) for t in ts.ravel()]
+    assert got.ravel().tobytes() == np.array(want).tobytes()
+    assert isinstance(omega(spec, 2.0), float)
 
 
 def test_omega_matches_ray_supremum_oracle():
@@ -115,6 +127,9 @@ def test_profile_table_columns():
 
 
 @pytest.mark.parametrize("call, ts, message", [
+    (lambda v: omega(TWOLEVEL3, v), -1.0, "omega requires t > 0, got -1.0"),
+    (lambda v: omega(UserSeparable(dim=2, fn=np.square), v), [[2.0, math.nan]],
+     "omega requires t > 0, got nan"),
     (lambda v: omega_inv(TWOLEVEL3, v), [[1.0, -2.5], [math.nan, 0.0]],
      "omega_inv requires s > 0, got -2.5"),
     (lambda v: omega_star(TWOLEVEL3, v), [[1.0, 0.0], [-2.5, 2.0]],
@@ -129,8 +144,8 @@ def test_profile_table_columns():
     (lambda v: lipschitz_profile(1.0, 1e4, GrowthEnvelope(K=1.0, alpha=2.0, beta=2.0),
                                  TWOLEVEL3, 1.0, v), [1.0, 1e-320],
      "omega_star requires t > 0, got 0.0"),
-], ids=["omega_inv", "omega_star", "profile_table", "conjugate_ray_radius", "legendre_1d",
-        "lipschitz_profile"])
+], ids=["omega_scalar", "omega_user", "omega_inv", "omega_star", "profile_table",
+        "conjugate_ray_radius", "legendre_1d", "lipschitz_profile"])
 def test_positive_domain_errors_name_the_first_bad_entry(call, ts, message):
     with pytest.raises(InputError) as info:
         call(np.array(ts))
@@ -144,7 +159,7 @@ def test_legendre_1d_of_quadratic():
 
 def test_bracket_sup_reports_bracket_failure():
     with pytest.raises(NumericalError):
-        psi_mod._bracket_sup(lambda d, c: np.ones_like(c), np.zeros(1), np.ones(1),
+        solvers._bracket_sup(lambda d, c: np.ones_like(c), np.zeros(1), np.ones(1),
                              "nothing is feasible")
 
 
@@ -434,7 +449,7 @@ def test_golden_max_rows_equal_the_scalar_search(rows):
     rng = np.random.default_rng(21)
     c = rng.uniform(-3.0, 3.0, size=rows)
     a, b = c - rng.uniform(0.01, 2.0, size=rows), c + rng.uniform(0.01, 2.0, size=rows)
-    got = psi_mod._golden_max(lambda cc, x: -(x - cc) * (x - cc), c, a, b, 80)
+    got = solvers._golden_max(lambda cc, x: -(x - cc) * (x - cc), c, a, b, 80)
     assert got.shape == (rows,)
     for k in range(c.size):
         want = _golden_max_oracle(lambda x: -(x - c[k]) * (x - c[k]), a[k], b[k])
@@ -444,7 +459,7 @@ def test_golden_max_rows_equal_the_scalar_search(rows):
 def test_golden_max_raises_at_its_step_cap():
     c = np.array([0.3])
     with pytest.raises(NumericalError, match="golden-section search did not converge"):
-        psi_mod._golden_max(lambda cc, x: -(x - cc) * (x - cc), c, c - 100.0, c + 100.0, 1)
+        solvers._golden_max(lambda cc, x: -(x - cc) * (x - cc), c, c - 100.0, c + 100.0, 1)
 
 
 def test_suprema_of_no_values_are_empty():
@@ -519,9 +534,9 @@ def test_omega_ray_sup_array_matches_per_point_oracle(spec):
 def test_lambda_of_a_user_component_equals_per_point_transform():
     ts = np.array([0.5, 3.0])
     tab = profile_table(CUBE, ts)
-    np.testing.assert_array_equal(tab[:, 1], omega_values(CUBE, ts))
+    np.testing.assert_array_equal(tab[:, 1], omega(CUBE, ts))
     for k, t in enumerate(ts):
-        assert tab[k, 4] == _legendre_oracle(lambda ys: omega_values(CUBE, ys), float(t))
+        assert tab[k, 4] == _legendre_oracle(lambda ys: omega(CUBE, ys), float(t))
         assert tab[k, 4] == lam(CUBE, float(t))
 
 

@@ -112,6 +112,18 @@ def test_top_mass_fraction_range():
     assert top_mass_fraction(v[:5], 8.0) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("values, p, match", [
+    (np.zeros(0), 2.0, "top_mass_fraction requires a non-empty value vector"),
+    (np.ones(5), 0.5, "requires p >= 1"),
+    (np.ones(5), [2.0, math.nan], "requires p >= 1"),
+], ids=["empty", "p_below_one", "nan_in_grid"])
+def test_top_mass_fraction_refuses_what_empirical_moment_refuses(values, p, match):
+    with pytest.raises(InputError, match=match):
+        top_mass_fraction(values, p)
+    with pytest.raises(InputError, match=match.replace("top_mass_fraction", "empirical_moment")):
+        empirical_moment(values, p)
+
+
 def _moment_oracle(values, p):
     # the per-p estimator before p grids, on scipy's logsumexp
     from scipy.special import logsumexp

@@ -13,6 +13,7 @@ from orlicz_conc import (BobkovLedouxCap, InputError, NumericalError, PhiSpec, P
                          SeparableFromPhi, SeparableTwoLevel, UserSeparable,
                          eval_psi_rows, psi_p_norm, psi_p_norm_rows, psi_to_dict)
 from orlicz_conc import psi as psi_mod
+from orlicz_conc import solvers
 
 
 def bisect_gauge(spec, p, X, tol=1e-12):
@@ -120,7 +121,7 @@ def test_power_norm_rounding_repair_keeps_every_row_feasible():
     ("_NEWTON_MAX", SeparableFromPhi(dim=3, phi=PhiSpec(s=3.0))),           # three pieces
 ], ids=["bracket", "two_piece", "three_piece"])
 def test_iteration_cap_raises_numerical_error(cap, spec, monkeypatch, capsys):
-    monkeypatch.setattr(psi_mod, cap, 1)
+    monkeypatch.setattr(solvers, cap, 1)
     with pytest.raises(NumericalError, match="did not converge"):
         psi_p_norm(spec, 4.0, np.array([1.0, -2.0, 0.5]))
     if isinstance(spec, UserSeparable):  # no JSON form, so no CLI run
@@ -135,7 +136,7 @@ def test_tol_below_float_resolution_still_converges():
     spec = SeparableTwoLevel(dim=3, r=3.0)
     x = np.array([1.0, -2.0, 0.5])
     PX = 4.0 * x[None, :]
-    a = psi_mod._bracket_solve(lambda rows, b: spec._eval_rows(PX[rows] / b[:, None]) - 4.0,
+    a = solvers._bracket_solve(lambda rows, b: spec._eval_rows(PX[rows] / b[:, None]) - 4.0,
                                np.arange(1), np.array([np.linalg.norm(x)]), 1e-300, "gauge")[0]
     assert eval_psi_rows(spec, 4.0 * x[None, :] / a)[0] <= 4.0
     assert a == pytest.approx(bisect_gauge(spec, 4.0, x)[0], rel=1e-12)

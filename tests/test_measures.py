@@ -16,7 +16,7 @@ import orlicz_conc.measures as ms
 from orlicz_conc import (InputError, NuMeasure, PhiSpec, ProductPhiTail,
                          SamplerSpec, StandardGaussian,
                          isoperimetric_profile_nu, nu_cdf, nu_pdf,
-                         nu_quantile, sample, sample_chunk, save_samples)
+                         nu_quantile, sample, save_samples)
 
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -49,7 +49,7 @@ def test_sample_over_three_chunks_matches_one_worker(monkeypatch):
     monkeypatch.setenv(ms.THREADS_ENV, "4")
     four = sample(spec)
     assert one.tobytes() == four.tobytes()
-    np.testing.assert_array_equal(one[2 * ms.CHUNK:], sample_chunk(spec.family, 3, 2, 17))
+    np.testing.assert_array_equal(one[2 * ms.CHUNK:], spec.family._drawer(3, 2)(17))
 
 
 @pytest.mark.parametrize("family", [
@@ -58,10 +58,10 @@ def test_sample_over_three_chunks_matches_one_worker(monkeypatch):
 ], ids=["gaussian", "phi_tail", "nu", "custom_phi"])
 def test_a_short_chunk_is_the_full_chunks_prefix(family):
     # only the requested rows are computed, yet they are the full chunk's
-    full = sample_chunk(family, 5, 2, ms.CHUNK)
+    full = family._drawer(5, 2)(ms.CHUNK)
     assert full.shape == (ms.CHUNK, family.n)
     for rows in (1, 777, ms.CHUNK - 1, ms.CHUNK):
-        np.testing.assert_array_equal(sample_chunk(family, 5, 2, rows), full[:rows])
+        np.testing.assert_array_equal(family._drawer(5, 2)(rows), full[:rows])
 
 
 @pytest.mark.parametrize("count, family, seed, match", [
@@ -92,7 +92,7 @@ def test_map_streams_raises_a_worker_error(monkeypatch):
             raise InputError("chunk 1")
         return X
 
-    first = sample_chunk(StandardGaussian(n=1), 0, 1, 1)[0, 0]
+    first = StandardGaussian(n=1)._drawer(0, 1)(1)[0, 0]
     monkeypatch.setenv(ms.THREADS_ENV, "2")
     with pytest.raises(InputError, match="chunk 1"):
         ms.map_streams(2 * ms.CHUNK, [(StandardGaussian(n=1), 0)], fn)
@@ -116,9 +116,9 @@ def test_a_tuple_job_fills_one_contiguous_column_per_entry(monkeypatch, count):
 
 
 def test_chunks_depend_only_on_seed_and_index():
-    one = sample_chunk(StandardGaussian(n=2), 9, 3, 100)
-    two = sample_chunk(StandardGaussian(n=2), 9, 3, 100)
-    other = sample_chunk(StandardGaussian(n=2), 9, 4, 100)
+    one = StandardGaussian(n=2)._drawer(9, 3)(100)
+    two = StandardGaussian(n=2)._drawer(9, 3)(100)
+    other = StandardGaussian(n=2)._drawer(9, 4)(100)
     np.testing.assert_array_equal(one, two)
     assert np.any(one != other)
 
@@ -177,7 +177,7 @@ def test_phi_tail_draw_equals_the_old_formula(family):
     # a short chunk draws only its own uniforms and skips the rest of the
     # chunk's Philox blocks; odd rows * n leaves half a word of sign draws
     for j, rows in enumerate((1, 3, 777, 5000, 16384, ms.CHUNK - 1, ms.CHUNK)):
-        got = sample_chunk(family, 11, j, rows)
+        got = family._drawer(11, j)(rows)
         want = _old_phi_tail_draw(family, ms._chunk_rng(11, j), rows)
         assert got.tobytes() == want.tobytes(), rows
 

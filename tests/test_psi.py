@@ -13,7 +13,7 @@ from orlicz_conc import (BobkovLedouxCap, GrowthEnvelope, InputError, PhiSpec,
                          UserSeparable, env_from_dict, env_to_dict, eval_psi,
                          eval_psi_rows, psi_from_dict, psi_from_json,
                          psi_p_norm, psi_p_norm_rows, psi_to_dict)
-from orlicz_conc import psi as psi_mod
+from orlicz_conc import solvers
 
 
 def _power(a, q=2.0, dim=20):
@@ -161,10 +161,10 @@ def test_psi_p_norm_rows_matches_scalar_loop():
     # bit for bit, for closed forms and the iterative solve alike, with zero
     # rows and more rows than one internal block
     rng = np.random.default_rng(12)
-    m = psi_mod._BLOCK + 300
+    m = solvers._BLOCK + 300
     X = rng.standard_normal((m, 5)) * np.exp(rng.uniform(-3.0, 3.0, (m, 1)))
     X[::97] = 0.0
-    picks = np.r_[0:8, psi_mod._BLOCK - 4:psi_mod._BLOCK + 4, m - 8:m,
+    picks = np.r_[0:8, solvers._BLOCK - 4:solvers._BLOCK + 4, m - 8:m,
                   rng.integers(0, m, 24)]
     for spec in (_power(1.5, q=3.0, dim=5), BobkovLedouxCap(dim=5, threshold=0.5),
                  SeparableTwoLevel(dim=5, r=3.0),

@@ -1,9 +1,13 @@
 """The one bracketing root finder behind omega^-1, omega*, the enlargement
 radius, Chebyshev levels, the support pull-back and the custom-Phi sampler:
 each against a bisection oracle, the feasibility of every returned end, and
-the iteration cap."""
+the iteration cap; and the one module, `solvers`, that every layer takes
+its solvers from."""
 
+import importlib
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ import orlicz_conc.bounds as bd
 import orlicz_conc.cli as cli
 import orlicz_conc.conjugacy as cj
 import orlicz_conc.measures as ms
-import orlicz_conc.psi as psi_mod
+import orlicz_conc.solvers as solvers
 from orlicz_conc import (BobkovLedouxCap, GrowthEnvelope, NumericalError, PhiSpec,
                          PowerNorm, SeparableFromPhi, SeparableTwoLevel, UserSeparable,
                          chebyshev_level, conjugate_ray_radius, l_constant, lam, omega,
@@ -63,7 +67,7 @@ def bisect_phi_inv(phi, y):
 def feasible_ends(monkeypatch):
     """Wrap the solver so that every root it returns is checked feasible."""
     def checked(resid, data, start, what):
-        t = psi_mod._bracket_sup(resid, data, start, what)
+        t = solvers._bracket_sup(resid, data, start, what)
         assert np.all(resid(data, t) <= 0), what
         return t
     for module in (cj, bd):
@@ -160,13 +164,13 @@ ENV = GrowthEnvelope(K=1.0, alpha=2.0, beta=2.0, D=1.0)
 ], ids=["omega_inv", "profile_table", "omega_star", "conjugate_ray_radius",
         "chebyshev_level", "phi_inv"])
 def test_each_caller_raises_at_the_iteration_cap(monkeypatch, what, call):
-    monkeypatch.setattr(psi_mod, "_SOLVE_MAX", 1)
+    monkeypatch.setattr(solvers, "_SOLVE_MAX", 1)
     with pytest.raises(NumericalError, match=f"^{what}.* did not converge"):
         call()
 
 
 def test_support_pull_back_raises_at_the_iteration_cap(monkeypatch):
-    monkeypatch.setattr(psi_mod, "_SOLVE_MAX", 1)
+    monkeypatch.setattr(solvers, "_SOLVE_MAX", 1)
     monkeypatch.setattr(cj, "_coordinate_argmax", lambda spec, theta, lam_: 3.0 * theta)
     with pytest.raises(NumericalError, match="^support_argmax solve did not converge"):
         support_argmax(SeparableTwoLevel(dim=2, r=3.0), 2.0, np.array([1.0, -0.5]))
@@ -179,9 +183,42 @@ def test_custom_phi_bracket_failure_names_its_caller():
 
 
 def test_conjugate_grid_exits_three_at_the_iteration_cap(monkeypatch, capsys):
-    monkeypatch.setattr(psi_mod, "_SOLVE_MAX", 1)
+    monkeypatch.setattr(solvers, "_SOLVE_MAX", 1)
     rc = cli.main(["conjugate", "--psi", '{"family":"SeparableTwoLevel","params":{"r":3},"dim":2}',
                    "--grid", "0.1,10,5"])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
     assert "omega_inv solve did not converge" in captured.err
+
+
+def test_solvers_is_a_leaf_module():
+    # numpy, the standard library and errors: no other package module
+    probe = ("import sys, orlicz_conc.solvers\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'orlicz_conc'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(["orlicz_conc", "orlicz_conc.errors",
+                                                "orlicz_conc.solvers"])
+
+
+SOLVER_LOOPS = ("_bracket_solve", "_solve_block", "_bracket_sup", "_newton", "_golden_max",
+                "_grid_sup", "legendre_1d")
+LAYER_SOLVERS = {
+    "psi": ("_BLOCK", "_bracket_solve", "_newton", "_shaped", "legendre_1d"),
+    "conjugacy": ("_GOLDEN", "GRID_HI", "GRID_LO", "GRID_POINTS", "_bracket_sup", "_column",
+                  "_grid_sup", "_shaped", "legendre_1d"),
+    "bounds": ("_bracket_sup", "_column", "_shaped"),
+    "measures": ("_BLOCK", "_bracket_solve"),
+    "empirics": ("_BLOCK",),
+}
+
+
+@pytest.mark.parametrize("layer", ["psi", "conjugacy", "bounds", "measures", "empirics",
+                                   "tensors", "cli", "tables"])
+def test_each_layer_runs_the_solvers_own_objects(layer):
+    module = importlib.import_module(f"orlicz_conc.{layer}")
+    for name in LAYER_SOLVERS.get(layer, ()):
+        assert getattr(module, name) is getattr(solvers, name), name
+    # no layer keeps a loop of its own under a solver's name
+    for name in SOLVER_LOOPS:
+        assert getattr(module, name, solvers) in (solvers, getattr(solvers, name)), name
